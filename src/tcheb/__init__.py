@@ -63,7 +63,6 @@ from .reduction import (
     DominationReport,
     ReductionReport,
     criterion_value,
-    jacobi_spectrum,
     optimize_in_class,
     reduce_design,
     verify_domination,
@@ -108,7 +107,6 @@ __all__ = [
     "evaluate_basis",
     "grid_lp_extremum",
     "information_matrix",
-    "jacobi_spectrum",
     "lower_principal",
     "make_model",
     "moment_point",

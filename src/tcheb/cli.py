@@ -19,13 +19,14 @@ import logging
 import os
 import sys
 
-from .chebyshev import augment, check_chebyshev
+from .chebyshev import check_chebyshev
 from .errors import ConfigurationError, PreconditionError, TchebError
-from .models import make_model, psi_k_Q, psi_system
+from .models import make_model, psi_system
 from .moments import Design, design_index, moment_point
 from .reduction import (
     PSD_TOL,
     _sphere_directions,
+    augmented_checks,
     criterion_value,
     optimize_in_class,
     reduce_design,
@@ -39,7 +40,7 @@ EXIT_ERROR = 1
 EXIT_PRECONDITION = 2
 
 # Tolerances the CLI can override via --tol.<name>=<value>.
-TOL_NAMES = ("newton", "psd", "lp_feas")
+TOL_NAMES = ("newton", "psd")
 
 
 def _sig15(x: float) -> float:
@@ -137,16 +138,9 @@ def _load_model(path: str):
 
 def _load_design(path: str, model) -> Design:
     design = Design.from_json_obj(_load_json(path))
-    if (
-        design.interval.lower != model.design_interval.lower
-        or design.interval.upper != model.design_interval.upper
-    ):
+    if design.interval != model.design_interval:
         raise ConfigurationError("design interval differs from the model interval")
     return design
-
-
-def _design_json(design: Design) -> dict:
-    return design.as_json_obj()
 
 
 def _write_report(path: str, report: dict):
@@ -178,15 +172,9 @@ def _cmd_check(args, tols) -> int:
     model, theta = _load_model(args.model)
     psi = psi_system(model, theta)
     base = check_chebyshev(psi.system, grid_size=max(args.grid, psi.k), seed=args.seed)
-    sign = 1.0 if args.direction == "upper" else -1.0
-    aug_reports = []
-    for Q in _sphere_directions(psi.p1):
-        f = psi_k_Q(psi, Q)
-        omega = (lambda g: (lambda x: sign * g(x)))(f)
-        rep = check_chebyshev(
-            augment(psi.system, omega), grid_size=max(args.grid, psi.k + 1), seed=args.seed
-        )
-        aug_reports.append((Q, rep))
+    qs = _sphere_directions(psi.p1)
+    grid = max(args.grid, psi.k + 1)
+    aug_reports = list(augmented_checks(psi, args.direction, qs, grid_size=grid, seed=args.seed))
     worst = min((r for _, r in aug_reports), key=lambda r: (r.verified, r.min_determinant))
     augmented = _check_report(worst)
     augmented["q_directions"] = len(aug_reports)
@@ -231,8 +219,8 @@ def _cmd_reduce(args, tols) -> int:
         newton_tol=tols.get("newton", 1e-11),
     )
     payload = {
-        "input": _design_json(report.input),
-        "output": _design_json(report.output),
+        "input": report.input.as_json_obj(),
+        "output": report.output.as_json_obj(),
         "direction": report.direction,
         "branch": report.branch,
         "input_index": report.input_index.value,
@@ -268,7 +256,7 @@ def _cmd_optimize(args, tols) -> int:
     )
     value = criterion_value(model, theta, design, args.criterion)
     payload = {
-        "design": _design_json(design),
+        "design": design.as_json_obj(),
         "criterion": args.criterion,
         "direction": args.direction,
         "value": _sig15(value),

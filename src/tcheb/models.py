@@ -24,7 +24,7 @@ the permutation that makes the base system positively oriented.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -66,14 +66,11 @@ class PsiSystem:
     """The induced moment system of a model at a parameter value.
 
     ``system`` holds 1, psi_1, ..., psi_{k-1} in catalog order;
-    ``c22_map`` evaluates the trailing block C22(x); ``element_index``
-    maps each (row, col) position of C11 and C21 to ("psi", basis index)
-    or ("const", value).
+    ``c22_map`` evaluates the trailing block C22(x).
     """
 
     system: ChebyshevSystem
     c22_map: Callable
-    element_index: Dict[Tuple[int, int], Tuple]
     p1: int
     h_tail: Callable  # x -> (p1, n) factor of C22 = h_tail h_tail^T
 
@@ -107,10 +104,7 @@ def _check_theta(model: RegressionModel, theta) -> np.ndarray:
 def information_matrix(model: RegressionModel, theta, design) -> np.ndarray:
     """M = sum_j w_j g(x_j) g(x_j)^T, a symmetric PSD p x p matrix."""
     theta = _check_theta(model, theta)
-    if (
-        design.interval.lower != model.design_interval.lower
-        or design.interval.upper != model.design_interval.upper
-    ):
+    if design.interval != model.design_interval:
         raise DomainError("design interval differs from the model design interval")
     G = _grad_values(model, theta, design.points_array())
     W = design.weights_array()
@@ -159,24 +153,18 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
     positions = [(i, j) for i in range(r) for j in range(r)]
     positions += [(i, j) for i in range(r, p) for j in range(r)]
 
-    element_index: Dict[Tuple[int, int], Tuple] = {}
     reps: list = []  # (values_on_grid, (i, j) of first appearance)
     for (i, j) in positions:
         vals = H[i] * H[j]
         lo, hi = float(vals.min()), float(vals.max())
         if hi - lo <= DEDUP_TOL * max(1.0, abs(hi), abs(lo)):
-            element_index[(i, j)] = ("const", float(vals.mean()))
             continue
-        match = -1
-        for idx, (rv, _) in enumerate(reps):
+        for rv, _ in reps:
             tol = DEDUP_TOL * max(1.0, float(np.abs(vals).max()), float(np.abs(rv).max()))
             if np.abs(vals - rv).max() <= tol:
-                match = idx
                 break
-        if match < 0:
+        else:
             reps.append((vals, (i, j)))
-            match = len(reps) - 1
-        element_index[(i, j)] = ("psi", match)
 
     n_distinct = len(reps)
     k = 1 + n_distinct
@@ -189,11 +177,6 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
     order = model.psi_order if model.psi_order is not None else tuple(range(n_distinct))
     if sorted(order) != list(range(n_distinct)):
         raise ConfigurationError(f"{model.name}: psi_order is not a permutation of 0..{n_distinct - 1}")
-    # order[m] = scan index placed at basis slot m+1.
-    slot_of_scan = {scan: slot + 1 for slot, scan in enumerate(order)}
-    for pos, tag in element_index.items():
-        if tag[0] == "psi":
-            element_index[pos] = ("psi", slot_of_scan[tag[1]])
 
     def make_psi(i: int, j: int) -> Callable:
         def f(xs):
@@ -243,7 +226,6 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
     return PsiSystem(
         system=system,
         c22_map=c22_map,
-        element_index=element_index,
         p1=p1,
         h_tail=h_tail,
     )

@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Iterable, List, Tuple
 
 import numpy as np
 
 from .chebyshev import ChebyshevSystem, Interval, basis_matrix
 from .errors import ConfigurationError, DomainError
 
-# Support points closer than this times (B - A) are merged into one.
-MERGE_REL = 1e-10
 # Points within this times (B - A) of an endpoint snap onto it before
-# index counting; the half-counting rule needs a deterministic boundary.
+# index counting, and support points that close to each other merge;
+# the half-counting rule needs a deterministic boundary.
 SNAP_REL = 1e-10
 # |sum(weights) - 1| accepted at construction, after which the weights
 # are renormalized so that math.fsum(weights) == 1.0 exactly.
@@ -48,6 +47,37 @@ def _exact_unit_sum(weights: list) -> list:
             break
         ws[ws.index(max(ws))] += residual
     return ws
+
+
+Atom = Tuple[float, float]  # (point, weight)
+
+
+def merge_pair(left: Atom, right: Atom, a: float, b: float) -> Atom:
+    """One atom from two: an endpoint atom absorbs its neighbour,
+    otherwise the pair merges at its weighted centroid."""
+    (p, v), (q, u) = left, right
+    if p == a or p == b:
+        keep = p
+    elif q == a or q == b:
+        keep = q
+    else:
+        keep = (p * v + q * u) / (v + u)
+    return keep, v + u
+
+
+def merge_runs(atoms: Iterable[Atom], tol: float, a: float, b: float) -> List[Atom]:
+    """Merge sorted atoms lying within tol of the previous kept atom.
+
+    One pass reaches the fixpoint: a merged atom never lies left of its
+    left part, so the gaps between kept atoms only grow.
+    """
+    merged: List[Atom] = []
+    for atom in atoms:
+        if merged and atom[0] - merged[-1][0] <= tol:
+            merged[-1] = merge_pair(merged[-1], atom, a, b)
+        else:
+            merged.append(atom)
+    return merged
 
 
 @dataclass(frozen=True)
@@ -88,20 +118,7 @@ class Design:
                 raise DomainError(f"design point {p!r} outside [{a}, {b}]")
             snapped.append((p, w))
         snapped.sort(key=lambda t: t[0])
-
-        merged = []
-        for p, w in snapped:
-            if merged and p - merged[-1][0] <= tol:
-                q, v = merged[-1]
-                if q == a or q == b:
-                    keep = q
-                elif p == b:
-                    keep = p
-                else:
-                    keep = (q * v + p * w) / (v + w)
-                merged[-1] = (keep, v + w)
-            else:
-                merged.append((p, w))
+        merged = merge_runs(snapped, tol, a, b)
 
         total = math.fsum(w for _, w in merged)
         if abs(total - 1.0) > INGEST_WEIGHT_TOL:
@@ -209,17 +226,13 @@ class BoundaryReport:
     probe: str
 
 
-def _same_interval(i1: Interval, i2: Interval) -> bool:
-    return i1.lower == i2.lower and i1.upper == i2.upper
-
-
 def moment_point(system: ChebyshevSystem, design: Design) -> MomentPoint:
     """Moments c_i = sum_j w_j psi_i(x_j), accumulated with math.fsum.
 
     With psi_0 identically one the zeroth coordinate equals
     math.fsum(weights), which Design construction pins to exactly 1.0.
     """
-    if not _same_interval(design.interval, system.interval):
+    if design.interval != system.interval:
         raise DomainError("design and system live on different intervals")
     V = basis_matrix(system, design.points_array())
     w = design.weights

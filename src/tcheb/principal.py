@@ -31,7 +31,7 @@ from .errors import (
     EvaluationError,
     SingularityError,
 )
-from .moments import Design, MomentPoint
+from .moments import Design, MomentPoint, merge_pair, merge_runs
 from .simplex import solve_lp
 
 DEFAULT_GRID = 2001
@@ -277,33 +277,10 @@ def _monomial_probe(k: int) -> Callable:
 
 
 def _merge_clusters(design: Design, tol: float) -> Design:
-    """Merge runs of support points closer than tol (weighted centroids).
-
-    A cluster containing an endpoint collapses onto the endpoint.
-    """
+    """Merge runs of support points closer than tol into single atoms."""
     a, b = design.interval.lower, design.interval.upper
-    pts = list(design.points)
-    ws = list(design.weights)
-    changed = True
-    while changed and len(pts) > 1:
-        changed = False
-        new_p, new_w = [pts[0]], [ws[0]]
-        for p, wgt in zip(pts[1:], ws[1:]):
-            if p - new_p[-1] <= tol:
-                q, v = new_p[-1], new_w[-1]
-                if q == a or q == b:
-                    keep = q
-                elif p == a or p == b:
-                    keep = p
-                else:
-                    keep = (q * v + p * wgt) / (v + wgt)
-                new_p[-1], new_w[-1] = keep, v + wgt
-                changed = True
-            else:
-                new_p.append(p)
-                new_w.append(wgt)
-        pts, ws = new_p, new_w
-    return Design(points=tuple(pts), weights=tuple(ws), interval=design.interval)
+    pts, ws = zip(*merge_runs(zip(design.points, design.weights), tol, a, b))
+    return Design(points=pts, weights=ws, interval=design.interval)
 
 
 def _shape_to_structure(
@@ -332,32 +309,17 @@ def _shape_to_structure(
     while len(pts) > structure.num_points:
         gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)]
         i = int(np.argmin(gaps))
-        p, q = pts[i], pts[i + 1]
-        v, u = ws[i], ws[i + 1]
-        if p == a or p == b:
-            keep = p
-        elif q == a or q == b:
-            keep = q
-        else:
-            keep = (p * v + q * u) / (v + u)
-        pts[i : i + 2] = [keep]
-        ws[i : i + 2] = [v + u]
+        keep, weight = merge_pair((pts[i], ws[i]), (pts[i + 1], ws[i + 1]), a, b)
+        pts[i : i + 2], ws[i : i + 2] = [keep], [weight]
     if len(pts) < structure.num_points:
         return None
     return Design(points=tuple(pts), weights=tuple(ws), interval=design.interval)
 
 
-def _moment_residual(system: ChebyshevSystem, design: Design, c0: MomentPoint) -> float:
+def _moment_gap(system: ChebyshevSystem, design: Design, c0: MomentPoint) -> np.ndarray:
+    """V w - c: the design's moments minus the target moment point."""
     V = basis_matrix(system, design.points_array())
-    diff = V @ design.weights_array() - c0.array()
-    return float(np.abs(diff).max())
-
-
-def _moments_close(system: ChebyshevSystem, design: Design, c0: MomentPoint) -> bool:
-    V = basis_matrix(system, design.points_array())
-    got = V @ design.weights_array()
-    want = c0.array()
-    return bool(np.all(np.abs(got - want) <= 1e-9 * np.maximum(1.0, np.abs(want))))
+    return V @ design.weights_array() - c0.array()
 
 
 def _principal(
@@ -387,7 +349,7 @@ def _principal(
             system, c0, omega, sense=sense, grid_size=grid_size, feas_tol=lp_feas_tol
         )
         merged = _merge_clusters(lp_design, cluster_tol)
-        resid = _moment_residual(system, merged, c0)
+        resid = float(np.abs(_moment_gap(system, merged, c0)).max())
         if merged.size < structure.num_points:
             # Degenerate (boundary) moment point: its representation is
             # unique with fewer atoms than the interior structure, and
@@ -412,7 +374,8 @@ def _principal(
             if fallback is None and merged.size <= structure.num_points and resid <= 1e-6 * c_scale:
                 fallback = PrincipalResult(merged, resid, value, 0, structure)
             continue
-        if _moments_close(system, result.design, c0):
+        gap = _moment_gap(system, result.design, c0)
+        if np.all(np.abs(gap) <= 1e-9 * np.maximum(1.0, np.abs(c0.array()))):
             return replace(result, lp_objective=value)
         last_error = ConvergenceError(
             "refined design drifted off the moment point", residual=result.residual_norm

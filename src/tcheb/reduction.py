@@ -27,68 +27,18 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .chebyshev import augment, check_chebyshev
-from .errors import (
-    ConfigurationError,
-    ConvergenceError,
-    DegeneracyError,
-    PreconditionError,
-)
+from .errors import ConfigurationError, DegeneracyError, PreconditionError
 from .models import RegressionModel, information_matrix, psi_k_Q, psi_system
 from .moments import Design, HalfIndex, MomentPoint, design_index, moment_point
 from .principal import RepresentationStructure, lower_principal, upper_principal
 
 PSD_TOL = 1e-8
-JACOBI_TOL = 1e-12
 NUM_Q_DIRECTIONS = 64
-# Sampling effort of the per-call hypothesis check; lighter than the
-# standalone defaults because a reduction checks one augmented system
-# per Q direction.
-# precondition gate reuses the determinant checker's own defaults
+# Sampling effort of the per-call hypothesis check.  These equal the
+# determinant checker's own defaults; a reduction runs one check per
+# sampled Q direction, so they bound the gate's cost.
 CHECK_GRID = 512
 CHECK_TUPLES = 2000
-
-
-def jacobi_spectrum(S, tol: float = JACOBI_TOL, max_sweeps: int = 60) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps over the upper triangle until the off-diagonal Frobenius mass
-    falls below tol times the total Frobenius norm.  Returns the
-    eigenvalues sorted ascending.
-    """
-    A = np.array(S, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ConfigurationError("jacobi_spectrum needs a square matrix")
-    if np.abs(A - A.T).max() > 1e-10 * max(1.0, np.abs(A).max()):
-        raise ConfigurationError("jacobi_spectrum needs a symmetric matrix")
-    A = (A + A.T) / 2.0
-    n = A.shape[0]
-    if n == 1:
-        return np.array([A[0, 0]])
-    total = float(np.linalg.norm(A))
-    if total == 0.0:
-        return np.zeros(n)
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, float(np.sum(A * A)) - float(np.sum(np.diag(A) ** 2))))
-        if off <= tol * total:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= tol * total / (n * n):
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                A = rot.T @ A @ rot
-                A = (A + A.T) / 2.0
-    else:
-        raise ConvergenceError("jacobi sweeps did not converge")
-    return np.sort(np.diag(A))
 
 
 @dataclass(frozen=True)
@@ -133,20 +83,25 @@ def _sphere_directions(p1: int, count: int = NUM_Q_DIRECTIONS) -> List[np.ndarra
     return out
 
 
-def _check_direction(system, psi, direction: str, qs, seed: int, grid: int, tuples: int):
-    base = check_chebyshev(system, num_random_tuples=tuples, grid_size=grid, seed=seed)
+def augmented_checks(psi, direction: str, qs, **check_kwargs):
+    """Yield (Q, report) for the determinant check of the psi system
+    augmented by +psi_k^Q (upper) or -psi_k^Q (lower), one per Q."""
+    sign = 1.0 if direction == "upper" else -1.0
+    for Q in qs:
+        f = psi_k_Q(psi, Q)
+        omega = (lambda g: (lambda x: sign * g(x)))(f)
+        yield Q, check_chebyshev(augment(psi.system, omega), **check_kwargs)
+
+
+def _check_direction(psi, direction: str, qs, seed: int, grid: int, tuples: int):
+    kwargs = dict(num_random_tuples=tuples, grid_size=grid, seed=seed)
+    base = check_chebyshev(psi.system, **kwargs)
     if not base.verified:
         raise PreconditionError(
             f"base psi system fails the determinant condition at tuple {base.witness}",
             witness=base.witness,
         )
-    sign = 1.0 if direction == "upper" else -1.0
-    for Q in qs:
-        f = psi_k_Q(psi, Q)
-        omega = (lambda g: (lambda x: sign * g(x)))(f)
-        rep = check_chebyshev(
-            augment(system, omega), num_random_tuples=tuples, grid_size=grid, seed=seed
-        )
+    for Q, rep in augmented_checks(psi, direction, qs, **kwargs):
         if not rep.verified:
             raise PreconditionError(
                 f"augmented system for direction {direction!r} fails the determinant "
@@ -162,6 +117,18 @@ def _moment_gain(system, f, out: Design, inp: Design) -> float:
         return math.fsum(float(v) * w for v, w in zip(vals, design.weights))
 
     return integral(out) - integral(inp)
+
+
+def _check_structure(out: Design, structure: RepresentationStructure, direction: str):
+    """Refuse an output whose support breaks the principal structure."""
+    a, b = out.interval.lower, out.interval.upper
+    got = (out.size, out.points[0] == a, out.points[-1] == b)
+    want = (structure.num_points, structure.includes_A, structure.includes_B)
+    if got != want:
+        raise DegeneracyError(
+            f"the {direction} representation has {got[0]} points (A: {got[1]}, B: {got[2]}); "
+            f"its structure wants {want[0]} (A: {want[1]}, B: {want[2]})"
+        )
 
 
 def reduce_design(
@@ -192,7 +159,7 @@ def reduce_design(
     system = psi.system
     k = system.k
     qs = _sphere_directions(psi.p1)
-    _check_direction(system, psi, direction, qs, seed, check_grid, check_tuples)
+    _check_direction(psi, direction, qs, seed, check_grid, check_tuples)
 
     c0 = moment_point(system, xi)
     idx = design_index(xi)
@@ -227,6 +194,7 @@ def reduce_design(
             system, c0, probe=probe, grid_size=grid_size, newton_tol=newton_tol, max_iter=max_iter
         )
     out = result.design
+    _check_structure(out, result.structure, direction)
 
     moments_out = moment_point(system, out)
     q_checks = []
@@ -235,7 +203,7 @@ def reduce_design(
         q_checks.append((tuple(float(v) for v in Q), float(gain)))
 
     diff = information_matrix(model, theta, out) - information_matrix(model, theta, xi)
-    spectrum = jacobi_spectrum(diff)
+    spectrum = np.linalg.eigvalsh(diff)
     return ReductionReport(
         input=xi,
         output=out,
@@ -259,7 +227,7 @@ def verify_domination(
     -tolerance * max(1, spectral norm of the difference).
     """
     diff = information_matrix(model, theta, xi1) - information_matrix(model, theta, xi2)
-    spectrum = jacobi_spectrum(diff)
+    spectrum = np.linalg.eigvalsh(diff)
     spectral_norm = float(np.abs(spectrum).max())
     dominates = bool(spectrum[0] >= -tolerance * max(1.0, spectral_norm))
     return DominationReport(
@@ -279,7 +247,7 @@ def criterion_value(model: RegressionModel, theta, design: Design, criterion: st
     if criterion not in ("d", "a"):
         raise ConfigurationError(f"criterion must be 'd' or 'a', got {criterion!r}")
     M = information_matrix(model, theta, design)
-    eigs = jacobi_spectrum(M)
+    eigs = np.linalg.eigvalsh(M)
     if eigs[0] <= 1e-13 * max(1.0, eigs[-1]):
         return -math.inf
     if criterion == "d":

@@ -191,6 +191,9 @@ def test_tolerance_override_flags(workdir):
     assert main(["reduce", "--model", str(workdir / "mm.json"),
                  "--design", str(workdir / "design8.json"),
                  "--out", str(out), "--tol.unknown=1"]) == 1
+    assert main(["reduce", "--model", str(workdir / "mm.json"),
+                 "--design", str(workdir / "design8.json"),
+                 "--out", str(out), "--tol.lp_feas=1e-9"]) == 1
 
 
 def test_log_env_keeps_report_clean(workdir):

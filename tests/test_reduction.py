@@ -1,19 +1,24 @@
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh
 
+import tcheb
 from tcheb import (
     Design,
     Interval,
     criterion_value,
     information_matrix,
-    jacobi_spectrum,
     make_model,
     optimize_in_class,
     reduce_design,
     verify_domination,
 )
-from tcheb.errors import ConfigurationError, DegeneracyError, PreconditionError
+from tcheb.errors import ConfigurationError, DegeneracyError, PreconditionError, TchebError
 
 MM_IV = (0.0, 10.0)
 
@@ -25,26 +30,6 @@ def mm():
 def uniform(points, interval):
     n = len(points)
     return Design(points=tuple(points), weights=(1.0 / n,) * n, interval=Interval(*interval))
-
-
-class TestJacobi:
-    def test_matches_lapack_on_random_symmetric(self):
-        rng = np.random.default_rng(31)
-        for n in (2, 3, 5, 8):
-            for _ in range(5):
-                B = rng.normal(size=(n, n))
-                S = (B + B.T) / 2
-                np.testing.assert_allclose(
-                    jacobi_spectrum(S), eigvalsh(S), rtol=1e-10, atol=1e-10
-                )
-
-    def test_sorted_ascending(self):
-        S = np.diag([3.0, -1.0, 2.0])
-        np.testing.assert_allclose(jacobi_spectrum(S), [-1.0, 2.0, 3.0])
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ConfigurationError):
-            jacobi_spectrum(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestReduce:
@@ -156,6 +141,24 @@ class TestReduce:
         with pytest.raises(ConfigurationError):
             reduce_design(mm(), [1.0, 1.0], xi, "sideways")
 
+    @pytest.mark.parametrize(
+        "points,weights",
+        [
+            ((2e-7, 5e-7, 10.0 - 3e-7), (0.3, 0.3, 0.4)),
+            ((1e-7, 4e-7, 8e-7), (0.2, 0.3, 0.5)),
+        ],
+    )
+    def test_output_keeps_structure_or_raises(self, points, weights):
+        # Mass crowded at A: the principal solver can land on a support
+        # that breaks the upper structure (2 points, B but not A).  Such
+        # an output must be refused, not returned.
+        xi = Design(points=points, weights=weights, interval=Interval(*MM_IV))
+        try:
+            out = reduce_design(mm(), [1.0, 1.0], xi, "upper").output
+        except TchebError:
+            return
+        assert (out.size, out.points[0] == MM_IV[0], out.points[-1] == MM_IV[1]) == (2, False, True)
+
 
 class TestDomination:
     def test_identical_designs(self):
@@ -232,3 +235,36 @@ class TestOptimize:
         model = make_model("polynomial", theta, (-1.0, 1.0))
         with pytest.raises(DegeneracyError):
             optimize_in_class(model, theta, criterion="d", direction="lower", restarts=3)
+
+
+def test_hot_path_does_not_import_scipy():
+    # scipy.optimize alone takes about half a second to import; the
+    # reduction and the principal representations must not pay for it.
+    code = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        import tcheb
+        from tcheb import Design, Interval, make_model, reduce_design
+        from tcheb import MomentPoint, polynomial_system, upper_principal
+
+        model = make_model("michaelis_menten", [1.0, 1.0], (0.0, 10.0))
+        xi = Design(points=tuple(range(1, 9)), weights=(0.125,) * 8,
+                    interval=Interval(0.0, 10.0))
+        reduce_design(model, [1.0, 1.0], xi, "upper")
+        system = polynomial_system(6, Interval(-1.0, 1.0))
+        xs = np.linspace(-0.9, 0.9, 10)
+        c0 = MomentPoint(coordinates=tuple(float(np.mean(xs**i)) for i in range(6)),
+                         system=system)
+        upper_principal(system, c0)
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(tcheb.__file__).resolve().parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
