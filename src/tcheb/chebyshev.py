@@ -14,7 +14,7 @@ while a clean pass over many tuples is evidence, not proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -68,12 +68,18 @@ class ChebyshevSystem:
     ndarray of the same shape (scalar returns are broadcast).  When the
     system feeds the regression pipeline, psi_0 must be identically 1.
     ``derivatives``, when given, holds d(psi_i)/dx in matching order.
+
+    ``evaluator`` maps n points to the (k, n) basis values, and so does
+    ``derivative_evaluator`` (or None) for the derivatives.  Both stack
+    the callables unless ``from_evaluator`` built the system.
     """
 
     interval: Interval
     basis: Tuple[Callable, ...]
     derivatives: Optional[Tuple[Callable, ...]] = None
     name: str = ""
+    evaluator: Callable = field(init=False, compare=False, repr=False)
+    derivative_evaluator: Optional[Callable] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
@@ -83,10 +89,30 @@ class ChebyshevSystem:
             object.__setattr__(self, "derivatives", tuple(self.derivatives))
             if len(self.derivatives) != len(self.basis):
                 raise ConfigurationError("derivatives must match the basis in length")
+            object.__setattr__(self, "derivative_evaluator", _stacked(self.derivatives))
+        object.__setattr__(self, "evaluator", _stacked(self.basis))
+
+    @classmethod
+    def from_evaluator(cls, interval, k: int, evaluator, derivative_evaluator=None, name=""):
+        """A system evaluated as a whole; ``basis[i]`` reads row i."""
+        rows = [None if ev is None else tuple(_row(ev, i) for i in range(k))
+                for ev in (evaluator, derivative_evaluator)]
+        system = cls(interval, *rows, name)
+        object.__setattr__(system, "evaluator", evaluator)
+        object.__setattr__(system, "derivative_evaluator", derivative_evaluator)
+        return system
 
     @property
     def k(self) -> int:
         return len(self.basis)
+
+
+def _row(evaluator: Callable, i: int) -> Callable:
+    return lambda xs: evaluator(np.ravel(np.asarray(xs, dtype=float)))[i].reshape(np.shape(xs))
+
+
+def _stacked(fs: Tuple[Callable, ...]) -> Callable:
+    return lambda xs: np.stack([_call_on_array(f, xs) for f in fs])
 
 
 @dataclass(frozen=True)
@@ -110,20 +136,24 @@ def _call_on_array(f: Callable, xs: np.ndarray) -> np.ndarray:
     return y
 
 
+def _evaluate(evaluator: Callable, k: int, xs, what: str) -> np.ndarray:
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    V = np.asarray(evaluator(xs), dtype=float)
+    if V.shape != (k, xs.size):
+        raise ConfigurationError(f"{what} evaluator returned shape {V.shape}, expected {(k, xs.size)}")
+    if not np.all(np.isfinite(V)):
+        bad_cols = ~np.isfinite(V).all(axis=0)
+        x_bad = float(xs[bad_cols][0])
+        raise EvaluationError(f"{what} evaluation is non-finite at x={x_bad!r}")
+    return V
+
+
 def basis_matrix(system: ChebyshevSystem, xs) -> np.ndarray:
     """Evaluate all basis functions at the given points.
 
     Returns the k x n matrix V with V[i, j] = psi_i(xs[j]).
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    V = np.empty((system.k, xs.size))
-    for i, f in enumerate(system.basis):
-        V[i] = _call_on_array(f, xs)
-    if not np.all(np.isfinite(V)):
-        bad_cols = ~np.isfinite(V).all(axis=0)
-        x_bad = float(xs[bad_cols][0])
-        raise EvaluationError(f"basis evaluation is non-finite at x={x_bad!r}")
-    return V
+    return _evaluate(system.evaluator, system.k, xs, "basis")
 
 
 def derivative_matrix(system: ChebyshevSystem, xs, fd_step: Optional[float] = None) -> np.ndarray:
@@ -132,14 +162,9 @@ def derivative_matrix(system: ChebyshevSystem, xs, fd_step: Optional[float] = No
     Uses analytic derivatives when the system carries them, otherwise a
     central finite difference with the supplied step.
     """
+    if system.derivative_evaluator is not None:
+        return _evaluate(system.derivative_evaluator, system.k, xs, "derivative")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if system.derivatives is not None:
-        D = np.empty((system.k, xs.size))
-        for i, df in enumerate(system.derivatives):
-            D[i] = _call_on_array(df, xs)
-        if not np.all(np.isfinite(D)):
-            raise EvaluationError("derivative evaluation is non-finite")
-        return D
     if fd_step is None:
         fd_step = 1e-6 * system.interval.length
     # Central difference; evaluation may step slightly outside [A, B],
@@ -234,34 +259,32 @@ def augment(system: ChebyshevSystem, omega: Callable) -> ChebyshevSystem:
     No determinant check is performed; callers run check_chebyshev on the
     result when they need the property.
     """
+    return augment_with(system, lambda xs: np.vstack([system.evaluator(xs), _call_on_array(omega, xs)]))
+
+
+def augment_with(system: ChebyshevSystem, evaluator: Callable) -> ChebyshevSystem:
+    """The system with one more basis function; ``evaluator`` returns all k + 1 rows."""
     name = f"{system.name}+omega" if system.name else "+omega"
-    return ChebyshevSystem(
-        interval=system.interval,
-        basis=system.basis + (omega,),
-        derivatives=None,
-        name=name,
-    )
+    return ChebyshevSystem.from_evaluator(system.interval, system.k + 1, evaluator, name=name)
 
 
-def _monomial(i: int) -> Callable:
-    if i == 0:
-        return lambda x: np.ones_like(np.asarray(x, dtype=float))
-    return lambda x: np.asarray(x, dtype=float) ** i
+def monomials(x, k: int) -> np.ndarray:
+    """The rows 1, x, ..., x^(k-1), shape (k,) + x.shape."""
+    x = np.asarray(x, dtype=float)
+    return np.vander(x.ravel(), k, increasing=True).T.reshape((k,) + x.shape)
 
 
-def _monomial_derivative(i: int) -> Callable:
-    if i == 0:
-        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return lambda x: i * np.asarray(x, dtype=float) ** (i - 1)
+def monomial_derivatives(x, k: int) -> np.ndarray:
+    """The rows 0, 1, 2x, ..., (k-1) x^(k-2), shape (k,) + x.shape."""
+    M = monomials(x, k)
+    scale = np.arange(1.0, k).reshape((-1,) + (1,) * (M.ndim - 1))
+    return np.concatenate([np.zeros_like(M[:1]), scale * M[:-1]])
 
 
 def polynomial_system(k: int, interval: Interval) -> ChebyshevSystem:
     """The monomial system {1, x, ..., x^(k-1)} with analytic derivatives."""
     if k < 1:
         raise ConfigurationError("k must be positive")
-    return ChebyshevSystem(
-        interval=interval,
-        basis=tuple(_monomial(i) for i in range(k)),
-        derivatives=tuple(_monomial_derivative(i) for i in range(k)),
-        name=f"monomials_{k}",
+    return ChebyshevSystem.from_evaluator(
+        interval, k, lambda xs: monomials(xs, k), lambda xs: monomial_derivatives(xs, k), f"monomials_{k}"
     )

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .chebyshev import ChebyshevSystem, Interval
+from .chebyshev import ChebyshevSystem, Interval, augment_with, monomial_derivatives, monomials
 from .errors import ConfigurationError, DomainError, EvaluationError
 
 DEDUP_GRID_SIZE = 256
@@ -65,18 +65,42 @@ class RegressionModel:
 class PsiSystem:
     """The induced moment system of a model at a parameter value.
 
-    ``system`` holds 1, psi_1, ..., psi_{k-1} in catalog order;
-    ``c22_map`` evaluates the trailing block C22(x).
+    ``system`` holds 1, psi_1, ..., psi_{k-1} in catalog order.  ``h``
+    maps points to h = P^{-1} g, shape (p, n), and ``rows`` maps that to
+    the (k, n) psi values, so a system and its augmentation share one h.
     """
 
     system: ChebyshevSystem
-    c22_map: Callable
     p1: int
-    h_tail: Callable  # x -> (p1, n) factor of C22 = h_tail h_tail^T
+    h: Callable
+    rows: Callable
 
     @property
     def k(self) -> int:
         return self.system.k
+
+    def h_tail(self, xs) -> np.ndarray:
+        """The (p1, n) trailing block of h, the factor of C22 = h_tail h_tail^T."""
+        return self.h(xs)[-self.p1 :]
+
+    def c22_map(self, x) -> np.ndarray:
+        """The trailing block C22(x) at one point."""
+        v = self.h_tail(x)[:, 0]
+        return np.outer(v, v)
+
+    def q_rows(self, H, Q) -> np.ndarray:
+        """The psi_k^Q values (Q . h_tail)^2 from the h values H."""
+        return (Q @ H[-self.p1 :]) ** 2
+
+    def augmented(self, Q, sign: float = 1.0) -> ChebyshevSystem:
+        """The psi system with sign * psi_k^Q appended as its last row."""
+        Q = _q_vector(self, Q)
+
+        def evaluator(xs):
+            H = self.h(xs)
+            return np.vstack([self.rows(H), sign * self.q_rows(H, Q)])
+
+        return augment_with(self.system, evaluator)
 
 
 def _grad_values(model: RegressionModel, theta, xs) -> np.ndarray:
@@ -145,10 +169,13 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
     Pinv = _p_inverse(model, theta)
     a, b = model.design_interval.lower, model.design_interval.upper
 
+    def h(xs):
+        return Pinv @ _grad_values(model, theta, xs)
+
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     angles = np.pi * (2.0 * np.arange(DEDUP_GRID_SIZE) + 1.0) / (2.0 * DEDUP_GRID_SIZE)
     grid = np.sort(mid + half * np.cos(angles))
-    H = Pinv @ _grad_values(model, theta, grid)  # (p, n)
+    H = h(grid)  # (p, n)
 
     positions = [(i, j) for i in range(r) for j in range(r)]
     positions += [(i, j) for i in range(r, p) for j in range(r)]
@@ -178,57 +205,30 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
     if sorted(order) != list(range(n_distinct)):
         raise ConfigurationError(f"{model.name}: psi_order is not a permutation of 0..{n_distinct - 1}")
 
-    def make_psi(i: int, j: int) -> Callable:
-        def f(xs):
-            xs = np.atleast_1d(np.asarray(xs, dtype=float))
-            Hx = Pinv @ _grad_values(model, theta, xs)
-            return Hx[i] * Hx[j]
+    I, J = np.array([reps[scan][1] for scan in order], dtype=int).reshape(-1, 2).T
 
-        f.__name__ = f"psi_h{i}_h{j}"
-        return f
+    def rows(H):
+        return np.vstack([np.ones((1, H.shape[1])), H[I] * H[J]])
 
-    def make_dpsi(i: int, j: int) -> Callable:
-        def df(xs):
-            xs = np.atleast_1d(np.asarray(xs, dtype=float))
-            Hx = Pinv @ _grad_values(model, theta, xs)
-            Gx = np.asarray(model.gradient_dx(xs, theta), dtype=float)
-            dHx = Pinv @ Gx
-            return dHx[i] * Hx[j] + Hx[i] * dHx[j]
+    def derivative_rows(xs):
+        H = h(xs)
+        dH = Pinv @ np.asarray(model.gradient_dx(xs, theta), dtype=float)
+        return np.vstack([np.zeros((1, H.shape[1])), dH[I] * H[J] + H[I] * dH[J]])
 
-        return df
-
-    basis = [lambda x: np.ones_like(np.asarray(x, dtype=float))]
-    for scan in order:
-        i, j = reps[scan][1]
-        basis.append(make_psi(i, j))
-    derivatives = None
-    if model.gradient_dx is not None:
-        derivatives = [lambda x: np.zeros_like(np.asarray(x, dtype=float))]
-        for scan in order:
-            i, j = reps[scan][1]
-            derivatives.append(make_dpsi(i, j))
-
-    system = ChebyshevSystem(
-        interval=model.design_interval,
-        basis=tuple(basis),
-        derivatives=tuple(derivatives) if derivatives else None,
-        name=f"{model.name}_psi",
+    system = ChebyshevSystem.from_evaluator(
+        model.design_interval, k, lambda xs: rows(h(xs)),
+        None if model.gradient_dx is None else derivative_rows, name=f"{model.name}_psi"
     )
+    return PsiSystem(system=system, p1=p1, h=h, rows=rows)
 
-    def h_tail(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        return (Pinv @ _grad_values(model, theta, xs))[r:]
 
-    def c22_map(x):
-        v = h_tail(np.asarray([x], dtype=float))[:, 0]
-        return np.outer(v, v)
-
-    return PsiSystem(
-        system=system,
-        c22_map=c22_map,
-        p1=p1,
-        h_tail=h_tail,
-    )
+def _q_vector(psi: PsiSystem, Q) -> np.ndarray:
+    Q = np.asarray(Q, dtype=float)
+    if Q.shape != (psi.p1,):
+        raise DomainError(f"Q must have length p1={psi.p1}")
+    if float(np.linalg.norm(Q)) == 0.0:
+        raise DomainError("Q must be nonzero")
+    return Q
 
 
 def psi_k_Q(psi: PsiSystem, Q) -> Callable:
@@ -237,19 +237,12 @@ def psi_k_Q(psi: PsiSystem, Q) -> Callable:
     Since C22 = h h^T with the trailing block h of length p1, the value
     is the square of Q . h(x).
     """
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape != (psi.p1,):
-        raise DomainError(f"Q must have length p1={psi.p1}")
-    if float(np.linalg.norm(Q)) == 0.0:
-        raise DomainError("Q must be nonzero")
+    Q = _q_vector(psi, Q)
 
     def f(xs):
         arr = np.asarray(xs, dtype=float)
-        proj = Q @ psi.h_tail(arr)
-        vals = proj * proj
-        if arr.ndim == 0:
-            return float(vals[0])
-        return vals
+        vals = psi.q_rows(psi.h(arr), Q)
+        return float(vals[0]) if arr.ndim == 0 else vals
 
     f.__name__ = "psi_k_Q"
     return f
@@ -371,25 +364,15 @@ def _polynomial(interval: Interval, p1: int, degree: int) -> RegressionModel:
     def eta(x, th):
         return np.polynomial.polynomial.polyval(np.asarray(x, dtype=float), th)
 
-    def gradient(x, th):
-        x = np.asarray(x, dtype=float)
-        return np.stack([x**i for i in range(p)])
-
-    def gradient_dx(x, th):
-        x = np.asarray(x, dtype=float)
-        rows = [np.zeros_like(x)]
-        rows += [i * x ** (i - 1) for i in range(1, p)]
-        return np.stack(rows)
-
     return RegressionModel(
         name="polynomial",
         p=p,
         eta=eta,
-        gradient=gradient,
+        gradient=lambda x, th: monomials(x, p),
         p_matrix=lambda th: np.eye(p),
         design_interval=interval,
         p1=p1,
-        gradient_dx=gradient_dx,
+        gradient_dx=lambda x, th: monomial_derivatives(x, p),
         psi_order=None,
         expected_k=2 * degree if p1 == 1 else None,
     )

@@ -14,7 +14,7 @@ The solver runs in two stages.  A finite linear program on an
 equispaced grid locates the support approximately (an optimal basic
 solution of a moment LP carries at most k atoms), then a damped Newton
 iteration on the exact moment-matching equations removes the grid bias,
-with the support structure pinned by the parity of k.
+with the support structure fixed by k and the direction.
 """
 
 from __future__ import annotations
@@ -49,19 +49,18 @@ class RepresentationStructure:
     num_points: int
     includes_A: bool
     includes_B: bool
-    parity: str  # "odd" or "even"
 
     @staticmethod
     def upper(k: int) -> "RepresentationStructure":
         if k % 2 == 0:
-            return RepresentationStructure(k // 2 + 1, True, True, "even")
-        return RepresentationStructure((k + 1) // 2, False, True, "odd")
+            return RepresentationStructure(k // 2 + 1, True, True)
+        return RepresentationStructure((k + 1) // 2, False, True)
 
     @staticmethod
     def lower(k: int) -> "RepresentationStructure":
         if k % 2 == 0:
-            return RepresentationStructure(k // 2, False, False, "even")
-        return RepresentationStructure((k + 1) // 2, True, False, "odd")
+            return RepresentationStructure(k // 2, False, False)
+        return RepresentationStructure((k + 1) // 2, True, False)
 
     @property
     def interior_points(self) -> int:

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .chebyshev import augment, check_chebyshev
+from .chebyshev import check_chebyshev
 from .errors import ConfigurationError, DegeneracyError, PreconditionError
 from .models import RegressionModel, information_matrix, psi_k_Q, psi_system
 from .moments import Design, HalfIndex, MomentPoint, design_index, moment_point
@@ -88,9 +88,7 @@ def augmented_checks(psi, direction: str, qs, **check_kwargs):
     augmented by +psi_k^Q (upper) or -psi_k^Q (lower), one per Q."""
     sign = 1.0 if direction == "upper" else -1.0
     for Q in qs:
-        f = psi_k_Q(psi, Q)
-        omega = (lambda g: (lambda x: sign * g(x)))(f)
-        yield Q, check_chebyshev(augment(psi.system, omega), **check_kwargs)
+        yield Q, check_chebyshev(psi.augmented(Q, sign), **check_kwargs)
 
 
 def _check_direction(psi, direction: str, qs, seed: int, grid: int, tuples: int):
@@ -183,16 +181,12 @@ def reduce_design(
     # one when -psi_k^Q does (minimizing -psi_k^Q maximizes the gain).
     f0 = psi_k_Q(psi, qs[0])
     if direction == "upper":
-        probe = f0
-        result = upper_principal(
-            system, c0, probe=probe, grid_size=grid_size, newton_tol=newton_tol, max_iter=max_iter
-        )
+        principal, probe = upper_principal, f0
     else:
-        probe = lambda x: -f0(x)
-        probe.__name__ = "neg_psi_k_Q"
-        result = lower_principal(
-            system, c0, probe=probe, grid_size=grid_size, newton_tol=newton_tol, max_iter=max_iter
-        )
+        principal, probe = lower_principal, lambda x: -f0(x)
+    result = principal(
+        system, c0, probe=probe, grid_size=grid_size, newton_tol=newton_tol, max_iter=max_iter
+    )
     out = result.design
     _check_structure(out, result.structure, direction)
 

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -158,3 +161,48 @@ def test_derivative_matrix_analytic_vs_fd():
     stripped = ChebyshevSystem(interval=sys4.interval, basis=sys4.basis)
     fd = derivative_matrix(stripped, xs)
     np.testing.assert_allclose(fd, analytic, rtol=1e-6, atol=1e-6)
+
+
+def test_scalar_only_callables_evaluate_point_by_point():
+    """Callables that reject arrays fall back to one call per point, and
+    scalar returns broadcast, for values and derivatives alike."""
+    iv = Interval(0.0, 1.0)
+    sys2 = ChebyshevSystem(
+        interval=iv,
+        basis=(lambda x: 1.0, math.exp),
+        derivatives=(lambda x: 0.0, math.exp),
+    )
+    xs = np.array([0.0, 0.5, 1.0])
+    want = np.array([np.ones(3), np.exp(xs)])
+    np.testing.assert_allclose(basis_matrix(sys2, xs), want, rtol=1e-15)
+    np.testing.assert_allclose(derivative_matrix(sys2, xs), [np.zeros(3), np.exp(xs)], rtol=1e-15)
+    assert evaluate_basis(sys2, 0.5) == pytest.approx((1.0, math.exp(0.5)))
+
+
+def test_evaluator_shape_is_checked():
+    iv = Interval(0.0, 1.0)
+    sys2 = ChebyshevSystem.from_evaluator(iv, 2, lambda xs: np.ones((3, xs.size)))
+    with pytest.raises(ConfigurationError):
+        basis_matrix(sys2, [0.25, 0.75])
+
+
+def test_replace_rebuilds_the_evaluators():
+    """dataclasses.replace derives the evaluators from the new fields:
+    without derivatives it falls back to finite differences, and a new
+    basis is the one evaluated."""
+    sys3 = polynomial_system(3, Interval(0.0, 1.0))
+    xs = np.array([0.2, 0.5, 0.9])
+    stripped = dataclasses.replace(sys3, derivatives=None)
+    assert stripped.derivative_evaluator is None
+    np.testing.assert_allclose(derivative_matrix(stripped, xs), [np.zeros(3), np.ones(3), 2 * xs], atol=1e-6)
+    swapped = dataclasses.replace(stripped, basis=(np.ones_like, np.exp, np.sin))
+    np.testing.assert_array_equal(basis_matrix(swapped, xs), [np.ones(3), np.exp(xs), np.sin(xs)])
+
+
+def test_fused_rows_keep_the_input_shape():
+    sys3 = polynomial_system(3, Interval(-1.0, 1.0))
+    assert np.shape(sys3.basis[2](0.5)) == ()
+    assert sys3.basis[2](0.5) == 0.25
+    xs = np.array([[0.5, -1.0], [0.0, 2.0]])
+    np.testing.assert_array_equal(sys3.basis[2](xs), xs**2)
+    np.testing.assert_array_equal(sys3.derivatives[2](xs), 2 * xs)

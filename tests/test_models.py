@@ -1,3 +1,4 @@
+import dataclasses
 import zlib
 
 import numpy as np
@@ -7,6 +8,7 @@ from tcheb import (
     CATALOG_NAMES,
     Design,
     Interval,
+    basis_matrix,
     c_matrix,
     check_chebyshev,
     evaluate_basis,
@@ -15,7 +17,9 @@ from tcheb import (
     psi_k_Q,
     psi_system,
 )
+from tcheb.chebyshev import derivative_matrix
 from tcheb.errors import ConfigurationError, DomainError
+from tcheb.reduction import _check_direction, _sphere_directions
 
 MM_IV = (0.0, 10.0)
 
@@ -214,3 +218,72 @@ def test_information_matrix_interval_mismatch():
     d = dirac(0.5, (0.0, 1.0))
     with pytest.raises(DomainError):
         information_matrix(m, [1.0, 1.0], d)
+
+
+# (i, j) of h_i h_j for psi_1, ..., psi_{k-1} in catalog order, written
+# out from the catalog comments rather than read from the library.
+CATALOG_PAIRS = {
+    "michaelis_menten": [(1, 0), (0, 0)],
+    "exponential": [(0, 0), (1, 0)],
+    # (e, x e, e^2, x e^2) with e = exp(theta3 x)
+    "exponential3": [(0, 1), (2, 0), (1, 1), (2, 1)],
+    # degree 3: x, x^2, ..., x^5
+    "polynomial": [(0, 1), (0, 2), (1, 2), (2, 2), (3, 2)],
+}
+
+
+@pytest.mark.parametrize(
+    "name,theta,iv",
+    [
+        ("michaelis_menten", [1.3, 0.8], MM_IV),
+        ("exponential", [0.9, 1.1], (0.0, 3.0)),
+        ("exponential", [0.9, -0.7], (0.0, 3.0)),
+        ("exponential3", [1.0, 0.8, 1.2], (0.0, 2.0)),
+        ("exponential3", [1.0, 0.8, -1.2], (0.0, 2.0)),
+        ("polynomial", [1.0, 0.5, -0.3, 0.2], (-1.0, 1.0)),
+    ],
+)
+def test_fused_rows_match_gradient_products(name, theta, iv):
+    """basis_matrix and derivative_matrix of the psi system equal the
+    products h_i h_j and their product-rule derivatives, h = P^-1 g."""
+    model = make_model(name, theta, iv)
+    psi = psi_system(model, theta)
+    th = np.asarray(theta, dtype=float)
+    xs = np.linspace(iv[0], iv[1], 33)
+    Pinv = np.linalg.inv(np.asarray(model.p_matrix(th), dtype=float))
+    H = Pinv @ np.asarray(model.gradient(xs, th), dtype=float)
+    dH = Pinv @ np.asarray(model.gradient_dx(xs, th), dtype=float)
+    rows = [np.ones_like(xs)] + [H[i] * H[j] for i, j in CATALOG_PAIRS[name]]
+    drows = [np.zeros_like(xs)] + [dH[i] * H[j] + H[i] * dH[j] for i, j in CATALOG_PAIRS[name]]
+    np.testing.assert_allclose(basis_matrix(psi.system, xs), np.array(rows), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(derivative_matrix(psi.system, xs), np.array(drows), rtol=1e-13, atol=0)
+    for i, f in enumerate(psi.system.basis):
+        np.testing.assert_allclose(f(xs), rows[i], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize(
+    "name,theta,iv,direction",
+    [
+        ("michaelis_menten", (1.0, 1.0), (0.0, 10.0), "upper"),
+        ("exponential", (1.0, -1.0), (0.0, 3.0), "lower"),
+        ("exponential3", (1.0, 1.0, -1.0), (0.0, 3.0), "lower"),
+        ("polynomial", (1.0, 0.5, -0.5, 0.25), (-1.0, 1.0), "upper"),
+    ],
+)
+def test_one_gradient_call_per_evaluation(name, theta, iv, direction):
+    """One basis_matrix call evaluates the gradient once, and the gate
+    (base check plus the augmented check of the one Q at p1 = 1) twice."""
+    calls = []
+    base = make_model(name, theta, iv)
+
+    def gradient(x, th):
+        calls.append(1)
+        return base.gradient(x, th)
+
+    psi = psi_system(dataclasses.replace(base, gradient=gradient), theta)
+    calls.clear()
+    basis_matrix(psi.system, np.linspace(iv[0], iv[1], 50))
+    assert len(calls) == 1
+    calls.clear()
+    _check_direction(psi, direction, _sphere_directions(1), seed=0, grid=64, tuples=100)
+    assert len(calls) == 2
