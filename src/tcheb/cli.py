@@ -218,7 +218,13 @@ def _cmd_reduce(args, tols) -> int:
         grid_size=args.grid,
         newton_tol=tols.get("newton", 1e-11),
     )
-    payload = {
+    _write_report(args.out, _reduce_payload(report))
+    _write_design_csv(args.out, report.output)
+    return EXIT_OK
+
+
+def _reduce_payload(report) -> dict:
+    return {
         "input": report.input.as_json_obj(),
         "output": report.output.as_json_obj(),
         "direction": report.direction,
@@ -230,9 +236,6 @@ def _cmd_reduce(args, tols) -> int:
         "q_checks": [{"Q": list(q), "gain": g} for q, g in report.q_checks],
         "difference_spectrum": [_sig15(v) for v in report.difference_spectrum],
     }
-    _write_report(args.out, payload)
-    _write_design_csv(args.out, report.output)
-    return EXIT_OK
 
 
 def _cmd_dominate(args, tols) -> int:

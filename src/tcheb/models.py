@@ -43,6 +43,11 @@ class RegressionModel:
     return an array of shape (p, n); ``gradient_dx`` is the x derivative
     of the gradient, used to carry analytic derivatives through to the
     Newton refinement.  ``p1`` is the size of the trailing block.
+
+    ``eta``, ``gradient``, ``p_matrix`` and ``gradient_dx`` must be pure
+    functions of (x, theta), or of theta alone for ``p_matrix``:
+    ``reduce_design`` memoises its determinant gate per model, keyed by
+    these fields.
     """
 
     name: str

@@ -20,6 +20,7 @@ guarantee has no backing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -28,7 +29,14 @@ import numpy as np
 
 from .chebyshev import check_chebyshev
 from .errors import ConfigurationError, DegeneracyError, PreconditionError
-from .models import RegressionModel, information_matrix, psi_k_Q, psi_system
+from .models import (
+    PsiSystem,
+    RegressionModel,
+    _check_theta,
+    information_matrix,
+    psi_k_Q,
+    psi_system,
+)
 from .moments import Design, HalfIndex, MomentPoint, design_index, moment_point
 from .principal import RepresentationStructure, lower_principal, upper_principal
 
@@ -39,6 +47,8 @@ NUM_Q_DIRECTIONS = 64
 # sampled Q direction, so they bound the gate's cost.
 CHECK_GRID = 512
 CHECK_TUPLES = 2000
+# Passing gate verdicts kept per (model, theta, direction, sampling) key.
+GATE_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -62,25 +72,30 @@ class DominationReport:
     tolerance: float
 
 
-def _sphere_directions(p1: int, count: int = NUM_Q_DIRECTIONS) -> List[np.ndarray]:
+@functools.lru_cache(maxsize=16)
+def _sphere_directions(p1: int, count: int = NUM_Q_DIRECTIONS) -> Tuple[np.ndarray, ...]:
     """Deterministic unit directions: one for p1 = 1, a low-discrepancy
-    sphere sample otherwise (the hypothesis is scale invariant in Q)."""
+    sphere sample otherwise (the hypothesis is scale invariant in Q).
+    Memoised, so the arrays are read-only."""
     if p1 == 1:
-        return [np.array([1.0])]
-    from scipy.stats import norm, qmc
+        out = [np.array([1.0])]
+    else:
+        from scipy.stats import norm, qmc
 
-    sampler = qmc.Halton(d=p1, scramble=False)
-    out: List[np.ndarray] = []
-    while len(out) < count:
-        u = sampler.random(4 * count)
-        z = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
-        for row in z:
-            nrm = float(np.linalg.norm(row))
-            if nrm > 1e-8:
-                out.append(row / nrm)
-                if len(out) == count:
-                    break
-    return out
+        sampler = qmc.Halton(d=p1, scramble=False)
+        out = []
+        while len(out) < count:
+            u = sampler.random(4 * count)
+            z = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
+            for row in z:
+                nrm = float(np.linalg.norm(row))
+                if nrm > 1e-8:
+                    out.append(row / nrm)
+                    if len(out) == count:
+                        break
+    for Q in out:
+        Q.flags.writeable = False
+    return tuple(out)
 
 
 def augmented_checks(psi, direction: str, qs, **check_kwargs):
@@ -107,6 +122,21 @@ def _check_direction(psi, direction: str, qs, seed: int, grid: int, tuples: int)
                 witness=rep.witness,
                 q_vector=tuple(float(v) for v in Q),
             )
+
+
+@functools.lru_cache(maxsize=GATE_CACHE_SIZE)
+def _gated_psi(
+    model: RegressionModel, theta_bytes: bytes, direction: str, seed: int, grid: int, tuples: int
+) -> PsiSystem:
+    """The psi system at theta, once it passed the gate of the direction.
+
+    The gate does not depend on the design, so a passing verdict is
+    memoised per key; a refusal raises and is never cached.  theta is
+    keyed by its bytes, which tell 0.0 from -0.0 where floats do not.
+    """
+    psi = psi_system(model, np.frombuffer(theta_bytes))
+    _check_direction(psi, direction, _sphere_directions(psi.p1), seed, grid, tuples)
+    return psi
 
 
 def _moment_gain(system, f, out: Design, inp: Design) -> float:
@@ -150,14 +180,29 @@ def reduce_design(
     the principal representation matching all k moments.  The report
     records the per-Q moment gains and the spectrum of the information
     difference M(output) - M(input).
+
+    The gate depends on the model, theta, the direction, ``seed``,
+    ``check_grid`` and ``check_tuples``, not on the design.  Passing
+    verdicts are memoised per such key, up to ``GATE_CACHE_SIZE``
+    entries; a refusal is not, so every refused call runs the gate and
+    raises afresh.  The model is keyed by its fields, which compare plain
+    functions by identity, so a model whose callables change behaviour
+    must be rebuilt as a new object with new callables, as
+    ``make_model`` does.
     """
     if direction not in ("upper", "lower"):
         raise ConfigurationError(f"direction must be 'upper' or 'lower', got {direction!r}")
-    psi = psi_system(model, theta)
+    theta = _check_theta(model, theta)
+    key = (model, theta.tobytes(), direction, seed, check_grid, check_tuples)
+    try:
+        hash(key)
+    except TypeError:  # a model field or the seed is unhashable
+        psi = _gated_psi.__wrapped__(*key)
+    else:
+        psi = _gated_psi(*key)
     system = psi.system
     k = system.k
     qs = _sphere_directions(psi.p1)
-    _check_direction(psi, direction, qs, seed, check_grid, check_tuples)
 
     c0 = moment_point(system, xi)
     idx = design_index(xi)

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import subprocess
 import sys
 import textwrap
@@ -18,7 +20,9 @@ from tcheb import (
     reduce_design,
     verify_domination,
 )
+from tcheb.cli import _reduce_payload
 from tcheb.errors import ConfigurationError, DegeneracyError, PreconditionError, TchebError
+from tcheb.reduction import _sphere_directions
 
 MM_IV = (0.0, 10.0)
 
@@ -159,6 +163,135 @@ class TestReduce:
             return
         assert (out.size, out.points[0] == MM_IV[0], out.points[-1] == MM_IV[1]) == (2, False, True)
 
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Records every determinant check that reduce_design's gate runs."""
+    calls = []
+    real = tcheb.reduction.check_chebyshev
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tcheb.reduction, "check_chebyshev", counting)
+    return calls
+
+
+class TestGateCache:
+    """The gate (base check plus one augmented check at p1 = 1) runs once
+    per (model, theta, direction, seed, check_grid, check_tuples) key."""
+
+    def test_repeat_key_skips_the_gate(self, checks):
+        model = mm()
+        reduce_design(model, [1.0, 1.0], uniform(range(1, 9), MM_IV), "upper")
+        assert len(checks) == 2
+        rep = reduce_design(model, (1.0, 1.0), uniform([1.0, 4.0, 9.0], MM_IV), "upper")
+        assert len(checks) == 2
+        assert rep.branch == "OddCase"
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"model": mm()},
+            {"theta": [1.0, float(np.nextafter(1.0, 2.0))]},
+            {"seed": 1},
+            {"check_grid": 256},
+            {"check_tuples": 500},
+        ],
+        ids=["model", "theta", "seed", "check_grid", "check_tuples"],
+    )
+    def test_any_key_change_runs_the_gate(self, checks, change):
+        model = mm()
+        args = dict(model=model, theta=[1.0, 1.0], xi=uniform(range(1, 9), MM_IV), direction="upper")
+        reduce_design(**args)
+        checks.clear()
+        reduce_design(**{**args, **change})
+        assert len(checks) == 2
+
+    def test_direction_is_part_of_the_key(self, checks):
+        model = mm()
+        xi = uniform(range(1, 9), MM_IV)
+        reduce_design(model, [1.0, 1.0], xi, "upper")
+        checks.clear()
+        with pytest.raises(PreconditionError):
+            reduce_design(model, [1.0, 1.0], xi, "lower")
+        assert len(checks) == 2
+
+    def test_theta_key_tells_signed_zeros_apart(self, checks):
+        model = make_model("polynomial", [0.0, 1.0, 1.0], (-1.0, 1.0))
+        xi = uniform(np.linspace(-1.0, 1.0, 6), (-1.0, 1.0))
+        reduce_design(model, [0.0, 1.0, 1.0], xi, "upper")
+        reduce_design(model, [-0.0, 1.0, 1.0], xi, "upper")
+        assert len(checks) == 4
+
+    @pytest.mark.parametrize(
+        "name,theta,iv,direction",
+        [
+            ("polynomial", [0.0, 1.0, 1.0], (-1.0, 1.0), "lower"),
+            ("exponential3", [1.0, 1.0, -1.0], (0.0, 3.0), "upper"),
+        ],
+    )
+    def test_refusal_reruns_the_gate(self, checks, name, theta, iv, direction):
+        model = make_model(name, theta, iv)
+        xi = uniform(np.linspace(iv[0], iv[1], 7), iv)
+        errors = []
+        for _ in range(3):
+            checks.clear()
+            with pytest.raises(PreconditionError) as err:
+                reduce_design(model, theta, xi, direction)
+            assert len(checks) == 2
+            errors.append(err.value)
+        assert errors[0].witness is not None
+        assert all(e.witness == errors[0].witness for e in errors)
+        assert len({id(e) for e in errors}) == 3
+
+    def test_unhashable_model_still_reduces(self, checks):
+        base = mm()
+
+        class Gradient:
+            """Compares by value and so, lacking __hash__, is unhashable."""
+
+            def __call__(self, x, th):
+                return base.gradient(x, th)
+
+            def __eq__(self, other):
+                return isinstance(other, Gradient)
+
+        model = dataclasses.replace(base, gradient=Gradient())
+        with pytest.raises(TypeError):
+            hash(model)
+        xi = uniform(range(1, 9), MM_IV)
+        reps = [reduce_design(model, [1.0, 1.0], xi, "upper") for _ in range(2)]
+        assert len(checks) == 4
+        want = reduce_design(base, [1.0, 1.0], xi, "upper")
+        assert all(_reduce_payload(r) == _reduce_payload(want) for r in reps)
+
+    @pytest.mark.parametrize(
+        "name,theta,iv,direction",
+        [
+            ("michaelis_menten", [1.0, 1.0], MM_IV, "upper"),
+            ("exponential", [1.0, -1.0], (0.0, 3.0), "lower"),
+        ],
+    )
+    def test_hit_payload_equals_miss_payload(self, checks, name, theta, iv, direction):
+        model = make_model(name, theta, iv)
+        xi = uniform(np.linspace(iv[0] + 0.1, iv[1] - 0.1, 7), iv)
+        miss = json.dumps(_reduce_payload(reduce_design(model, theta, xi, direction)), sort_keys=True)
+        hit = json.dumps(_reduce_payload(reduce_design(model, theta, xi, direction)), sort_keys=True)
+        assert len(checks) == 2
+        assert hit == miss
+
+
+@pytest.mark.parametrize("p1", [1, 2])
+def test_sphere_directions_are_memoised_and_read_only(p1):
+    qs = _sphere_directions(p1)
+    assert _sphere_directions(p1) is qs
+    assert len(qs) == (1 if p1 == 1 else tcheb.reduction.NUM_Q_DIRECTIONS)
+    np.testing.assert_allclose([np.linalg.norm(q) for q in qs], 1.0, rtol=1e-15)
+    with pytest.raises(ValueError):
+        qs[0][0] = 2.0
 
 class TestDomination:
     def test_identical_designs(self):
