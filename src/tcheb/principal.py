@@ -97,7 +97,8 @@ def grid_lp_extremum(
 ):
     """Extremize the objective moment over grid measures matching c0.
 
-    Solves, by a dense two-phase simplex with Bland's rule, the program
+    Solves, by a dense two-phase simplex (Dantzig's rule with a Bland
+    fallback), the program
 
         max/min  sum_g w_g * objective(x_g)
         s.t.     sum_g w_g * psi_i(x_g) = c_i   for i = 0..k-1,
@@ -105,7 +106,8 @@ def grid_lp_extremum(
 
     on an equispaced grid of the interval.  Returns the optimal value and
     the design formed by the strictly positive basic weights; that design
-    has at most k support points.
+    has at most k support points.  A vertex that misses the moments or has
+    a weight below -feas_tol raises ConvergenceError (see ``solve_lp``).
     """
     k = system.k
     if c0.k != k:

@@ -21,7 +21,13 @@ from tcheb import (
     verify_domination,
 )
 from tcheb.cli import _reduce_payload
-from tcheb.errors import ConfigurationError, DegeneracyError, PreconditionError, TchebError
+from tcheb.errors import (
+    ConfigurationError,
+    ConvergenceError,
+    DegeneracyError,
+    PreconditionError,
+    TchebError,
+)
 from tcheb.reduction import _sphere_directions
 
 MM_IV = (0.0, 10.0)
@@ -162,6 +168,20 @@ class TestReduce:
         except TchebError:
             return
         assert (out.size, out.points[0] == MM_IV[0], out.points[-1] == MM_IV[1]) == (2, False, True)
+
+    def test_negative_lp_vertex_is_a_convergence_error(self):
+        # An endpoint design from the reduce_repeat census at seed 7: the grid LP
+        # ends on a vertex with a weight of -3.6e-6.  Wrapped in a Design,
+        # that vertex raised "ConfigurationError: design weights sum to
+        # 1.0000036...", an internal failure reported as bad input.
+        model = make_model("exponential3", [1.0, 1.0, -1.0], (0.0, 3.0))
+        xi = Design(
+            points=(2.0113061511974405e-07, 2.9999997568690207, 2.9999998979261564),
+            weights=(0.04061384375326558, 0.015307798923908681, 0.9440783573228257),
+            interval=Interval(0.0, 3.0),
+        )
+        with pytest.raises(ConvergenceError, match="simplex vertex is negative"):
+            reduce_design(model, [1.0, 1.0, -1.0], xi, "lower")
 
 
 

@@ -128,3 +128,48 @@ def test_random_lps_match_linprog(seed):
         assert res.value == pytest.approx(sign * ref.fun, rel=1e-7, abs=1e-7)
         np.testing.assert_allclose(A @ res.x, b, atol=1e-7)
         assert np.all(res.x >= -1e-12)
+
+
+GRID = np.linspace(-1.0, 1.0, 2001)
+
+
+def _monomial_moment_lp(k, seed=0):
+    """The moment LP of the principal representations at its real size:
+    monomial rows 1..x^(k-1) on the 2001-point grid of [-1, 1], moments
+    of a spread measure on k..2k points (interior), objective x^k."""
+    rng = np.random.default_rng([k, seed])
+    n = int(rng.integers(k, 2 * k + 1))
+    pts = -1.0 + (np.arange(n) + rng.uniform(0.25, 0.75, n)) * (2.0 / n)
+    w = rng.dirichlet(np.ones(n))
+    A = np.vander(GRID, k, increasing=True).T
+    return A, np.vander(pts, k, increasing=True).T @ w, GRID**k
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_moment_lp_at_grid_size_matches_linprog(k, sense):
+    A, b, c = _monomial_moment_lp(k)
+    before = [A.copy(), b.copy(), c.copy()]
+    res = solve_lp(A, b, c, sense=sense)
+    for saved, arg in zip(before, (A, b, c)):
+        np.testing.assert_array_equal(arg, saved)
+    sign = -1.0 if sense == "max" else 1.0
+    ref = linprog(sign * c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assert ref.status == 0
+    # The value sums O(1) terms c_j x_j (|c| <= 1, total mass b[0] = 1)
+    # that cancel down to 1e-4 for odd k, and HiGHS leaves a primal
+    # residual near 1e-10; so 1e-9 is relative to that O(1) scale too.
+    scale = float(np.abs(c).max() * b[0])
+    assert res.value == pytest.approx(sign * ref.fun, rel=1e-9, abs=1e-9 * scale)
+    np.testing.assert_array_equal(np.flatnonzero(res.x > 1e-12), np.flatnonzero(ref.x > 1e-12))
+    assert res.x.min() >= 0.0
+
+
+def test_duplicated_row_is_dropped_at_grid_width():
+    A, b, c = _monomial_moment_lp(5)
+    single = solve_lp(A, b, c, sense="max")
+    doubled = solve_lp(np.vstack([A[:1], A]), np.append(b[:1], b), c, sense="max")
+    # One basic variable per kept row: the duplicate row was dropped.
+    assert len(single.basis) == len(doubled.basis) == 5
+    assert doubled.value == pytest.approx(single.value, rel=1e-12)
+    np.testing.assert_allclose(doubled.x, single.x, atol=1e-12)
