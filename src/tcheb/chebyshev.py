@@ -156,17 +156,16 @@ def basis_matrix(system: ChebyshevSystem, xs) -> np.ndarray:
     return _evaluate(system.evaluator, system.k, xs, "basis")
 
 
-def derivative_matrix(system: ChebyshevSystem, xs, fd_step: Optional[float] = None) -> np.ndarray:
+def derivative_matrix(system: ChebyshevSystem, xs) -> np.ndarray:
     """Evaluate d(psi_i)/dx at the given points.
 
     Uses analytic derivatives when the system carries them, otherwise a
-    central finite difference with the supplied step.
+    central finite difference with step 1e-6 * (B - A).
     """
     if system.derivative_evaluator is not None:
         return _evaluate(system.derivative_evaluator, system.k, xs, "derivative")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if fd_step is None:
-        fd_step = 1e-6 * system.interval.length
+    fd_step = 1e-6 * system.interval.length
     # Central difference; evaluation may step slightly outside [A, B],
     # which every catalog function tolerates.
     return (basis_matrix(system, xs + fd_step) - basis_matrix(system, xs - fd_step)) / (2.0 * fd_step)

@@ -23,6 +23,7 @@ from .chebyshev import check_chebyshev
 from .errors import ConfigurationError, PreconditionError, TchebError
 from .models import make_model, psi_system
 from .moments import Design, design_index, moment_point
+from .principal import DEFAULT_GRID, NEWTON_TOL
 from .reduction import (
     PSD_TOL,
     _sphere_directions,
@@ -100,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--criterion", choices=("d", "a"), default="d")
         p.add_argument("--out", required=True, help="report JSON path")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--grid", type=int, default=2001)
+        p.add_argument("--grid", type=int, default=DEFAULT_GRID)
 
     common(sub.add_parser("check", help="determinant condition of the psi systems"), direction=True)
     common(sub.add_parser("moments", help="moment point and index of a design"), design=True)
@@ -216,7 +217,7 @@ def _cmd_reduce(args, tols) -> int:
         args.direction,
         seed=args.seed,
         grid_size=args.grid,
-        newton_tol=tols.get("newton", 1e-11),
+        newton_tol=tols.get("newton", NEWTON_TOL),
     )
     _write_report(args.out, _reduce_payload(report))
     _write_design_csv(args.out, report.output)

@@ -10,28 +10,35 @@ function Omega that augments the system to a Chebyshev system, the
 upper one maximizing and the lower one minimizing, and the measures do
 not depend on which valid Omega is used.
 
-The solver runs in two stages.  A finite linear program on an
-equispaced grid locates the support approximately (an optimal basic
-solution of a moment LP carries at most k atoms), then a damped Newton
-iteration on the exact moment-matching equations removes the grid bias,
-with the support structure fixed by k and the direction.
+The solver is one path.  A finite linear program on an equispaced grid
+locates the support approximately (an optimal basic solution of a
+moment LP carries at most k atoms).  Its atoms, plain (point, weight)
+pairs, merge where discretization split one support point, take the
+shape the structure fixed by k and the direction prescribes, and seed a
+damped Newton iteration on the exact moment-matching equations, which
+removes the grid bias.  Only the returned representation becomes a
+``Design``, and it must match every moment to 1e-9 relative; there is no
+unrefined fallback.  A boundary moment point, whose merged LP atoms are
+fewer than the structure wants, is returned unrefined only when its
+atoms meet that same gate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .chebyshev import ChebyshevSystem, basis_matrix, derivative_matrix, _call_on_array
+from .chebyshev import ChebyshevSystem, Interval, basis_matrix, derivative_matrix, _call_on_array
 from .errors import (
     ConfigurationError,
     ConvergenceError,
+    DegeneracyError,
     EvaluationError,
     SingularityError,
 )
-from .moments import Design, MomentPoint, merge_pair, merge_runs
+from .moments import Atom, Design, MomentPoint, merge_pair, merge_runs
 from .simplex import solve_lp
 
 DEFAULT_GRID = 2001
@@ -105,9 +112,11 @@ def grid_lp_extremum(
                  w >= 0
 
     on an equispaced grid of the interval.  Returns the optimal value and
-    the design formed by the strictly positive basic weights; that design
-    has at most k support points.  A vertex that misses the moments or has
-    a weight below -feas_tol raises ConvergenceError (see ``solve_lp``).
+    the atoms: the (point, weight) pairs of the grid points whose weight
+    is above 1e-14, in increasing order, at most k of them.  The atoms are
+    a warm start, not a validated design; their weights need not sum to 1
+    exactly.  A vertex that misses the moments or has a weight below
+    -feas_tol raises ConvergenceError (see ``solve_lp``).
     """
     k = system.k
     if c0.k != k:
@@ -120,26 +129,23 @@ def grid_lp_extremum(
     obj = _as_objective_values(objective, grid)
     result = solve_lp(V, c0.array(), obj, sense=sense, feas_tol=feas_tol)
     pos = result.x > 1e-14
-    design = Design(
-        points=tuple(float(x) for x in grid[pos]),
-        weights=tuple(float(w) for w in result.x[pos]),
-        interval=system.interval,
-    )
-    return float(result.value), design
+    return float(result.value), list(zip(grid[pos].tolist(), result.x[pos].tolist()))
 
 
 def refine_newton(
     system: ChebyshevSystem,
     c0: MomentPoint,
     structure: RepresentationStructure,
-    initial: Design,
+    initial: Sequence[Atom],
     tol: float = NEWTON_TOL,
     max_iter: int = NEWTON_MAX_ITER,
 ) -> PrincipalResult:
     """Newton iteration on the moment-matching equations.
 
-    Unknowns are the interior support points and all weights, exactly k
-    of them by the structure invariant.  The residual is
+    ``initial`` holds the starting (point, weight) atoms in increasing
+    order, with the structure's count and endpoint membership.  Unknowns
+    are the interior support points and all weights, exactly k of them by
+    the structure invariant.  The residual is
 
         F(t, w)_i = sum_j w_j psi_i(t_j) - c_i .
 
@@ -151,19 +157,17 @@ def refine_newton(
     a, b = system.interval.lower, system.interval.upper
     if structure.free_unknowns != k:
         raise ConfigurationError("structure unknowns do not match the system dimension")
-    if initial.size != structure.num_points:
+    if len(initial) != structure.num_points:
         raise ConfigurationError(
-            f"initial design has {initial.size} points, structure wants {structure.num_points}"
+            f"initial support has {len(initial)} atoms, structure wants {structure.num_points}"
         )
-    if structure.includes_A != (initial.points[0] == a) or structure.includes_B != (
-        initial.points[-1] == b
-    ):
-        raise ConfigurationError("initial design endpoint membership violates the structure")
+    points, w = (np.array(v, dtype=float) for v in zip(*initial))
+    if structure.includes_A != (points[0] == a) or structure.includes_B != (points[-1] == b):
+        raise ConfigurationError("initial support endpoint membership violates the structure")
 
     lo = 1 if structure.includes_A else 0
-    hi = len(initial.points) - (1 if structure.includes_B else 0)
-    t_int = np.array(initial.points[lo:hi], dtype=float)
-    w = np.array(initial.weights, dtype=float)
+    hi = points.size - (1 if structure.includes_B else 0)
+    t_int = points[lo:hi]
     ni = t_int.size
     c = c0.array()
     scale = max(1.0, float(np.abs(c).max()))
@@ -277,50 +281,57 @@ def _monomial_probe(k: int) -> Callable:
     return probe
 
 
-def _merge_clusters(design: Design, tol: float) -> Design:
-    """Merge runs of support points closer than tol into single atoms."""
-    a, b = design.interval.lower, design.interval.upper
-    pts, ws = zip(*merge_runs(zip(design.points, design.weights), tol, a, b))
-    return Design(points=pts, weights=ws, interval=design.interval)
+def check_structure(
+    points: Sequence[float], interval: Interval, structure: RepresentationStructure, which: str
+) -> None:
+    """Refuse a support that breaks the principal structure."""
+    a, b = interval.lower, interval.upper
+    got = (len(points), points[0] == a, points[-1] == b)
+    want = (structure.num_points, structure.includes_A, structure.includes_B)
+    if got != want:
+        raise DegeneracyError(
+            f"the {which} representation has {got[0]} points (A: {got[1]}, B: {got[2]}); "
+            f"its structure wants {want[0]} (A: {want[1]}, B: {want[2]})"
+        )
 
 
 def _shape_to_structure(
-    design: Design, structure: RepresentationStructure, tol: float
-) -> Optional[Design]:
-    """Coerce an LP support onto the structure, or report a mismatch."""
-    a, b = design.interval.lower, design.interval.upper
-    pts = list(design.points)
-    ws = list(design.weights)
+    atoms: List[Atom],
+    structure: RepresentationStructure,
+    tol: float,
+    interval: Interval,
+    which: str,
+) -> List[Atom]:
+    """Coerce LP atoms onto the structure, or raise DegeneracyError.
 
-    if structure.includes_B and pts[-1] != b:
-        if b - pts[-1] <= 10.0 * tol:
-            pts[-1] = b
-        else:
-            return None
-    if structure.includes_A and pts[0] != a:
-        if pts[0] - a <= 10.0 * tol:
-            pts[0] = a
-        else:
-            return None
-    if not structure.includes_B and pts[-1] == b:
-        return None
-    if not structure.includes_A and pts[0] == a:
-        return None
-
+    An end atom within 10 * tol of an endpoint the structure contains
+    snaps onto it, and the closest pairs merge until the count fits.
+    Neither step moves an atom onto or off an endpoint otherwise.
+    """
+    a, b = interval.lower, interval.upper
+    pts = [p for p, _ in atoms]
+    ws = [w for _, w in atoms]
+    if structure.includes_B and b - pts[-1] <= 10.0 * tol:
+        pts[-1] = b
+    if structure.includes_A and pts[0] - a <= 10.0 * tol:
+        pts[0] = a
     while len(pts) > structure.num_points:
-        gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)]
-        i = int(np.argmin(gaps))
+        i = int(np.argmin(np.diff(pts)))
         keep, weight = merge_pair((pts[i], ws[i]), (pts[i + 1], ws[i + 1]), a, b)
         pts[i : i + 2], ws[i : i + 2] = [keep], [weight]
-    if len(pts) < structure.num_points:
-        return None
-    return Design(points=tuple(pts), weights=tuple(ws), interval=design.interval)
+    check_structure(pts, interval, structure, which)
+    return list(zip(pts, ws))
 
 
-def _moment_gap(system: ChebyshevSystem, design: Design, c0: MomentPoint) -> np.ndarray:
-    """V w - c: the design's moments minus the target moment point."""
-    V = basis_matrix(system, design.points_array())
-    return V @ design.weights_array() - c0.array()
+def _gated_residual(system: ChebyshevSystem, c0: MomentPoint, points, weights) -> Optional[float]:
+    """max_i |V w - c|_i, or None when a coordinate misses the gate
+    |V w - c|_i <= 1e-9 * max(1, |c_i|) that every returned
+    representation meets."""
+    c = c0.array()
+    gap = np.abs(basis_matrix(system, np.asarray(points, float)) @ np.asarray(weights, float) - c)
+    if np.all(gap <= 1e-9 * np.maximum(1.0, np.abs(c))):
+        return float(gap.max())
+    return None
 
 
 def _principal(
@@ -330,62 +341,41 @@ def _principal(
     probe: Optional[Callable],
     grid_size: int,
     newton_tol: float,
-    max_iter: int,
-    lp_feas_tol: Optional[float],
 ) -> PrincipalResult:
     k = system.k
+    interval = system.interval
     structure = (
         RepresentationStructure.upper(k) if which == "upper" else RepresentationStructure.lower(k)
     )
     sense = "max" if which == "upper" else "min"
     probes = [probe] if probe is not None else [default_probe(system), _monomial_probe(k)]
-    spacing = system.interval.length / (grid_size - 1)
-    cluster_tol = CLUSTER_SPACINGS * spacing
-    c_scale = max(1.0, float(np.abs(c0.array()).max()))
+    cluster_tol = CLUSTER_SPACINGS * interval.length / (grid_size - 1)
 
-    last_error: Optional[Exception] = None
-    fallback: Optional[PrincipalResult] = None
     for omega in probes:
-        value, lp_design = grid_lp_extremum(
-            system, c0, omega, sense=sense, grid_size=grid_size, feas_tol=lp_feas_tol
-        )
-        merged = _merge_clusters(lp_design, cluster_tol)
-        resid = float(np.abs(_moment_gap(system, merged, c0)).max())
-        if merged.size < structure.num_points:
+        value, atoms = grid_lp_extremum(system, c0, omega, sense=sense, grid_size=grid_size)
+        merged = merge_runs(atoms, cluster_tol, interval.lower, interval.upper)
+        if len(merged) < structure.num_points:
             # Degenerate (boundary) moment point: its representation is
             # unique with fewer atoms than the interior structure, and
             # the Newton system below would be singular.
-            if resid <= 1e-6 * c_scale:
-                return PrincipalResult(
-                    design=merged,
-                    residual_norm=resid,
-                    lp_objective=value,
-                    newton_iterations=0,
-                    structure=structure,
-                )
-        shaped = _shape_to_structure(merged, structure, cluster_tol)
-        if shaped is None:
-            if fallback is None and merged.size <= structure.num_points and resid <= 1e-6 * c_scale:
-                fallback = PrincipalResult(merged, resid, value, 0, structure)
-            continue
+            points, weights = zip(*merged)
+            resid = _gated_residual(system, c0, points, weights)
+            if resid is not None:
+                design = Design(points=points, weights=weights, interval=interval)
+                return PrincipalResult(design, resid, value, 0, structure)
         try:
-            result = refine_newton(system, c0, structure, shaped, newton_tol, max_iter)
-        except (ConvergenceError, SingularityError) as err:
+            shaped = _shape_to_structure(merged, structure, cluster_tol, interval, which)
+            result = refine_newton(system, c0, structure, shaped, newton_tol)
+        except (ConvergenceError, DegeneracyError, SingularityError) as err:
             last_error = err
-            if fallback is None and merged.size <= structure.num_points and resid <= 1e-6 * c_scale:
-                fallback = PrincipalResult(merged, resid, value, 0, structure)
             continue
-        gap = _moment_gap(system, result.design, c0)
-        if np.all(np.abs(gap) <= 1e-9 * np.maximum(1.0, np.abs(c0.array()))):
+        out = result.design
+        if _gated_residual(system, c0, out.points, out.weights) is not None:
             return replace(result, lp_objective=value)
         last_error = ConvergenceError(
             "refined design drifted off the moment point", residual=result.residual_norm
         )
-    if fallback is not None:
-        return fallback
-    if last_error is not None:
-        raise last_error
-    raise ConvergenceError("no probe produced a usable principal representation")
+    raise last_error
 
 
 def upper_principal(
@@ -394,14 +384,12 @@ def upper_principal(
     probe: Optional[Callable] = None,
     grid_size: int = DEFAULT_GRID,
     newton_tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
-    lp_feas_tol: Optional[float] = None,
 ) -> PrincipalResult:
     """The representing measure maximizing every valid probe moment.
 
     Contains B among its support points, and A as well when k is even.
     """
-    return _principal(system, c0, "upper", probe, grid_size, newton_tol, max_iter, lp_feas_tol)
+    return _principal(system, c0, "upper", probe, grid_size, newton_tol)
 
 
 def lower_principal(
@@ -410,12 +398,10 @@ def lower_principal(
     probe: Optional[Callable] = None,
     grid_size: int = DEFAULT_GRID,
     newton_tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
-    lp_feas_tol: Optional[float] = None,
 ) -> PrincipalResult:
     """The representing measure minimizing every valid probe moment.
 
     Avoids B; contains A when k is odd and avoids both endpoints when k
     is even.
     """
-    return _principal(system, c0, "lower", probe, grid_size, newton_tol, max_iter, lp_feas_tol)
+    return _principal(system, c0, "lower", probe, grid_size, newton_tol)

@@ -38,7 +38,14 @@ from .models import (
     psi_system,
 )
 from .moments import Design, HalfIndex, MomentPoint, design_index, moment_point
-from .principal import RepresentationStructure, lower_principal, upper_principal
+from .principal import (
+    DEFAULT_GRID,
+    NEWTON_TOL,
+    RepresentationStructure,
+    check_structure,
+    lower_principal,
+    upper_principal,
+)
 
 PSD_TOL = 1e-8
 NUM_Q_DIRECTIONS = 64
@@ -147,18 +154,6 @@ def _moment_gain(system, f, out: Design, inp: Design) -> float:
     return integral(out) - integral(inp)
 
 
-def _check_structure(out: Design, structure: RepresentationStructure, direction: str):
-    """Refuse an output whose support breaks the principal structure."""
-    a, b = out.interval.lower, out.interval.upper
-    got = (out.size, out.points[0] == a, out.points[-1] == b)
-    want = (structure.num_points, structure.includes_A, structure.includes_B)
-    if got != want:
-        raise DegeneracyError(
-            f"the {direction} representation has {got[0]} points (A: {got[1]}, B: {got[2]}); "
-            f"its structure wants {want[0]} (A: {want[1]}, B: {want[2]})"
-        )
-
-
 def reduce_design(
     model: RegressionModel,
     theta,
@@ -166,9 +161,8 @@ def reduce_design(
     direction: str = "upper",
     *,
     seed: int = 0,
-    grid_size: int = 2001,
-    newton_tol: float = 1e-11,
-    max_iter: int = 50,
+    grid_size: int = DEFAULT_GRID,
+    newton_tol: float = NEWTON_TOL,
     check_grid: int = CHECK_GRID,
     check_tuples: int = CHECK_TUPLES,
 ) -> ReductionReport:
@@ -229,11 +223,9 @@ def reduce_design(
         principal, probe = upper_principal, f0
     else:
         principal, probe = lower_principal, lambda x: -f0(x)
-    result = principal(
-        system, c0, probe=probe, grid_size=grid_size, newton_tol=newton_tol, max_iter=max_iter
-    )
+    result = principal(system, c0, probe=probe, grid_size=grid_size, newton_tol=newton_tol)
     out = result.design
-    _check_structure(out, result.structure, direction)
+    check_structure(out.points, out.interval, result.structure, direction)
 
     moments_out = moment_point(system, out)
     q_checks = []

@@ -49,34 +49,35 @@ class TestGridLP:
     def test_max_mean_half(self):
         sys2 = polynomial_system(2, UNIT)
         c0 = MomentPoint(coordinates=(1.0, 0.5), system=sys2)
-        value, design = grid_lp_extremum(sys2, c0, lambda x: x**2, "max", grid_size=1001)
+        value, atoms = grid_lp_extremum(sys2, c0, lambda x: x**2, "max", grid_size=1001)
         assert value == pytest.approx(0.5, abs=1e-9)
-        assert design.points == pytest.approx((0.0, 1.0), abs=1e-9)
-        assert design.weights == pytest.approx((0.5, 0.5), abs=1e-9)
+        points, weights = zip(*atoms)
+        assert points == pytest.approx((0.0, 1.0), abs=1e-9)
+        assert weights == pytest.approx((0.5, 0.5), abs=1e-9)
 
     def test_min_mean_half(self):
         sys2 = polynomial_system(2, UNIT)
         c0 = MomentPoint(coordinates=(1.0, 0.5), system=sys2)
-        value, design = grid_lp_extremum(sys2, c0, lambda x: x**2, "min", grid_size=1001)
+        value, atoms = grid_lp_extremum(sys2, c0, lambda x: x**2, "min", grid_size=1001)
         assert value == pytest.approx(0.25, abs=1e-9)
-        assert design.points == pytest.approx((0.5,), abs=1e-9)
+        assert [p for p, _ in atoms] == pytest.approx([0.5], abs=1e-9)
 
     def test_min_quartic_moment(self):
         sys4, c0 = uniform_c0(4)
-        value, design = grid_lp_extremum(sys4, c0, lambda x: x**4, "min", grid_size=2001)
+        value, atoms = grid_lp_extremum(sys4, c0, lambda x: x**4, "min", grid_size=2001)
         assert value == pytest.approx(1.0 / 9.0, abs=5e-5)
         # grid LP scatters the off-grid Gauss atoms onto neighbours
-        assert design.size <= 4
+        assert len(atoms) <= 4
         g = 1.0 / np.sqrt(3.0)
-        for p in design.points:
+        for p, _ in atoms:
             assert min(abs(p - g), abs(p + g)) < 2e-3
 
     def test_atom_count_bound(self):
         sys3 = polynomial_system(3, UNIT)
         d = Design(points=(0.1, 0.4, 0.5, 0.9), weights=(0.25,) * 4, interval=UNIT)
         c0 = moment_point(sys3, d)
-        _, design = grid_lp_extremum(sys3, c0, lambda x: x**3, "max", grid_size=501)
-        assert design.size <= 3
+        _, atoms = grid_lp_extremum(sys3, c0, lambda x: x**3, "max", grid_size=501)
+        assert len(atoms) <= 3
 
     def test_infeasible_moment_point(self):
         sys2 = polynomial_system(2, UNIT)
@@ -95,7 +96,7 @@ class TestNewton:
     def test_quadratic_upper_closed_form(self):
         sys3 = polynomial_system(3, UNIT)
         c0 = MomentPoint(coordinates=(1.0, 0.5, 1.0 / 3.0), system=sys3)
-        initial = Design(points=(0.4, 1.0), weights=(0.7, 0.3), interval=UNIT)
+        initial = [(0.4, 0.7), (1.0, 0.3)]
         res = refine_newton(sys3, c0, RepresentationStructure.upper(3), initial)
         assert res.design.points == pytest.approx((1.0 / 3.0, 1.0), abs=1e-10)
         assert res.design.weights == pytest.approx((0.75, 0.25), abs=1e-10)
@@ -104,14 +105,14 @@ class TestNewton:
     def test_quadratic_lower_closed_form(self):
         sys3 = polynomial_system(3, UNIT)
         c0 = MomentPoint(coordinates=(1.0, 0.5, 1.0 / 3.0), system=sys3)
-        initial = Design(points=(0.0, 0.6), weights=(0.3, 0.7), interval=UNIT)
+        initial = [(0.0, 0.3), (0.6, 0.7)]
         res = refine_newton(sys3, c0, RepresentationStructure.lower(3), initial)
         assert res.design.points == pytest.approx((0.0, 2.0 / 3.0), abs=1e-10)
         assert res.design.weights == pytest.approx((0.25, 0.75), abs=1e-10)
 
     def test_cubic_upper_lobatto(self):
         sys4, c0 = uniform_c0(4)
-        initial = Design(points=(-1.0, 0.1, 1.0), weights=(0.2, 0.6, 0.2), interval=SYM)
+        initial = [(-1.0, 0.2), (0.1, 0.6), (1.0, 0.2)]
         res = refine_newton(sys4, c0, RepresentationStructure.upper(4), initial)
         assert res.design.points == pytest.approx((-1.0, 0.0, 1.0), abs=1e-9)
         assert res.design.weights == pytest.approx((1 / 6, 2 / 3, 1 / 6), abs=1e-9)
@@ -119,14 +120,14 @@ class TestNewton:
     def test_rejects_wrong_point_count(self):
         sys3 = polynomial_system(3, UNIT)
         c0 = MomentPoint(coordinates=(1.0, 0.5, 1.0 / 3.0), system=sys3)
-        bad = Design(points=(0.2, 0.5, 1.0), weights=(0.3, 0.3, 0.4), interval=UNIT)
+        bad = [(0.2, 0.3), (0.5, 0.3), (1.0, 0.4)]
         with pytest.raises(ConfigurationError):
             refine_newton(sys3, c0, RepresentationStructure.upper(3), bad)
 
     def test_rejects_missing_endpoint(self):
         sys3 = polynomial_system(3, UNIT)
         c0 = MomentPoint(coordinates=(1.0, 0.5, 1.0 / 3.0), system=sys3)
-        bad = Design(points=(0.2, 0.5), weights=(0.5, 0.5), interval=UNIT)
+        bad = [(0.2, 0.5), (0.5, 0.5)]
         with pytest.raises(ConfigurationError):
             refine_newton(sys3, c0, RepresentationStructure.upper(3), bad)
 

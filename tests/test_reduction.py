@@ -183,6 +183,64 @@ class TestReduce:
         with pytest.raises(ConvergenceError, match="simplex vertex is negative"):
             reduce_design(model, [1.0, 1.0, -1.0], xi, "lower")
 
+    def test_unrefined_cluster_support_is_refused(self):
+        # A 21-point cluster design from the reduce_sweep census at seed 7
+        # (30 designs per case and family).  Newton cannot refine its LP
+        # support, which came back unrefined with moments 4.75e-7 off the
+        # input's, silently wrong.
+        theta = [1.0, 1.0, -0.6977809699133077]
+        model = make_model("exponential3", theta, (0.0, 3.0))
+        xi = Design(
+            points=(
+                0.35762533963061754, 0.35847080210969967, 0.35907998526127716,
+                0.3594224447113318, 0.35959305160962407, 0.3601122049408114,
+                0.3603343604750677, 0.3603981229331111, 0.3605193599636449,
+                0.36093029469257726, 0.36145552759339333, 0.36171208781984787,
+                0.36190599531035506, 0.36252224608951655, 0.36257690693043054,
+                0.362685927072149, 0.36304859471601625, 0.3649471801965093,
+                0.3653452627891988, 0.36614707592289997, 0.3683060821218851,
+            ),
+            weights=(
+                0.00016317494821355995, 0.015341624648516485, 0.002643993038261281,
+                0.001489625559967618, 0.007615928514714241, 0.004525956443043756,
+                0.00010424684274015264, 0.002454816032865488, 0.012833185775430937,
+                2.5534760941855274e-06, 0.049385196135999614, 0.045195730589974614,
+                0.1012497318595053, 0.5094865777504166, 0.18313776932965548,
+                0.042358802702057205, 0.00024535504940214443, 4.5656810652898024e-05,
+                0.013227820547301731, 0.00848836943713322, 3.88450805353659e-06,
+            ),
+            interval=Interval(0.0, 3.0),
+        )
+        with pytest.raises(TchebError):
+            reduce_design(model, theta, xi, "lower")
+
+    def test_lp_vertex_is_not_validated_as_a_user_design(self):
+        # A 14-point cluster design from the reduce_repeat census at seed 7.
+        # Its grid-LP vertex has a weight of -1.2e-9; wrapped in a Design it
+        # raised "ConfigurationError: design weights sum to
+        # 1.0000000012348795", an internal failure reported as bad input.
+        model = make_model("exponential3", [1.0, 1.0, -1.0], (0.0, 3.0))
+        xi = Design(
+            points=(
+                0.5300717987266395, 0.5321072051627987, 0.5328150762716619,
+                0.5350023437688594, 0.5357336134960322, 0.5378918280763965,
+                0.5385018177588734, 0.5387486788356209, 0.53909590695261,
+                0.539746348567629, 0.5404000683012042, 0.5407952242101265,
+                0.5411782951818572, 0.5422536967689977,
+            ),
+            weights=(
+                6.994200426171696e-06, 0.0038182263818298005, 0.0020862848631988855,
+                0.023100882401203036, 0.007266392315661315, 0.03038169045610472,
+                0.24254787185253493, 0.18325816273960727, 3.6846840287069347e-06,
+                0.08561379500703231, 0.00022395189441846872, 0.0030510834357340066,
+                0.41745276807417625, 0.0011882116940442372,
+            ),
+            interval=Interval(0.0, 3.0),
+        )
+        with pytest.raises(TchebError) as err:
+            reduce_design(model, [1.0, 1.0, -1.0], xi, "lower")
+        assert not isinstance(err.value, ConfigurationError)
+
 
 
 @pytest.fixture
