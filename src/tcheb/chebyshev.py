@@ -13,6 +13,7 @@ while a clean pass over many tuples is evidence, not proof.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
@@ -29,6 +30,10 @@ INDETERMINATE_REL = 1e-12
 
 DEFAULT_GRID_SIZE = 512
 DEFAULT_NUM_TUPLES = 2000
+# Tuple samples kept per (interval, k, grid_size, num_random_tuples, seed)
+# key.  A sample holds (grid_size - k + 1 + num_random_tuples) k-tuples of
+# float64, so at the defaults one takes at most 20,096 k bytes.
+SAMPLE_CACHE_SIZE = 16
 
 # Slack used when testing membership of a point in the interval, relative
 # to the interval length.  Guards against round-off on endpoint arithmetic.
@@ -188,13 +193,37 @@ def _collocation_dets(system: ChebyshevSystem, tuples: np.ndarray):
     collocation matrix of a row t is M[i, j] = psi_i(t[j]).
     """
     n, k = tuples.shape
-    V = basis_matrix(system, tuples.ravel())          # (k, n*k)
-    mats = np.moveaxis(V.reshape(k, n, k), 1, 0)       # (n, k, k)
-    dets = np.linalg.det(mats)
-    row_norms = np.linalg.norm(mats, axis=2)           # (n, k)
-    scale = np.prod(row_norms, axis=1)
+    V = basis_matrix(system, tuples.ravel()).reshape(k, n, k)  # V[i, t, j] = psi_i(t_j)
+    dets = np.linalg.det(np.moveaxis(V, 1, 0))
+    # Product over i of the row norms |M[i, :]|; M's rows are V's last axis.
+    scale = np.sqrt(np.einsum("itj,itj->it", V, V)).prod(axis=0)
     indeterminate = np.abs(dets) < INDETERMINATE_REL * scale
     return dets, indeterminate
+
+
+def _draw_tuples(a: float, b: float, k: int, grid_size: int, num_random_tuples: int, seed) -> np.ndarray:
+    """Every run of k consecutive points of an equispaced grid, then the
+    sorted uniform draws whose points are more than 1e-9 (b - a) apart."""
+    batches = [sliding_window_view(np.linspace(a, b, grid_size), k)]
+    if num_random_tuples > 0:
+        rng = np.random.default_rng(seed)
+        rand = np.sort(rng.uniform(a, b, size=(num_random_tuples, k)), axis=1)
+        if k > 1:
+            # Degenerate tuples (coincident points) carry no sign information.
+            gap = np.min(np.diff(rand, axis=1), axis=1)
+            rand = rand[gap > 1e-9 * (b - a)]
+        batches.append(rand)
+    return np.vstack(batches)
+
+
+@functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
+def _memo_tuples(bounds: bytes, k: int, grid_size: int, num_random_tuples: int, seed: int) -> np.ndarray:
+    """The sample of _draw_tuples, memoised and read-only.  The endpoints
+    are keyed by their bytes, which tell 0.0 from -0.0 where floats do not."""
+    a, b = np.frombuffer(bounds).tolist()
+    tuples = _draw_tuples(a, b, k, grid_size, num_random_tuples, seed)
+    tuples.flags.writeable = False
+    return tuples
 
 
 def check_chebyshev(
@@ -210,6 +239,12 @@ def check_chebyshev(
     check is falsifying only: ``verified`` means no decisive determinant
     was nonpositive.  Tuples below the indeterminacy threshold carry no
     sign information and cannot fail the check.
+
+    The sample does not depend on the functions, so it is drawn once per
+    (interval, k, grid_size, num_random_tuples, seed) key and kept for the
+    last ``SAMPLE_CACHE_SIZE`` keys (about 2.6 MB at k = 8 and the default
+    sizes).  Only an ``int`` seed is memoised: any other seed, such as a
+    ``np.random.Generator`` that must advance on every call, draws afresh.
     """
     k = system.k
     if grid_size < k:
@@ -217,20 +252,10 @@ def check_chebyshev(
     if num_random_tuples < 0:
         raise ConfigurationError("num_random_tuples must be nonnegative")
     a, b = system.interval.lower, system.interval.upper
-
-    grid = np.linspace(a, b, grid_size)
-    grid_tuples = sliding_window_view(grid, k).copy()  # (grid_size-k+1, k)
-
-    batches = [grid_tuples]
-    if num_random_tuples > 0:
-        rng = np.random.default_rng(seed)
-        rand = np.sort(rng.uniform(a, b, size=(num_random_tuples, k)), axis=1)
-        if k > 1:
-            # Degenerate tuples (coincident points) carry no sign information.
-            gap = np.min(np.diff(rand, axis=1), axis=1)
-            rand = rand[gap > 1e-9 * system.interval.length]
-        batches.append(rand)
-    tuples = np.vstack(batches)
+    if isinstance(seed, int):
+        tuples = _memo_tuples(np.array([a, b]).tobytes(), k, grid_size, num_random_tuples, seed)
+    else:
+        tuples = _draw_tuples(a, b, k, grid_size, num_random_tuples, seed)
 
     dets, indeterminate = _collocation_dets(system, tuples)
     decisive = ~indeterminate

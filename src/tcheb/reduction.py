@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .chebyshev import check_chebyshev
+from .chebyshev import DEFAULT_GRID_SIZE, DEFAULT_NUM_TUPLES, check_chebyshev
 from .errors import ConfigurationError, DegeneracyError, PreconditionError
 from .models import (
     PsiSystem,
@@ -49,11 +49,11 @@ from .principal import (
 
 PSD_TOL = 1e-8
 NUM_Q_DIRECTIONS = 64
-# Sampling effort of the per-call hypothesis check.  These equal the
-# determinant checker's own defaults; a reduction runs one check per
-# sampled Q direction, so they bound the gate's cost.
-CHECK_GRID = 512
-CHECK_TUPLES = 2000
+# Sampling effort of the per-call hypothesis check: the determinant
+# checker's own defaults.  A reduction runs one check per sampled Q
+# direction, so they bound the gate's cost.
+CHECK_GRID = DEFAULT_GRID_SIZE
+CHECK_TUPLES = DEFAULT_NUM_TUPLES
 # Passing gate verdicts kept per (model, theta, direction, sampling) key.
 GATE_CACHE_SIZE = 64
 

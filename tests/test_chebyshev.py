@@ -13,8 +13,12 @@ from tcheb import (
     evaluate_basis,
     polynomial_system,
 )
-from tcheb.chebyshev import derivative_matrix
+from numpy.lib.stride_tricks import sliding_window_view
+
+from tcheb import chebyshev
+from tcheb.chebyshev import CheckReport, derivative_matrix
 from tcheb.errors import ConfigurationError, DomainError, EvaluationError
+from tcheb.models import make_model, psi_system
 
 
 def test_interval_validation():
@@ -206,3 +210,115 @@ def test_fused_rows_keep_the_input_shape():
     xs = np.array([[0.5, -1.0], [0.0, 2.0]])
     np.testing.assert_array_equal(sys3.basis[2](xs), xs**2)
     np.testing.assert_array_equal(sys3.derivatives[2](xs), 2 * xs)
+
+
+def _reference_check(system, num_random_tuples=2000, grid_size=512, seed=0):
+    """check_chebyshev as first written: the sample drawn on every call and
+    the indeterminacy scale from np.linalg.norm of each collocation row."""
+    k = system.k
+    a, b = system.interval.lower, system.interval.upper
+    batches = [sliding_window_view(np.linspace(a, b, grid_size), k).copy()]
+    if num_random_tuples > 0:
+        rng = np.random.default_rng(seed)
+        rand = np.sort(rng.uniform(a, b, size=(num_random_tuples, k)), axis=1)
+        if k > 1:
+            gap = np.min(np.diff(rand, axis=1), axis=1)
+            rand = rand[gap > 1e-9 * system.interval.length]
+        batches.append(rand)
+    tuples = np.vstack(batches)
+    n = tuples.shape[0]
+    mats = np.moveaxis(basis_matrix(system, tuples.ravel()).reshape(k, n, k), 1, 0)
+    dets = np.linalg.det(mats)
+    scale = np.prod(np.linalg.norm(mats, axis=2), axis=1)
+    decisive = np.abs(dets) >= chebyshev.INDETERMINATE_REL * scale
+    failing = decisive & (dets <= 0.0)
+    witness = tuple(float(v) for v in tuples[int(np.argmax(failing))]) if failing.any() else None
+    min_det = float(dets[decisive].min()) if decisive.any() else 0.0
+    return CheckReport(witness is None, n, min_det, witness)
+
+
+@pytest.mark.parametrize("num_random_tuples", [0, 2000])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_check_matches_reference_on_monomials(k, num_random_tuples):
+    sys_k = polynomial_system(k, Interval(-1.0, 1.0))
+    want = _reference_check(sys_k, num_random_tuples, seed=k)
+    assert check_chebyshev(sys_k, num_random_tuples, seed=k) == want
+    assert check_chebyshev(sys_k, num_random_tuples, seed=k) == want
+
+
+# (model, base theta, interval, swept theta index, 20 swept values).
+# exponential and exponential3 sweep both signs of their rate, so the
+# +psi_k^Q system of exponential3 at theta_3 < 0 is refused.
+SWEEPS = [
+    ("michaelis_menten", [1.0, 1.0], (0.0, 10.0), 1, np.linspace(0.25, 4.0, 20)),
+    ("exponential", [1.0, -1.0], (0.0, 3.0), 1, np.linspace(-2.0, 2.0, 20)),
+    ("exponential3", [1.0, 1.0, -1.0], (0.0, 3.0), 2, np.linspace(-2.0, 2.0, 20)),
+    ("polynomial", [1.0, 0.5, -0.5, 0.25], (-1.0, 1.0), 0, np.linspace(-2.0, 2.0, 20)),
+]
+
+
+@pytest.mark.parametrize("name,theta,iv,index,values", SWEEPS, ids=[s[0] for s in SWEEPS])
+def test_check_matches_reference_on_catalog_systems(name, theta, iv, index, values):
+    model = make_model(name, theta, iv)
+    refused = 0
+    for value in values:
+        th = np.array(theta)
+        th[index] = value
+        psi = psi_system(model, th)
+        for system in (psi.system, psi.augmented([1.0], 1.0), psi.augmented([1.0], -1.0)):
+            want = _reference_check(system)
+            assert check_chebyshev(system) == want
+            refused += not want.verified
+    if name == "exponential3":
+        assert refused > 0
+
+
+def test_flipped_system_matches_reference():
+    bad = ChebyshevSystem(
+        interval=Interval(0.0, 1.0),
+        basis=(lambda x: np.ones_like(np.asarray(x, dtype=float)), lambda x: -x),
+    )
+    want = _reference_check(bad)
+    assert not want.verified
+    assert check_chebyshev(bad) == want
+
+
+def test_tuple_sample_is_memoised_per_key():
+    chebyshev._memo_tuples.cache_clear()
+    iv = Interval(-1.0, 1.0)
+    check_chebyshev(polynomial_system(3, iv), 100, 16, seed=5)
+    # The sample does not depend on the functions: another system with
+    # the same interval and k hits.
+    flipped = ChebyshevSystem.from_evaluator(iv, 3, lambda xs: -polynomial_system(3, iv).evaluator(xs))
+    check_chebyshev(flipped, 100, 16, seed=5)
+    info = chebyshev._memo_tuples.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    sample = chebyshev._memo_tuples(np.array([-1.0, 1.0]).tobytes(), 3, 16, 100, 5)
+    assert not sample.flags.writeable
+    with pytest.raises(ValueError):
+        sample[0, 0] = 0.0
+
+    variants = [
+        (polynomial_system(3, Interval(-1.0, 2.0)), 100, 16, 5),
+        (polynomial_system(3, Interval(-0.0, 1.0)), 100, 16, 5),
+        (polynomial_system(3, Interval(0.0, 1.0)), 100, 16, 5),
+        (polynomial_system(4, iv), 100, 16, 5),
+        (polynomial_system(3, iv), 100, 17, 5),
+        (polynomial_system(3, iv), 101, 16, 5),
+        (polynomial_system(3, iv), 100, 16, 6),
+    ]
+    for i, (system, tuples, grid, seed) in enumerate(variants):
+        check_chebyshev(system, tuples, grid, seed)
+        assert chebyshev._memo_tuples.cache_info().misses == 2 + i
+
+
+def test_generator_seed_draws_afresh_on_every_call():
+    chebyshev._memo_tuples.cache_clear()
+    sys4 = polynomial_system(4, Interval(-1.0, 1.0))
+    rng = np.random.default_rng(3)
+    first = check_chebyshev(sys4, grid_size=4, seed=rng)
+    second = check_chebyshev(sys4, grid_size=4, seed=rng)
+    assert first.min_determinant == pytest.approx(1.86e-10, rel=1e-3)
+    assert second.min_determinant == pytest.approx(5.50e-9, rel=1e-3)
+    assert check_chebyshev(sys4, grid_size=4, seed=[1, 2]) == _reference_check(sys4, grid_size=4, seed=[1, 2])
+    assert chebyshev._memo_tuples.cache_info().currsize == 0
