@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -201,9 +202,13 @@ def _collocation_dets(system: ChebyshevSystem, tuples: np.ndarray):
     return dets, indeterminate
 
 
-def _draw_tuples(a: float, b: float, k: int, grid_size: int, num_random_tuples: int, seed) -> np.ndarray:
+@functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
+def _memo_tuples(bounds: bytes, k: int, grid_size: int, num_random_tuples: int, seed: int) -> np.ndarray:
     """Every run of k consecutive points of an equispaced grid, then the
-    sorted uniform draws whose points are more than 1e-9 (b - a) apart."""
+    sorted uniform draws whose points are more than 1e-9 (b - a) apart;
+    memoised and read-only.  The endpoints are keyed by their bytes,
+    which tell 0.0 from -0.0 where floats do not."""
+    a, b = np.frombuffer(bounds).tolist()
     batches = [sliding_window_view(np.linspace(a, b, grid_size), k)]
     if num_random_tuples > 0:
         rng = np.random.default_rng(seed)
@@ -213,17 +218,20 @@ def _draw_tuples(a: float, b: float, k: int, grid_size: int, num_random_tuples: 
             gap = np.min(np.diff(rand, axis=1), axis=1)
             rand = rand[gap > 1e-9 * (b - a)]
         batches.append(rand)
-    return np.vstack(batches)
-
-
-@functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
-def _memo_tuples(bounds: bytes, k: int, grid_size: int, num_random_tuples: int, seed: int) -> np.ndarray:
-    """The sample of _draw_tuples, memoised and read-only.  The endpoints
-    are keyed by their bytes, which tell 0.0 from -0.0 where floats do not."""
-    a, b = np.frombuffer(bounds).tolist()
-    tuples = _draw_tuples(a, b, k, grid_size, num_random_tuples, seed)
+    tuples = np.vstack(batches)
     tuples.flags.writeable = False
     return tuples
+
+
+def check_seed(seed) -> int:
+    """The seed as a nonnegative ``int``, or ConfigurationError."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ConfigurationError(f"seed must be an integer, got {type(seed).__name__}") from None
+    if seed < 0:
+        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def check_chebyshev(
@@ -243,19 +251,17 @@ def check_chebyshev(
     The sample does not depend on the functions, so it is drawn once per
     (interval, k, grid_size, num_random_tuples, seed) key and kept for the
     last ``SAMPLE_CACHE_SIZE`` keys (about 2.6 MB at k = 8 and the default
-    sizes).  Only an ``int`` seed is memoised: any other seed, such as a
-    ``np.random.Generator`` that must advance on every call, draws afresh.
+    sizes).  ``seed`` is a nonnegative integer, numpy integers included;
+    anything else, such as a ``np.random.Generator``, raises
+    ConfigurationError.
     """
     k = system.k
     if grid_size < k:
         raise ConfigurationError(f"grid_size must be at least k={k}")
     if num_random_tuples < 0:
         raise ConfigurationError("num_random_tuples must be nonnegative")
-    a, b = system.interval.lower, system.interval.upper
-    if isinstance(seed, int):
-        tuples = _memo_tuples(np.array([a, b]).tobytes(), k, grid_size, num_random_tuples, seed)
-    else:
-        tuples = _draw_tuples(a, b, k, grid_size, num_random_tuples, seed)
+    bounds = np.array([system.interval.lower, system.interval.upper]).tobytes()
+    tuples = _memo_tuples(bounds, k, grid_size, num_random_tuples, check_seed(seed))
 
     dets, indeterminate = _collocation_dets(system, tuples)
     decisive = ~indeterminate

@@ -2,10 +2,14 @@
 
 Subcommands: check, moments, reduce, dominate, optimize.  Inputs are a
 model-spec JSON and design JSONs; reports are written as JSON (with
-design tables additionally emitted as CSV next to the report).  Exit
-status 0 on success, 2 when a determinant precondition fails, 1 on I/O
-or schema errors.  All other library errors also exit 1, with the error
-serialized as {"error": {"code", "message"}}.
+design tables additionally emitted as CSV next to the report).  Each
+subcommand accepts only the flags it reads: ``--seed`` on check, reduce
+and optimize, ``--grid`` and ``--tol.newton=`` on reduce, ``--tol.psd=``
+on dominate.  ``check`` reports every determinant check of the gate that
+``reduce`` runs at the same seed.  Exit status 0 on success, 2 when a
+determinant precondition fails, 1 on I/O or schema errors.  All other
+library errors also exit 1, with the error serialized as
+{"error": {"code", "message"}}.
 
 The environment variable TCHEB_LOG (debug or info) turns on diagnostics
 on standard error; reports never mix with logs.
@@ -19,16 +23,14 @@ import logging
 import os
 import sys
 
-from .chebyshev import check_chebyshev
 from .errors import ConfigurationError, PreconditionError, TchebError
 from .models import make_model, psi_system
-from .moments import Design, design_index, moment_point
-from .principal import DEFAULT_GRID, NEWTON_TOL
+from .moments import DEFAULT_GRID, Design, design_index, json_numbers, moment_point
+from .principal import NEWTON_TOL
 from .reduction import (
     PSD_TOL,
-    _sphere_directions,
-    augmented_checks,
     criterion_value,
+    gate_checks,
     optimize_in_class,
     reduce_design,
     verify_domination,
@@ -39,9 +41,6 @@ log = logging.getLogger("tcheb")
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_PRECONDITION = 2
-
-# Tolerances the CLI can override via --tol.<name>=<value>.
-TOL_NAMES = ("newton", "psd")
 
 
 def _sig15(x: float) -> float:
@@ -54,26 +53,6 @@ def _setup_logging():
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
 
 
-def _split_tol_args(argv):
-    """Peel --tol.<name>=<value> pairs off the raw argument list."""
-    rest, tols = [], {}
-    for arg in argv:
-        if arg.startswith("--tol."):
-            body = arg[len("--tol.") :]
-            name, sep, value = body.partition("=")
-            if not sep or name not in TOL_NAMES:
-                raise ConfigurationError(
-                    f"bad tolerance flag {arg!r}; known names: {', '.join(TOL_NAMES)}"
-                )
-            try:
-                tols[name] = float(value)
-            except ValueError as err:
-                raise ConfigurationError(f"bad tolerance value in {arg!r}") from err
-        else:
-            rest.append(arg)
-    return rest, tols
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; that status is
     # reserved here for determinant precondition failures.
@@ -83,31 +62,34 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # No abbreviations: "--tol=" must not pick out "--tol.newton".
     parser = _Parser(
         prog="tcheb",
         description="Complete-class reduction of experimental designs",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, design=False, design2=False, direction=False, criterion=False):
+    def command(name, help_text, designs=()):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--model", required=True, help="model-spec JSON path")
-        if design:
-            p.add_argument("--design", required=True, help="design JSON path")
-        if design2:
-            p.add_argument("--design2", required=True, help="second design JSON path")
-        if direction:
-            p.add_argument("--direction", choices=("upper", "lower"), default="upper")
-        if criterion:
-            p.add_argument("--criterion", choices=("d", "a"), default="d")
+        for flag in designs:
+            p.add_argument(flag, required=True, help="design JSON path")
         p.add_argument("--out", required=True, help="report JSON path")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+        return p
 
-    common(sub.add_parser("check", help="determinant condition of the psi systems"), direction=True)
-    common(sub.add_parser("moments", help="moment point and index of a design"), design=True)
-    common(sub.add_parser("reduce", help="reduce a design"), design=True, direction=True)
-    common(sub.add_parser("dominate", help="compare two designs"), design=True, design2=True)
-    common(sub.add_parser("optimize", help="search the complete class"), direction=True, criterion=True)
+    check = command("check", "determinant gate of the psi systems")
+    command("moments", "moment point and index of a design", ["--design"])
+    reduce = command("reduce", "reduce a design", ["--design"])
+    dominate = command("dominate", "compare two designs", ["--design", "--design2"])
+    optimize = command("optimize", "search the complete class")
+    for p in (check, reduce, optimize):
+        p.add_argument("--direction", choices=("upper", "lower"), default="upper")
+        p.add_argument("--seed", type=int, default=0)
+    reduce.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    reduce.add_argument("--tol.newton", dest="newton_tol", type=float, default=NEWTON_TOL)
+    dominate.add_argument("--tol.psd", dest="psd_tol", type=float, default=PSD_TOL)
+    optimize.add_argument("--criterion", choices=("d", "a"), default="d")
     return parser
 
 
@@ -124,17 +106,17 @@ def _load_model(path: str):
     if missing:
         raise ConfigurationError(f"model spec missing fields: {sorted(missing)}")
     name = obj["model"]
-    theta = obj["theta"]
-    interval = obj["interval"]
+    theta = json_numbers(obj["theta"], "model theta")
+    interval = json_numbers(obj["interval"], "model interval")
     p1 = obj.get("p1", 1)
     if not isinstance(name, str):
         raise ConfigurationError("model name must be a string")
-    if not (isinstance(interval, (list, tuple)) and len(interval) == 2):
+    if len(interval) != 2:
         raise ConfigurationError("model interval must be a pair [A, B]")
-    if not isinstance(p1, int):
+    if not isinstance(p1, int) or isinstance(p1, bool):
         raise ConfigurationError("p1 must be an integer")
     model = make_model(name, theta, interval, p1)
-    return model, list(float(t) for t in theta)
+    return model, theta
 
 
 def _load_design(path: str, model) -> Design:
@@ -169,13 +151,10 @@ def _check_report(rep) -> dict:
     return out
 
 
-def _cmd_check(args, tols) -> int:
+def _cmd_check(args) -> int:
     model, theta = _load_model(args.model)
     psi = psi_system(model, theta)
-    base = check_chebyshev(psi.system, grid_size=max(args.grid, psi.k), seed=args.seed)
-    qs = _sphere_directions(psi.p1)
-    grid = max(args.grid, psi.k + 1)
-    aug_reports = list(augmented_checks(psi, args.direction, qs, grid_size=grid, seed=args.seed))
+    (_, base), *aug_reports = gate_checks(psi, args.direction, args.seed)
     worst = min((r for _, r in aug_reports), key=lambda r: (r.verified, r.min_determinant))
     augmented = _check_report(worst)
     augmented["q_directions"] = len(aug_reports)
@@ -193,7 +172,7 @@ def _cmd_check(args, tols) -> int:
     return EXIT_OK if ok else EXIT_PRECONDITION
 
 
-def _cmd_moments(args, tols) -> int:
+def _cmd_moments(args) -> int:
     model, theta = _load_model(args.model)
     design = _load_design(args.design, model)
     psi = psi_system(model, theta)
@@ -207,7 +186,7 @@ def _cmd_moments(args, tols) -> int:
     return EXIT_OK
 
 
-def _cmd_reduce(args, tols) -> int:
+def _cmd_reduce(args) -> int:
     model, theta = _load_model(args.model)
     design = _load_design(args.design, model)
     report = reduce_design(
@@ -217,7 +196,7 @@ def _cmd_reduce(args, tols) -> int:
         args.direction,
         seed=args.seed,
         grid_size=args.grid,
-        newton_tol=tols.get("newton", NEWTON_TOL),
+        newton_tol=args.newton_tol,
     )
     _write_report(args.out, _reduce_payload(report))
     _write_design_csv(args.out, report.output)
@@ -239,11 +218,11 @@ def _reduce_payload(report) -> dict:
     }
 
 
-def _cmd_dominate(args, tols) -> int:
+def _cmd_dominate(args) -> int:
     model, theta = _load_model(args.model)
     xi1 = _load_design(args.design, model)
     xi2 = _load_design(args.design2, model)
-    rep = verify_domination(model, theta, xi1, xi2, tolerance=tols.get("psd", PSD_TOL))
+    rep = verify_domination(model, theta, xi1, xi2, tolerance=args.psd_tol)
     payload = {
         "difference_spectrum": [_sig15(v) for v in rep.difference_spectrum],
         "dominates": rep.dominates,
@@ -253,7 +232,7 @@ def _cmd_dominate(args, tols) -> int:
     return EXIT_OK
 
 
-def _cmd_optimize(args, tols) -> int:
+def _cmd_optimize(args) -> int:
     model, theta = _load_model(args.model)
     design = optimize_in_class(
         model, theta, criterion=args.criterion, direction=args.direction, seed=args.seed
@@ -292,16 +271,14 @@ def _emit_error(out_path, code: str, message: str):
 
 def main(argv=None) -> int:
     _setup_logging()
-    raw = list(sys.argv[1:] if argv is None else argv)
     try:
-        rest, tols = _split_tol_args(raw)
-        args = _build_parser().parse_args(rest)
+        args = _build_parser().parse_args(argv)
     except ConfigurationError as err:
         _emit_error(None, err.code, str(err))
         return EXIT_ERROR
     out_path = getattr(args, "out", None)
     try:
-        code = _COMMANDS[args.command](args, tols)
+        code = _COMMANDS[args.command](args)
         log.info("%s finished with exit code %d", args.command, code)
         return code
     except PreconditionError as err:

@@ -30,6 +30,8 @@ INGEST_WEIGHT_TOL = 1e-9
 
 # Default relative tolerance on the gamma gap in classify_point.
 CLASSIFY_TOL = 1e-9
+# Points of the equispaced grid on which the moment LPs run.
+DEFAULT_GRID = 2001
 
 
 def _exact_unit_sum(weights: list) -> list:
@@ -50,6 +52,15 @@ def _exact_unit_sum(weights: list) -> list:
 
 
 Atom = Tuple[float, float]  # (point, weight)
+
+
+def json_numbers(value, what: str) -> List[float]:
+    """The floats of a JSON array of numbers, or ConfigurationError."""
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    ):
+        raise ConfigurationError(f"{what} must be an array of numbers, got {value!r}")
+    return [float(v) for v in value]
 
 
 def merge_pair(left: Atom, right: Atom, a: float, b: float) -> Atom:
@@ -87,8 +98,8 @@ class Design:
     Construction normalizes the support: points snap to nearby
     endpoints, near-coincident points merge with weights summed,
     zero-weight points drop, and weights are renormalized to sum to 1
-    exactly under math.fsum.  Weight sums farther than 1e-9 from 1 and
-    negative weights are rejected.
+    exactly under math.fsum.  Non-finite values, weight sums farther than
+    1e-9 from 1 and negative weights are rejected.
     """
 
     points: Tuple[float, ...]
@@ -100,6 +111,8 @@ class Design:
         ws = [float(w) for w in self.weights]
         if len(pts) != len(ws):
             raise ConfigurationError("points and weights differ in length")
+        if not all(map(math.isfinite, pts + ws)):
+            raise ConfigurationError("design points and weights must be finite")
         if any(w < 0.0 for w in ws):
             raise ConfigurationError("design weights must be nonnegative")
         pairs = [(p, w) for p, w in zip(pts, ws) if w > 0.0]
@@ -151,13 +164,13 @@ class Design:
         missing = {"points", "weights", "interval"} - set(obj)
         if missing:
             raise ConfigurationError(f"design JSON missing fields: {sorted(missing)}")
-        interval = obj["interval"]
-        if not (isinstance(interval, (list, tuple)) and len(interval) == 2):
+        interval = json_numbers(obj["interval"], "design interval")
+        if len(interval) != 2:
             raise ConfigurationError("design interval must be a pair [A, B]")
         return cls(
-            points=tuple(obj["points"]),
-            weights=tuple(obj["weights"]),
-            interval=Interval(interval[0], interval[1]),
+            points=tuple(json_numbers(obj["points"], "design points")),
+            weights=tuple(json_numbers(obj["weights"], "design weights")),
+            interval=Interval(*interval),
         )
 
 
@@ -256,7 +269,7 @@ def classify_point(
     c0: MomentPoint,
     probe: Callable,
     tolerance: float = CLASSIFY_TOL,
-    grid_size: int = 2001,
+    grid_size: int = DEFAULT_GRID,
 ) -> BoundaryReport:
     """Boundary or interior classification via the probe-moment interval.
 
@@ -267,7 +280,7 @@ def classify_point(
     augment the system to a Chebyshev system for the geometry to hold;
     that is the caller's obligation.
     """
-    # Imported here: principal_rep builds on this module.
+    # Imported here: principal builds on this module.
     from .principal import grid_lp_extremum
 
     # Boundary moment points sit within O(grid spacing^2) of the grid

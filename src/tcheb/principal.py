@@ -38,10 +38,9 @@ from .errors import (
     EvaluationError,
     SingularityError,
 )
-from .moments import Atom, Design, MomentPoint, merge_pair, merge_runs
+from .moments import DEFAULT_GRID, Atom, Design, MomentPoint, merge_pair, merge_runs
 from .simplex import solve_lp
 
-DEFAULT_GRID = 2001
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 50
 # Grid atoms closer than this many grid spacings are one true support
@@ -138,7 +137,6 @@ def refine_newton(
     structure: RepresentationStructure,
     initial: Sequence[Atom],
     tol: float = NEWTON_TOL,
-    max_iter: int = NEWTON_MAX_ITER,
 ) -> PrincipalResult:
     """Newton iteration on the moment-matching equations.
 
@@ -151,7 +149,8 @@ def refine_newton(
 
     Steps are damped to keep the points strictly ordered inside the
     interval and the weights positive, and must not increase the
-    residual norm.  Success means ||F||_inf <= tol * max(1, ||c0||_inf).
+    residual norm.  Success means ||F||_inf <= tol * max(1, ||c0||_inf)
+    within ``NEWTON_MAX_ITER`` steps.
     """
     k = system.k
     a, b = system.interval.lower, system.interval.upper
@@ -196,7 +195,7 @@ def refine_newton(
     F = residual(t_int, w)
     res = float(np.abs(F).max())
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, NEWTON_MAX_ITER + 1):
         if res <= tol * scale:
             break
         pts = full_points(t_int)

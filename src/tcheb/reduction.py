@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .chebyshev import DEFAULT_GRID_SIZE, DEFAULT_NUM_TUPLES, check_chebyshev
+from .chebyshev import check_chebyshev, check_seed
 from .errors import ConfigurationError, DegeneracyError, PreconditionError
 from .models import (
     PsiSystem,
@@ -37,9 +37,8 @@ from .models import (
     psi_k_Q,
     psi_system,
 )
-from .moments import Design, HalfIndex, MomentPoint, design_index, moment_point
+from .moments import DEFAULT_GRID, Design, HalfIndex, MomentPoint, design_index, moment_point
 from .principal import (
-    DEFAULT_GRID,
     NEWTON_TOL,
     RepresentationStructure,
     check_structure,
@@ -49,13 +48,10 @@ from .principal import (
 
 PSD_TOL = 1e-8
 NUM_Q_DIRECTIONS = 64
-# Sampling effort of the per-call hypothesis check: the determinant
-# checker's own defaults.  A reduction runs one check per sampled Q
-# direction, so they bound the gate's cost.
-CHECK_GRID = DEFAULT_GRID_SIZE
-CHECK_TUPLES = DEFAULT_NUM_TUPLES
-# Passing gate verdicts kept per (model, theta, direction, sampling) key.
+# Passing gate verdicts kept per (model, theta, direction, seed) key.
 GATE_CACHE_SIZE = 64
+# Nelder-Mead iterations per restart of optimize_in_class.
+OPTIMIZE_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -80,10 +76,11 @@ class DominationReport:
 
 
 @functools.lru_cache(maxsize=16)
-def _sphere_directions(p1: int, count: int = NUM_Q_DIRECTIONS) -> Tuple[np.ndarray, ...]:
+def _sphere_directions(p1: int) -> Tuple[np.ndarray, ...]:
     """Deterministic unit directions: one for p1 = 1, a low-discrepancy
-    sphere sample otherwise (the hypothesis is scale invariant in Q).
-    Memoised, so the arrays are read-only."""
+    sample of ``NUM_Q_DIRECTIONS`` on the sphere otherwise (the
+    hypothesis is scale invariant in Q).  Memoised, so the arrays are
+    read-only."""
     if p1 == 1:
         out = [np.array([1.0])]
     else:
@@ -91,58 +88,58 @@ def _sphere_directions(p1: int, count: int = NUM_Q_DIRECTIONS) -> Tuple[np.ndarr
 
         sampler = qmc.Halton(d=p1, scramble=False)
         out = []
-        while len(out) < count:
-            u = sampler.random(4 * count)
+        while len(out) < NUM_Q_DIRECTIONS:
+            u = sampler.random(4 * NUM_Q_DIRECTIONS)
             z = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
             for row in z:
                 nrm = float(np.linalg.norm(row))
                 if nrm > 1e-8:
                     out.append(row / nrm)
-                    if len(out) == count:
+                    if len(out) == NUM_Q_DIRECTIONS:
                         break
     for Q in out:
         Q.flags.writeable = False
     return tuple(out)
 
 
-def augmented_checks(psi, direction: str, qs, **check_kwargs):
-    """Yield (Q, report) for the determinant check of the psi system
-    augmented by +psi_k^Q (upper) or -psi_k^Q (lower), one per Q."""
+def gate_checks(psi: PsiSystem, direction: str, seed: int):
+    """The determinant gate of a direction, one check at a time.
+
+    Yields (None, report) for the psi system, then (Q, report) for the
+    psi system augmented by +psi_k^Q (upper) or -psi_k^Q (lower), for
+    each Q of ``_sphere_directions``.  Every check samples at
+    ``check_chebyshev``'s defaults with ``seed``.
+    """
+    yield None, check_chebyshev(psi.system, seed=seed)
     sign = 1.0 if direction == "upper" else -1.0
-    for Q in qs:
-        yield Q, check_chebyshev(psi.augmented(Q, sign), **check_kwargs)
-
-
-def _check_direction(psi, direction: str, qs, seed: int, grid: int, tuples: int):
-    kwargs = dict(num_random_tuples=tuples, grid_size=grid, seed=seed)
-    base = check_chebyshev(psi.system, **kwargs)
-    if not base.verified:
-        raise PreconditionError(
-            f"base psi system fails the determinant condition at tuple {base.witness}",
-            witness=base.witness,
-        )
-    for Q, rep in augmented_checks(psi, direction, qs, **kwargs):
-        if not rep.verified:
-            raise PreconditionError(
-                f"augmented system for direction {direction!r} fails the determinant "
-                f"condition at tuple {rep.witness} (Q = {tuple(float(v) for v in Q)})",
-                witness=rep.witness,
-                q_vector=tuple(float(v) for v in Q),
-            )
+    for Q in _sphere_directions(psi.p1):
+        yield Q, check_chebyshev(psi.augmented(Q, sign), seed=seed)
 
 
 @functools.lru_cache(maxsize=GATE_CACHE_SIZE)
-def _gated_psi(
-    model: RegressionModel, theta_bytes: bytes, direction: str, seed: int, grid: int, tuples: int
-) -> PsiSystem:
+def _gated_psi(model: RegressionModel, theta_bytes: bytes, direction: str, seed: int) -> PsiSystem:
     """The psi system at theta, once it passed the gate of the direction.
 
-    The gate does not depend on the design, so a passing verdict is
-    memoised per key; a refusal raises and is never cached.  theta is
-    keyed by its bytes, which tell 0.0 from -0.0 where floats do not.
+    The gate stops at its first refusal and raises PreconditionError.  It
+    does not depend on the design, so a passing verdict is memoised per
+    key; a refusal is never cached.  theta is keyed by its bytes, which
+    tell 0.0 from -0.0 where floats do not.
     """
     psi = psi_system(model, np.frombuffer(theta_bytes))
-    _check_direction(psi, direction, _sphere_directions(psi.p1), seed, grid, tuples)
+    for Q, rep in gate_checks(psi, direction, seed):
+        if rep.verified:
+            continue
+        if Q is None:
+            raise PreconditionError(
+                f"base psi system fails the determinant condition at tuple {rep.witness}",
+                witness=rep.witness,
+            )
+        raise PreconditionError(
+            f"augmented system for direction {direction!r} fails the determinant "
+            f"condition at tuple {rep.witness} (Q = {tuple(float(v) for v in Q)})",
+            witness=rep.witness,
+            q_vector=tuple(float(v) for v in Q),
+        )
     return psi
 
 
@@ -163,31 +160,29 @@ def reduce_design(
     seed: int = 0,
     grid_size: int = DEFAULT_GRID,
     newton_tol: float = NEWTON_TOL,
-    check_grid: int = CHECK_GRID,
-    check_tuples: int = CHECK_TUPLES,
 ) -> ReductionReport:
     """Reduce a design to its dominating principal representation.
 
     Verifies the determinant hypotheses for the requested direction on
-    sampled Q directions, computes the moment point, and returns either
-    the design itself (branch Identity, when its index is below k/2) or
-    the principal representation matching all k moments.  The report
+    sampled Q directions (``gate_checks``, the gate ``tcheb check``
+    reports), computes the moment point, and returns either the design
+    itself (branch Identity, when its index is below k/2) or the
+    principal representation matching all k moments.  The report
     records the per-Q moment gains and the spectrum of the information
     difference M(output) - M(input).
 
-    The gate depends on the model, theta, the direction, ``seed``,
-    ``check_grid`` and ``check_tuples``, not on the design.  Passing
-    verdicts are memoised per such key, up to ``GATE_CACHE_SIZE``
-    entries; a refusal is not, so every refused call runs the gate and
-    raises afresh.  The model is keyed by its fields, which compare plain
-    functions by identity, so a model whose callables change behaviour
-    must be rebuilt as a new object with new callables, as
-    ``make_model`` does.
+    The gate depends on the model, theta, the direction and ``seed``, not
+    on the design.  Passing verdicts are memoised per such key, up to
+    ``GATE_CACHE_SIZE`` entries; a refusal is not, so every refused call
+    runs the gate and raises afresh.  The model is keyed by its fields,
+    which compare plain functions by identity, so a model whose callables
+    change behaviour must be rebuilt as a new object with new callables,
+    as ``make_model`` does.
     """
     if direction not in ("upper", "lower"):
         raise ConfigurationError(f"direction must be 'upper' or 'lower', got {direction!r}")
     theta = _check_theta(model, theta)
-    key = (model, theta.tobytes(), direction, seed, check_grid, check_tuples)
+    key = (model, theta.tobytes(), direction, seed)
     try:
         hash(key)
     except TypeError:  # a model field or the seed is unhashable
@@ -302,7 +297,6 @@ def optimize_in_class(
     direction: str = "upper",
     restarts: int = 20,
     seed: int = 0,
-    max_iter: int = 500,
 ) -> Design:
     """Search the complete-class structure for a locally optimal design.
 
@@ -310,10 +304,11 @@ def optimize_in_class(
     of the chosen direction: endpoint membership is fixed, free points
     map through a logistic squashing (kept sorted) and weights through a
     softmax.  Each restart runs Nelder-Mead from a seeded
-    low-discrepancy initial simplex; the best design over all restarts
-    is returned, with exact ties broken lexicographically on the support
-    points and weights.  The determinant hypothesis of the chosen
-    direction is the caller's responsibility.
+    low-discrepancy initial simplex, for at most ``OPTIMIZE_MAX_ITER``
+    iterations; the best design over all restarts is returned, with
+    exact ties broken lexicographically on the support points and
+    weights.  The determinant hypothesis of the chosen direction is the
+    caller's responsibility.
     """
     from scipy.optimize import minimize
     from scipy.stats import qmc
@@ -322,6 +317,7 @@ def optimize_in_class(
         raise ConfigurationError(f"direction must be 'upper' or 'lower', got {direction!r}")
     if criterion not in ("d", "a"):
         raise ConfigurationError(f"criterion must be 'd' or 'a', got {criterion!r}")
+    seed = check_seed(seed)
     psi = psi_system(model, theta)
     k = psi.k
     structure = (
@@ -375,7 +371,7 @@ def optimize_in_class(
             x0=simplex[0],
             method="Nelder-Mead",
             options={
-                "maxiter": max_iter,
+                "maxiter": OPTIMIZE_MAX_ITER,
                 "initial_simplex": simplex,
                 "xatol": 1e-10,
                 "fatol": 1e-12,

@@ -312,13 +312,21 @@ def test_tuple_sample_is_memoised_per_key():
         assert chebyshev._memo_tuples.cache_info().misses == 2 + i
 
 
-def test_generator_seed_draws_afresh_on_every_call():
+def test_numpy_integer_seed_hits_the_memo():
     chebyshev._memo_tuples.cache_clear()
     sys4 = polynomial_system(4, Interval(-1.0, 1.0))
-    rng = np.random.default_rng(3)
-    first = check_chebyshev(sys4, grid_size=4, seed=rng)
-    second = check_chebyshev(sys4, grid_size=4, seed=rng)
-    assert first.min_determinant == pytest.approx(1.86e-10, rel=1e-3)
-    assert second.min_determinant == pytest.approx(5.50e-9, rel=1e-3)
-    assert check_chebyshev(sys4, grid_size=4, seed=[1, 2]) == _reference_check(sys4, grid_size=4, seed=[1, 2])
-    assert chebyshev._memo_tuples.cache_info().currsize == 0
+    want = _reference_check(sys4, seed=3)
+    for seed in (3, np.int64(3), np.uint8(3)):
+        assert check_chebyshev(sys4, seed=seed) == want
+    info = chebyshev._memo_tuples.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [-1, np.int64(-2), 1.0, "0", [1, 2], None, np.random.default_rng(3)],
+    ids=["negative", "negative_numpy", "float", "str", "list", "none", "generator"],
+)
+def test_seed_must_be_a_nonnegative_integer(seed):
+    with pytest.raises(ConfigurationError):
+        check_chebyshev(polynomial_system(3, Interval(-1.0, 1.0)), seed=seed)

@@ -3,10 +3,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tcheb
+from tcheb import Design, Interval, make_model, reduce_design
+from tcheb.chebyshev import basis_matrix
 from tcheb.cli import main
+from tcheb.errors import PreconditionError
 
 MM_SPEC = {"model": "michaelis_menten", "theta": [1.0, 1.0], "interval": [0.0, 10.0]}
 EXP_NEG_SPEC = {"model": "exponential", "theta": [1.0, -1.0], "interval": [0.0, 3.0]}
@@ -215,3 +219,137 @@ def test_log_env_keeps_report_clean(workdir):
     assert proc.stdout == ""
     assert "INFO" in proc.stderr or "DEBUG" in proc.stderr
     json.loads(out.read_text())
+
+
+def test_psd_tolerance_flag(workdir):
+    out = workdir / "dom.json"
+    code = run(
+        workdir, "dominate", "--model", workdir / "mm.json", "--design", workdir / "design8.json",
+        "--design2", workdir / "design8.json", "--out", out, "--tol.psd=0.5",
+    )
+    assert code == 0
+    assert json.loads(out.read_text())["tolerance"] == 0.5
+
+
+@pytest.mark.parametrize(
+    "command,flags",
+    [
+        ("moments", ["--seed", "0"]),
+        ("moments", ["--grid", "10"]),
+        ("dominate", ["--grid", "10"]),
+        ("dominate", ["--seed", "0"]),
+        ("check", ["--grid", "10"]),
+        ("optimize", ["--grid", "10"]),
+        ("optimize", ["--tol.newton=1e-9"]),
+        ("dominate", ["--tol.newton=1e-9"]),
+        ("reduce", ["--tol.psd=1e-9"]),
+        ("reduce", ["--tol=1e-9"]),
+        ("dominate", ["--tol=1e-9"]),
+    ],
+)
+def test_flags_a_command_does_not_read_exit_one(workdir, capsys, command, flags):
+    inputs = {
+        "check": [],
+        "moments": ["--design", workdir / "design8.json"],
+        "reduce": ["--design", workdir / "design8.json"],
+        "dominate": ["--design", workdir / "design8.json", "--design2", workdir / "design8.json"],
+        "optimize": [],
+    }[command]
+    out = workdir / "x.json"
+    assert run(workdir, command, "--model", workdir / "mm.json", *inputs, "--out", out, *flags) == 1
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "configuration"
+
+
+@pytest.mark.parametrize(
+    "command,inputs",
+    [("check", []), ("reduce", ["--design", "design8.json"]), ("optimize", [])],
+)
+def test_negative_seed_is_a_configuration_error(workdir, command, inputs):
+    out = workdir / "x.json"
+    inputs = [workdir / v if v.endswith(".json") else v for v in inputs]
+    assert run(workdir, command, "--model", workdir / "mm.json", *inputs, "--seed", -1, "--out", out) == 1
+    assert json.loads(out.read_text())["error"]["code"] == "configuration"
+
+
+POLY_SPEC = {"model": "polynomial", "theta": [1.0, 0.5, -0.5, 0.25], "interval": [-1.0, 1.0]}
+POLY_DESIGN = {"points": [-0.5, 0.0, 0.5], "weights": [0.25, 0.5, 0.25], "interval": [-1.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "spec,design",
+    [
+        ({"theta": 1.0}, {}),
+        ({"theta": "abc"}, {}),
+        ({"theta": [1, None]}, {}),
+        ({"interval": ["a", 10]}, {}),
+        ({"p1": True}, {}),
+        ({}, {"points": ["x"]}),
+        ({}, {"points": 5}),
+        ({}, {"weights": [0.5, None]}),
+        ({}, {"interval": [0, "z"]}),
+        ({}, {"points": [-0.5, float("nan"), 0.5]}),
+    ],
+    ids=[
+        "theta_number", "theta_string", "theta_null", "model_interval_string", "p1_bool",
+        "points_string", "points_number", "weights_null", "design_interval_string", "points_nan",
+    ],
+)
+def test_wrong_typed_json_is_a_configuration_error(workdir, spec, design):
+    model, xi, out = workdir / "spec.json", workdir / "xi.json", workdir / "x.json"
+    model.write_text(json.dumps({**POLY_SPEC, **spec}))
+    xi.write_text(json.dumps({**POLY_DESIGN, **design}))
+    assert run(workdir, "moments", "--model", model, "--design", xi, "--out", out) == 1
+    assert json.loads(out.read_text())["error"]["code"] == "configuration"
+
+
+# The benchmark's four reduce cases and the direction of each that the
+# gate refuses; both directions run.
+GATE_CASES = [
+    ("michaelis_menten", [1.0, 1.0], [0.0, 10.0], "lower"),
+    ("exponential", [1.0, -1.0], [0.0, 3.0], "upper"),
+    ("exponential3", [1.0, 1.0, -1.0], [0.0, 3.0], "upper"),
+    ("polynomial", [1.0, 0.5, -0.5, 0.25], [-1.0, 1.0], "lower"),
+]
+
+
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+@pytest.mark.parametrize("name,theta,iv,refused_direction", GATE_CASES, ids=[c[0] for c in GATE_CASES])
+def test_check_reports_the_gate_reduce_runs(
+    workdir, monkeypatch, name, theta, iv, refused_direction, direction
+):
+    """tcheb check and reduce_design call check_chebyshev with the same
+    arguments and get the same reports; reduce stops at its first refusal."""
+    calls = []
+    real = tcheb.reduction.check_chebyshev
+    xs = np.linspace(iv[0], iv[1], 11)
+
+    def recording(system, *args, **kwargs):
+        rep = real(system, *args, **kwargs)
+        calls.append(((system.interval, basis_matrix(system, xs).tobytes(), args, kwargs), rep))
+        return rep
+
+    monkeypatch.setattr(tcheb.reduction, "check_chebyshev", recording)
+    spec, out = workdir / "spec.json", workdir / "check.json"
+    spec.write_text(json.dumps({"model": name, "theta": theta, "interval": iv}))
+    code = run(workdir, "check", "--model", spec, "--direction", direction, "--out", out)
+    checked = calls[:]
+    calls.clear()
+    pts = np.linspace(iv[0], iv[1], 9)[1:-1]
+    xi = Design(points=tuple(pts), weights=(1 / 7,) * 7, interval=Interval(*iv))
+    try:
+        reduce_design(make_model(name, theta, iv), theta, xi, direction)
+        refused = False
+    except PreconditionError:
+        refused = True
+
+    assert refused == (direction == refused_direction)
+    assert code == (2 if refused else 0)
+    assert len(checked) == 2
+    assert calls == checked[: len(calls)]
+    assert len(calls) == 2 or refused
+    report = json.loads(out.read_text())
+    for part, (_, rep) in zip(("base", "augmented"), checked):
+        assert report[part]["verified"] == rep.verified
+        assert report[part]["tuples_checked"] == rep.tuples_checked
+        assert report[part].get("witness") == (list(rep.witness) if rep.witness else None)

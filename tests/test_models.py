@@ -19,7 +19,7 @@ from tcheb import (
 )
 from tcheb.chebyshev import derivative_matrix
 from tcheb.errors import ConfigurationError, DomainError
-from tcheb.reduction import _check_direction, _sphere_directions
+from tcheb.reduction import gate_checks
 
 MM_IV = (0.0, 10.0)
 
@@ -285,5 +285,5 @@ def test_one_gradient_call_per_evaluation(name, theta, iv, direction):
     basis_matrix(psi.system, np.linspace(iv[0], iv[1], 50))
     assert len(calls) == 1
     calls.clear()
-    _check_direction(psi, direction, _sphere_directions(1), seed=0, grid=64, tuples=100)
+    assert all(rep.verified for _, rep in gate_checks(psi, direction, seed=0))
     assert len(calls) == 2

@@ -54,6 +54,20 @@ class TestDesignConstruction:
         with pytest.raises(ConfigurationError):
             mk([0.3, 0.6], [0.5, 0.51])
 
+    @pytest.mark.parametrize(
+        "points,weights",
+        [
+            ([math.nan, 0.5], [0.5, 0.5]),
+            ([0.5, math.inf], [0.5, 0.5]),
+            ([0.2, 0.5], [math.nan, 1.0]),
+            ([0.2, 0.5], [0.5, math.inf]),
+        ],
+        ids=["nan_point", "inf_point", "nan_weight", "inf_weight"],
+    )
+    def test_non_finite_values_rejected(self, points, weights):
+        with pytest.raises(ConfigurationError, match="finite"):
+            mk(points, weights)
+
     def test_length_mismatch(self):
         with pytest.raises(ConfigurationError):
             mk([0.1, 0.2], [1.0])

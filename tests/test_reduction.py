@@ -259,7 +259,7 @@ def checks(monkeypatch):
 
 class TestGateCache:
     """The gate (base check plus one augmented check at p1 = 1) runs once
-    per (model, theta, direction, seed, check_grid, check_tuples) key."""
+    per (model, theta, direction, seed) key."""
 
     def test_repeat_key_skips_the_gate(self, checks):
         model = mm()
@@ -275,10 +275,8 @@ class TestGateCache:
             {"model": mm()},
             {"theta": [1.0, float(np.nextafter(1.0, 2.0))]},
             {"seed": 1},
-            {"check_grid": 256},
-            {"check_tuples": 500},
         ],
-        ids=["model", "theta", "seed", "check_grid", "check_tuples"],
+        ids=["model", "theta", "seed"],
     )
     def test_any_key_change_runs_the_gate(self, checks, change):
         model = mm()
@@ -430,6 +428,11 @@ class TestOptimize:
         b = optimize_in_class(mm(), [1.0, 1.0], criterion="d", direction="upper", restarts=4, seed=9)
         assert a.points == b.points
         assert a.weights == b.weights
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, np.random.default_rng(0)], ids=["negative", "float", "generator"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ConfigurationError):
+            optimize_in_class(mm(), [1.0, 1.0], restarts=1, seed=seed)
 
     def test_optimum_not_improvable_by_reduction(self):
         best = optimize_in_class(mm(), [1.0, 1.0], criterion="d", direction="upper")
