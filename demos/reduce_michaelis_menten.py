@@ -31,7 +31,7 @@ print()
 cin = np.asarray(rep.moments_in.coordinates)
 cout = np.asarray(rep.moments_out.coordinates)
 print(f"moment preservation: max |difference| = {np.max(np.abs(cout - cin)):.2e}")
-print(f"matched-direction gain: {rep.q_checks[0][1]:.6f} (must be >= 0)")
+print(f"matched-direction gain: {rep.gain_spectrum[0]:.6f} (must be >= 0)")
 print(f"information difference spectrum: {np.round(rep.difference_spectrum, 9)}")
 print()
 

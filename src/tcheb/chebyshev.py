@@ -187,21 +187,6 @@ def evaluate_basis(system: ChebyshevSystem, x: float) -> np.ndarray:
     return basis_matrix(system, [x])[:, 0]
 
 
-def _collocation_dets(system: ChebyshevSystem, tuples: np.ndarray):
-    """Determinants and indeterminacy flags for a batch of point tuples.
-
-    ``tuples`` has shape (n, k), each row strictly increasing.  The
-    collocation matrix of a row t is M[i, j] = psi_i(t[j]).
-    """
-    n, k = tuples.shape
-    V = basis_matrix(system, tuples.ravel()).reshape(k, n, k)  # V[i, t, j] = psi_i(t_j)
-    dets = np.linalg.det(np.moveaxis(V, 1, 0))
-    # Product over i of the row norms |M[i, :]|; M's rows are V's last axis.
-    scale = np.sqrt(np.einsum("itj,itj->it", V, V)).prod(axis=0)
-    indeterminate = np.abs(dets) < INDETERMINATE_REL * scale
-    return dets, indeterminate
-
-
 @functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
 def _memo_tuples(bounds: bytes, k: int, grid_size: int, num_random_tuples: int, seed: int) -> np.ndarray:
     """Every run of k consecutive points of an equispaced grid, then the
@@ -234,6 +219,36 @@ def check_seed(seed) -> int:
     return seed
 
 
+def _sample(interval: Interval, k: int, grid_size: int, num_random_tuples: int, seed) -> np.ndarray:
+    if grid_size < k:
+        raise ConfigurationError(f"grid_size must be at least k={k}")
+    if num_random_tuples < 0:
+        raise ConfigurationError("num_random_tuples must be nonnegative")
+    bounds = np.array([interval.lower, interval.upper]).tobytes()
+    return _memo_tuples(bounds, k, grid_size, num_random_tuples, check_seed(seed))
+
+
+def _row_norms(V: np.ndarray) -> np.ndarray:
+    """The norms |V[i, t, :]| of the rows i of the matrix of each tuple t."""
+    return np.sqrt(np.einsum("itj,itj->it", V, V))
+
+
+def _verdict(tuples: np.ndarray, values: np.ndarray, scale: np.ndarray):
+    """The CheckReport on one value per tuple, and the witness's index.
+
+    A value below INDETERMINATE_REL times the ``scale`` of its tuple, the
+    product of the row norms of the matrix whose determinant it is, is
+    indeterminate.  The witness is the first decisive nonpositive value,
+    and its index is None when there is none.
+    """
+    decisive = ~(np.abs(values) < INDETERMINATE_REL * scale)
+    failing = decisive & (values <= 0.0)
+    index = int(np.argmax(failing)) if failing.any() else None
+    witness = None if index is None else tuple(float(v) for v in tuples[index])
+    min_det = float(values[decisive].min()) if decisive.any() else 0.0
+    return CheckReport(witness is None, int(tuples.shape[0]), min_det, witness), index
+
+
 def check_chebyshev(
     system: ChebyshevSystem,
     num_random_tuples: int = DEFAULT_NUM_TUPLES,
@@ -256,31 +271,51 @@ def check_chebyshev(
     ConfigurationError.
     """
     k = system.k
-    if grid_size < k:
-        raise ConfigurationError(f"grid_size must be at least k={k}")
-    if num_random_tuples < 0:
-        raise ConfigurationError("num_random_tuples must be nonnegative")
-    bounds = np.array([system.interval.lower, system.interval.upper]).tobytes()
-    tuples = _memo_tuples(bounds, k, grid_size, num_random_tuples, check_seed(seed))
+    tuples = _sample(system.interval, k, grid_size, num_random_tuples, seed)
+    n = tuples.shape[0]
+    V = basis_matrix(system, tuples.ravel()).reshape(k, n, k)  # V[i, t, j] = psi_i(t_j)
+    return _verdict(tuples, np.linalg.det(np.moveaxis(V, 1, 0)), _row_norms(V).prod(axis=0))[0]
 
-    dets, indeterminate = _collocation_dets(system, tuples)
-    decisive = ~indeterminate
-    failing = decisive & (dets <= 0.0)
 
-    witness = None
-    if failing.any():
-        witness = tuple(float(v) for v in tuples[int(np.argmax(failing))])
-    if decisive.any():
-        min_det = float(dets[decisive].min())
-    else:
-        min_det = 0.0
-    verified = witness is None
-    return CheckReport(
-        verified=verified,
-        tuples_checked=int(tuples.shape[0]),
-        min_determinant=min_det,
-        witness=witness,
-    )
+def check_augmented(system: ChebyshevSystem, evaluator: Callable, p1: int, sign: float, seed: int):
+    """Check the system extended by sign * (Q . g)^2 for every nonzero Q at once.
+
+    ``evaluator`` maps n points to the (k + p1, n) stack of the system's
+    basis values over p1 functions g.  The last row of an augmented
+    collocation matrix enters its determinant linearly, so at a
+    (k + 1)-tuple t
+
+        det [psi(t); sign * (Q . g(t))^2] = sign * Q^T D(t) Q,
+        D_ab(t) = det [psi(t); g_a(t) g_b(t)],
+
+    and the extension holds for every Q exactly when sign * D(t) is
+    positive definite.  On ``check_chebyshev``'s default sample of
+    (k + 1)-tuples, lambda_min(sign * D(t)) is judged as that check judges
+    a determinant, at the row scale of the matrix whose last row is
+    |g|^2, which bounds every unit Q's.  Returns the report and, on a
+    refusal, the unit eigenvector Q of lambda_min at the witness, signed
+    so that its largest component is positive (None when verified).  At
+    p1 = 1 the report is ``check_chebyshev``'s on the one augmented system.
+    """
+    k = system.k
+    tuples = _sample(system.interval, k + 1, DEFAULT_GRID_SIZE, DEFAULT_NUM_TUPLES, seed)
+    n = tuples.shape[0]
+    W = _evaluate(evaluator, k + p1, tuples.ravel(), "augmented").reshape(k + p1, n, k + 1)
+    psi, g = W[:k], W[k:]
+    a, b = np.triu_indices(p1)
+    M = np.empty((a.size, k + 1, n, k + 1))  # M[pair, i, t, j], one pair a <= b per last row
+    M[:, :k] = psi
+    M[:, k] = g[a] * g[b]
+    D = np.empty((n, p1, p1))
+    D[:, a, b] = D[:, b, a] = sign * np.linalg.det(M.transpose(2, 0, 1, 3))
+    lam, vecs = np.linalg.eigh(D)
+    scale = _row_norms(psi).prod(axis=0) * _row_norms((g * g).sum(axis=0)[None])[0]
+    report, index = _verdict(tuples, lam[:, 0], scale)
+    if index is None:
+        return report, None
+    Q = vecs[index, :, 0]
+    Q = Q if Q[np.argmax(np.abs(Q))] > 0.0 else -Q
+    return report, tuple(float(v) for v in Q)
 
 
 def augment(system: ChebyshevSystem, omega: Callable) -> ChebyshevSystem:
@@ -289,13 +324,11 @@ def augment(system: ChebyshevSystem, omega: Callable) -> ChebyshevSystem:
     No determinant check is performed; callers run check_chebyshev on the
     result when they need the property.
     """
-    return augment_with(system, lambda xs: np.vstack([system.evaluator(xs), _call_on_array(omega, xs)]))
-
-
-def augment_with(system: ChebyshevSystem, evaluator: Callable) -> ChebyshevSystem:
-    """The system with one more basis function; ``evaluator`` returns all k + 1 rows."""
     name = f"{system.name}+omega" if system.name else "+omega"
-    return ChebyshevSystem.from_evaluator(system.interval, system.k + 1, evaluator, name=name)
+    return ChebyshevSystem.from_evaluator(
+        system.interval, system.k + 1,
+        lambda xs: np.vstack([system.evaluator(xs), _call_on_array(omega, xs)]), name=name,
+    )
 
 
 def monomials(x, k: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .chebyshev import ChebyshevSystem, Interval, augment_with, monomial_derivatives, monomials
+from .chebyshev import ChebyshevSystem, Interval, monomial_derivatives, monomials
 from .errors import ConfigurationError, DomainError, EvaluationError
 
 DEDUP_GRID_SIZE = 256
@@ -72,7 +72,7 @@ class PsiSystem:
 
     ``system`` holds 1, psi_1, ..., psi_{k-1} in catalog order.  ``h``
     maps points to h = P^{-1} g, shape (p, n), and ``rows`` maps that to
-    the (k, n) psi values, so a system and its augmentation share one h.
+    the (k, n) psi values, so the psi values and h_tail share one h.
     """
 
     system: ChebyshevSystem
@@ -93,19 +93,10 @@ class PsiSystem:
         v = self.h_tail(x)[:, 0]
         return np.outer(v, v)
 
-    def q_rows(self, H, Q) -> np.ndarray:
-        """The psi_k^Q values (Q . h_tail)^2 from the h values H."""
-        return (Q @ H[-self.p1 :]) ** 2
-
-    def augmented(self, Q, sign: float = 1.0) -> ChebyshevSystem:
-        """The psi system with sign * psi_k^Q appended as its last row."""
-        Q = _q_vector(self, Q)
-
-        def evaluator(xs):
-            H = self.h(xs)
-            return np.vstack([self.rows(H), sign * self.q_rows(H, Q)])
-
-        return augment_with(self.system, evaluator)
+    def with_tail(self, xs) -> np.ndarray:
+        """The (k + p1, n) psi values over h_tail, from one evaluation of h."""
+        H = self.h(xs)
+        return np.vstack([self.rows(H), H[-self.p1 :]])
 
 
 def _grad_values(model: RegressionModel, theta, xs) -> np.ndarray:
@@ -246,7 +237,7 @@ def psi_k_Q(psi: PsiSystem, Q) -> Callable:
 
     def f(xs):
         arr = np.asarray(xs, dtype=float)
-        vals = psi.q_rows(psi.h(arr), Q)
+        vals = (Q @ psi.h_tail(arr)) ** 2
         return float(vals[0]) if arr.ndim == 0 else vals
 
     f.__name__ = "psi_k_Q"

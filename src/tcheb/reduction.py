@@ -12,10 +12,14 @@ lower direction it is the lower one.  Designs whose index is already
 below k/2 have a unique representing measure, so they are returned
 unchanged.
 
-Both hypotheses are determinant conditions on augmented systems and are
-checked by sampling before any computation; a failed check raises a
+Both hypotheses are determinant conditions: the psi system, and the psi
+system augmented by +psi_k^Q (upper) or -psi_k^Q (lower) for every
+nonzero Q, must be Chebyshev systems.  The gate checks them before any
+computation, on sampled tuples but exactly in Q; a failed check raises a
 precondition error rather than producing an output whose domination
-guarantee has no backing.
+guarantee has no backing.  The report gives the gain in every direction
+at once: the spectrum of Delta C22, the integral of h_tail h_tail^T
+against the output minus the input.
 """
 
 from __future__ import annotations
@@ -27,14 +31,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .chebyshev import check_chebyshev, check_seed
+from .chebyshev import check_augmented, check_chebyshev, check_seed
 from .errors import ConfigurationError, DegeneracyError, PreconditionError
 from .models import (
     PsiSystem,
     RegressionModel,
     _check_theta,
     information_matrix,
-    psi_k_Q,
     psi_system,
 )
 from .moments import DEFAULT_GRID, Design, HalfIndex, MomentPoint, design_index, moment_point
@@ -47,7 +50,6 @@ from .principal import (
 )
 
 PSD_TOL = 1e-8
-NUM_Q_DIRECTIONS = 64
 # Passing gate verdicts kept per (model, theta, direction, seed) key.
 GATE_CACHE_SIZE = 64
 # Nelder-Mead iterations per restart of optimize_in_class.
@@ -64,7 +66,7 @@ class ReductionReport:
     moments_in: MomentPoint
     moments_out: MomentPoint
     loewner_min_eigenvalue: float
-    q_checks: List[Tuple[Tuple[float, ...], float]]
+    gain_spectrum: Tuple[float, ...]
     difference_spectrum: Tuple[float, ...]
 
 
@@ -75,45 +77,19 @@ class DominationReport:
     tolerance: float
 
 
-@functools.lru_cache(maxsize=16)
-def _sphere_directions(p1: int) -> Tuple[np.ndarray, ...]:
-    """Deterministic unit directions: one for p1 = 1, a low-discrepancy
-    sample of ``NUM_Q_DIRECTIONS`` on the sphere otherwise (the
-    hypothesis is scale invariant in Q).  Memoised, so the arrays are
-    read-only."""
-    if p1 == 1:
-        out = [np.array([1.0])]
-    else:
-        from scipy.stats import norm, qmc
-
-        sampler = qmc.Halton(d=p1, scramble=False)
-        out = []
-        while len(out) < NUM_Q_DIRECTIONS:
-            u = sampler.random(4 * NUM_Q_DIRECTIONS)
-            z = norm.ppf(np.clip(u, 1e-12, 1.0 - 1e-12))
-            for row in z:
-                nrm = float(np.linalg.norm(row))
-                if nrm > 1e-8:
-                    out.append(row / nrm)
-                    if len(out) == NUM_Q_DIRECTIONS:
-                        break
-    for Q in out:
-        Q.flags.writeable = False
-    return tuple(out)
-
-
 def gate_checks(psi: PsiSystem, direction: str, seed: int):
     """The determinant gate of a direction, one check at a time.
 
     Yields (None, report) for the psi system, then (Q, report) for the
-    psi system augmented by +psi_k^Q (upper) or -psi_k^Q (lower), for
-    each Q of ``_sphere_directions``.  Every check samples at
+    psi system augmented by +psi_k^Q (upper) or -psi_k^Q (lower), checked
+    for every nonzero Q at once by ``check_augmented``: Q is the witness
+    direction of a refusal and None on a pass.  Both checks sample at
     ``check_chebyshev``'s defaults with ``seed``.
     """
     yield None, check_chebyshev(psi.system, seed=seed)
     sign = 1.0 if direction == "upper" else -1.0
-    for Q in _sphere_directions(psi.p1):
-        yield Q, check_chebyshev(psi.augmented(Q, sign), seed=seed)
+    report, Q = check_augmented(psi.system, psi.with_tail, psi.p1, sign, seed)
+    yield Q, report
 
 
 @functools.lru_cache(maxsize=GATE_CACHE_SIZE)
@@ -126,29 +102,29 @@ def _gated_psi(model: RegressionModel, theta_bytes: bytes, direction: str, seed:
     tell 0.0 from -0.0 where floats do not.
     """
     psi = psi_system(model, np.frombuffer(theta_bytes))
-    for Q, rep in gate_checks(psi, direction, seed):
-        if rep.verified:
-            continue
-        if Q is None:
-            raise PreconditionError(
-                f"base psi system fails the determinant condition at tuple {rep.witness}",
-                witness=rep.witness,
-            )
+    checks = gate_checks(psi, direction, seed)
+    _, rep = next(checks)
+    if not rep.verified:
+        raise PreconditionError(
+            f"base psi system fails the determinant condition at tuple {rep.witness}",
+            witness=rep.witness,
+        )
+    Q, rep = next(checks)
+    if not rep.verified:
         raise PreconditionError(
             f"augmented system for direction {direction!r} fails the determinant "
-            f"condition at tuple {rep.witness} (Q = {tuple(float(v) for v in Q)})",
+            f"condition at tuple {rep.witness} (Q = {Q})",
             witness=rep.witness,
-            q_vector=tuple(float(v) for v in Q),
+            q_vector=Q,
         )
     return psi
 
 
-def _moment_gain(system, f, out: Design, inp: Design) -> float:
-    def integral(design: Design) -> float:
-        vals = np.atleast_1d(np.asarray(f(design.points_array()), dtype=float))
-        return math.fsum(float(v) * w for v, w in zip(vals, design.weights))
-
-    return integral(out) - integral(inp)
+def _c22(psi: PsiSystem, design: Design) -> np.ndarray:
+    """C22 = sum_j w_j h_tail(x_j) h_tail(x_j)^T, each entry by math.fsum."""
+    T = psi.h_tail(design.points_array())
+    w = design.weights_array()
+    return np.array([[math.fsum(a * b * w) for b in T] for a in T])
 
 
 def reduce_design(
@@ -163,13 +139,15 @@ def reduce_design(
 ) -> ReductionReport:
     """Reduce a design to its dominating principal representation.
 
-    Verifies the determinant hypotheses for the requested direction on
-    sampled Q directions (``gate_checks``, the gate ``tcheb check``
-    reports), computes the moment point, and returns either the design
-    itself (branch Identity, when its index is below k/2) or the
-    principal representation matching all k moments.  The report
-    records the per-Q moment gains and the spectrum of the information
-    difference M(output) - M(input).
+    Verifies the determinant hypotheses for the requested direction for
+    every nonzero Q (``gate_checks``, the gate ``tcheb check`` reports),
+    computes the moment point, and returns either the design itself
+    (branch Identity, when its index is below k/2) or the principal
+    representation matching all k moments.  The report records
+    ``gain_spectrum``, the eigenvalues of Delta C22 = C22(output) -
+    C22(input), whose quadratic form in Q is the gain in the Q^T C22 Q
+    moment, and the spectrum of the information difference
+    M(output) - M(input).
 
     The gate depends on the model, theta, the direction and ``seed``, not
     on the design.  Passing verdicts are memoised per such key, up to
@@ -191,7 +169,6 @@ def reduce_design(
         psi = _gated_psi(*key)
     system = psi.system
     k = system.k
-    qs = _sphere_directions(psi.p1)
 
     c0 = moment_point(system, xi)
     idx = design_index(xi)
@@ -206,28 +183,27 @@ def reduce_design(
             moments_in=c0,
             moments_out=c0,
             loewner_min_eigenvalue=0.0,
-            q_checks=[(tuple(float(v) for v in Q), 0.0) for Q in qs],
+            gain_spectrum=(0.0,) * psi.p1,
             difference_spectrum=tuple([0.0] * p),
         )
 
     # The representation maximizing the Q gains is the upper principal
-    # one when +psi_k^Q augments to a Chebyshev system, and the lower
-    # one when -psi_k^Q does (minimizing -psi_k^Q maximizes the gain).
-    f0 = psi_k_Q(psi, qs[0])
+    # one when every +psi_k^Q augments to a Chebyshev system, and the
+    # lower one when every -psi_k^Q does (minimizing -psi_k^Q maximizes
+    # the gain).  tr C22 = |h_tail|^2, a sum of such psi_k^Q, probes it.
+    def trace_c22(xs):
+        return (psi.h_tail(xs) ** 2).sum(axis=0)
+
     if direction == "upper":
-        principal, probe = upper_principal, f0
+        principal, probe = upper_principal, trace_c22
     else:
-        principal, probe = lower_principal, lambda x: -f0(x)
+        principal, probe = lower_principal, lambda x: -trace_c22(x)
     result = principal(system, c0, probe=probe, grid_size=grid_size, newton_tol=newton_tol)
     out = result.design
     check_structure(out.points, out.interval, result.structure, direction)
 
     moments_out = moment_point(system, out)
-    q_checks = []
-    for Q in qs:
-        gain = _moment_gain(system, psi_k_Q(psi, Q), out, xi)
-        q_checks.append((tuple(float(v) for v in Q), float(gain)))
-
+    gains = np.linalg.eigvalsh(_c22(psi, out) - _c22(psi, xi))
     diff = information_matrix(model, theta, out) - information_matrix(model, theta, xi)
     spectrum = np.linalg.eigvalsh(diff)
     return ReductionReport(
@@ -239,7 +215,7 @@ def reduce_design(
         moments_in=c0,
         moments_out=moments_out,
         loewner_min_eigenvalue=float(spectrum[0]),
-        q_checks=q_checks,
+        gain_spectrum=tuple(float(v) for v in gains),
         difference_spectrum=tuple(float(v) for v in spectrum),
     )
 

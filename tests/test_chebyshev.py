@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from tcheb import chebyshev
 from tcheb.chebyshev import CheckReport, derivative_matrix
 from tcheb.errors import ConfigurationError, DomainError, EvaluationError
-from tcheb.models import make_model, psi_system
+from tcheb.models import make_model, psi_k_Q, psi_system
 
 
 def test_interval_validation():
@@ -248,7 +248,9 @@ def test_check_matches_reference_on_monomials(k, num_random_tuples):
 
 # (model, base theta, interval, swept theta index, 20 swept values).
 # exponential and exponential3 sweep both signs of their rate, so the
-# +psi_k^Q system of exponential3 at theta_3 < 0 is refused.
+# +psi_k^Q system of exponential3 at theta_3 < 0 is refused.  At p1 = 1,
+# check_augmented must report exactly what the reference reports on the
+# one augmented system, with Q = (1.0,) on a refusal.
 SWEEPS = [
     ("michaelis_menten", [1.0, 1.0], (0.0, 10.0), 1, np.linspace(0.25, 4.0, 20)),
     ("exponential", [1.0, -1.0], (0.0, 3.0), 1, np.linspace(-2.0, 2.0, 20)),
@@ -265,9 +267,14 @@ def test_check_matches_reference_on_catalog_systems(name, theta, iv, index, valu
         th = np.array(theta)
         th[index] = value
         psi = psi_system(model, th)
-        for system in (psi.system, psi.augmented([1.0], 1.0), psi.augmented([1.0], -1.0)):
+        assert check_chebyshev(psi.system) == _reference_check(psi.system)
+        f = psi_k_Q(psi, [1.0])
+        for sign in (1.0, -1.0):
+            system = augment(psi.system, lambda xs, s=sign: s * f(xs))
             want = _reference_check(system)
             assert check_chebyshev(system) == want
+            Q = None if want.verified else (1.0,)
+            assert chebyshev.check_augmented(psi.system, psi.with_tail, 1, sign, 0) == (want, Q)
             refused += not want.verified
     if name == "exponential3":
         assert refused > 0

@@ -203,11 +203,13 @@ def test_tolerance_override_flags(workdir):
 def test_log_env_keeps_report_clean(workdir):
     out = workdir / "m.json"
     # A minimal environment, plus the import path this process took
-    # tcheb from, so the child runs the same code installed or not.
+    # tcheb from, so the child runs the same code installed or not; it
+    # writes no bytecode into that tree.
     env = {
         "TCHEB_LOG": "debug",
         "PATH": "/usr/bin:/bin",
         "PYTHONPATH": str(Path(tcheb.__file__).resolve().parents[1]),
+        "PYTHONDONTWRITEBYTECODE": "1",
     }
     proc = subprocess.run(
         [sys.executable, "-m", "tcheb.cli", "moments",
@@ -318,18 +320,25 @@ GATE_CASES = [
 def test_check_reports_the_gate_reduce_runs(
     workdir, monkeypatch, name, theta, iv, refused_direction, direction
 ):
-    """tcheb check and reduce_design call check_chebyshev with the same
-    arguments and get the same reports; reduce stops at its first refusal."""
+    """tcheb check and reduce_design call check_chebyshev and
+    check_augmented with the same arguments and get the same reports;
+    reduce stops at its first refusal."""
     calls = []
-    real = tcheb.reduction.check_chebyshev
     xs = np.linspace(iv[0], iv[1], 11)
 
-    def recording(system, *args, **kwargs):
-        rep = real(system, *args, **kwargs)
-        calls.append(((system.interval, basis_matrix(system, xs).tobytes(), args, kwargs), rep))
-        return rep
+    def recording(real):
+        def check(system, *args, **kwargs):
+            rep = real(system, *args, **kwargs)
+            # check_augmented's evaluator compares by its values at xs.
+            args = tuple(a(xs).tobytes() if callable(a) else a for a in args)
+            key = (real.__name__, system.interval, basis_matrix(system, xs).tobytes(), args, kwargs)
+            calls.append((key, rep))
+            return rep
 
-    monkeypatch.setattr(tcheb.reduction, "check_chebyshev", recording)
+        return check
+
+    for fn in ("check_chebyshev", "check_augmented"):
+        monkeypatch.setattr(tcheb.reduction, fn, recording(getattr(tcheb.reduction, fn)))
     spec, out = workdir / "spec.json", workdir / "check.json"
     spec.write_text(json.dumps({"model": name, "theta": theta, "interval": iv}))
     code = run(workdir, "check", "--model", spec, "--direction", direction, "--out", out)
@@ -349,7 +358,10 @@ def test_check_reports_the_gate_reduce_runs(
     assert calls == checked[: len(calls)]
     assert len(calls) == 2 or refused
     report = json.loads(out.read_text())
-    for part, (_, rep) in zip(("base", "augmented"), checked):
+    (_, base), (_, (aug, Q)) = checked
+    assert report["augmented"].get("Q") == (None if Q is None else list(Q))
+    assert (Q is None) == aug.verified
+    for part, rep in (("base", base), ("augmented", aug)):
         assert report[part]["verified"] == rep.verified
         assert report[part]["tuples_checked"] == rep.tuples_checked
         assert report[part].get("witness") == (list(rep.witness) if rep.witness else None)

@@ -15,8 +15,13 @@ DEMOS = ("chebyshev_checks", "d_optimal_search", "quadrature_from_moments", "red
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_exits_zero(demo):
-    # The child imports tcheb from where this process did, installed or not.
-    env = dict(os.environ, PYTHONPATH=str(Path(tcheb.__file__).resolve().parents[1]))
+    # The child imports tcheb from where this process did, installed or
+    # not, and writes no bytecode into that tree.
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(tcheb.__file__).resolve().parents[1]),
+        PYTHONDONTWRITEBYTECODE="1",
+    )
     proc = subprocess.run(
         [sys.executable, str(DEMO_DIR / f"{demo}.py")],
         capture_output=True, text=True, env=env, timeout=300,

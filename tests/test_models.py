@@ -272,7 +272,7 @@ def test_fused_rows_match_gradient_products(name, theta, iv):
 )
 def test_one_gradient_call_per_evaluation(name, theta, iv, direction):
     """One basis_matrix call evaluates the gradient once, and the gate
-    (base check plus the augmented check of the one Q at p1 = 1) twice."""
+    (base check plus the augmented check for every Q) twice."""
     calls = []
     base = make_model(name, theta, iv)
 

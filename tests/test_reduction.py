@@ -13,10 +13,14 @@ import tcheb
 from tcheb import (
     Design,
     Interval,
+    augment,
+    check_chebyshev,
     criterion_value,
     information_matrix,
     make_model,
     optimize_in_class,
+    psi_k_Q,
+    psi_system,
     reduce_design,
     verify_domination,
 )
@@ -28,7 +32,7 @@ from tcheb.errors import (
     PreconditionError,
     TchebError,
 )
-from tcheb.reduction import _sphere_directions
+from tcheb.reduction import gate_checks
 
 MM_IV = (0.0, 10.0)
 
@@ -51,7 +55,7 @@ class TestReduce:
         assert rep.output is rep.input
         assert rep.output.points == xi.points
         assert rep.output.weights == xi.weights
-        assert all(g == 0.0 for _, g in rep.q_checks)
+        assert all(g == 0.0 for g in rep.gain_spectrum)
 
     def test_mm_eight_point_upper(self):
         xi = uniform(range(1, 9), MM_IV)
@@ -66,7 +70,7 @@ class TestReduce:
         M = information_matrix(mm(), [1.0, 1.0], xi)
         norm = float(np.max(np.abs(eigvalsh(M))))
         assert rep.loewner_min_eigenvalue >= -1e-8 * max(1.0, norm)
-        assert all(g >= -1e-9 for _, g in rep.q_checks)
+        assert all(g >= -1e-9 for g in rep.gain_spectrum)
 
     def test_mm_lower_refused(self):
         # the negated last function breaks the determinant condition here
@@ -83,7 +87,7 @@ class TestReduce:
         # k = 3 odd: lower representation has 2 points including A
         assert rep.output.size <= 2
         assert 0.0 in rep.output.points
-        assert all(g >= -1e-9 for _, g in rep.q_checks)
+        assert all(g >= -1e-9 for g in rep.gain_spectrum)
         dom = verify_domination(model, theta, rep.output, xi)
         assert dom.dominates
 
@@ -247,19 +251,22 @@ class TestReduce:
 def checks(monkeypatch):
     """Records every determinant check that reduce_design's gate runs."""
     calls = []
-    real = tcheb.reduction.check_chebyshev
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(real):
+        def check(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(tcheb.reduction, "check_chebyshev", counting)
+        return check
+
+    for name in ("check_chebyshev", "check_augmented"):
+        monkeypatch.setattr(tcheb.reduction, name, counting(getattr(tcheb.reduction, name)))
     return calls
 
 
 class TestGateCache:
-    """The gate (base check plus one augmented check at p1 = 1) runs once
-    per (model, theta, direction, seed) key."""
+    """The gate (base check plus the augmented check for every Q) runs
+    once per (model, theta, direction, seed) key."""
 
     def test_repeat_key_skips_the_gate(self, checks):
         model = mm()
@@ -360,14 +367,57 @@ class TestGateCache:
         assert hit == miss
 
 
-@pytest.mark.parametrize("p1", [1, 2])
-def test_sphere_directions_are_memoised_and_read_only(p1):
-    qs = _sphere_directions(p1)
-    assert _sphere_directions(p1) is qs
-    assert len(qs) == (1 if p1 == 1 else tcheb.reduction.NUM_Q_DIRECTIONS)
-    np.testing.assert_allclose([np.linalg.norm(q) for q in qs], 1.0, rtol=1e-15)
-    with pytest.raises(ValueError):
-        qs[0][0] = 2.0
+def _sampled_q_gate(psi, direction, count=64):
+    """The augmented gate as first written, for p1 >= 2: check_chebyshev
+    on the psi system augmented by +-psi_k^Q for each of ``count`` unit
+    directions Q, a Halton sample on the sphere.  Returns (Q, report)
+    pairs."""
+    from scipy.stats import norm, qmc
+
+    sampler = qmc.Halton(d=psi.p1, scramble=False)
+    qs = []
+    while len(qs) < count:
+        z = norm.ppf(np.clip(sampler.random(4 * count), 1e-12, 1.0 - 1e-12))
+        qs += [row / np.linalg.norm(row) for row in z if np.linalg.norm(row) > 1e-8]
+    return [(Q, check_chebyshev(_augmented(psi, Q, direction))) for Q in qs[:count]]
+
+
+def _augmented(psi, Q, direction):
+    """The psi system with +psi_k^Q (upper) or -psi_k^Q (lower) appended."""
+    f = psi_k_Q(psi, Q)
+    return augment(psi.system, f if direction == "upper" else lambda xs: -f(xs))
+
+
+# (model, base theta, interval, swept theta index, swept values) at p1 = 2.
+P1_2_SWEEPS = [
+    ("michaelis_menten", [1.0, 1.0], (0.0, 10.0), 1, (0.25, 1.0, 4.0)),
+    ("exponential", [1.0, -1.0], (0.0, 3.0), 1, (-2.0, -0.5, 1.0)),
+    ("exponential3", [1.0, 1.0, -1.0], (0.0, 3.0), 2, (-2.0, -0.5, 1.0)),
+    ("polynomial", [1.0, 0.5, -0.5, 0.25], (-1.0, 1.0), 0, (-2.0, 0.0, 2.0)),
+]
+
+
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+@pytest.mark.parametrize("name,theta,iv,index,values", P1_2_SWEEPS, ids=[s[0] for s in P1_2_SWEEPS])
+def test_exact_q_gate_matches_sampled_q_gate_at_p1_2(name, theta, iv, index, values, direction):
+    """The augmented check for every Q at once refuses exactly when one of
+    64 sampled directions does, and its witness Q refutes on its own."""
+    model = make_model(name, theta, iv, p1=2)
+    for value in values:
+        th = np.array(theta)
+        th[index] = value
+        psi = psi_system(model, th)
+        _, (Q, rep) = gate_checks(psi, direction, seed=0)
+        sampled = _sampled_q_gate(psi, direction)
+        assert rep.verified == all(r.verified for _, r in sampled)
+        assert rep.tuples_checked == sampled[0][1].tuples_checked
+        if rep.verified:
+            assert Q is None
+            continue
+        assert len(Q) == 2 and np.linalg.norm(Q) == pytest.approx(1.0, rel=1e-12)
+        assert max(Q, key=abs) > 0.0
+        assert not check_chebyshev(_augmented(psi, Q, direction)).verified
+
 
 class TestDomination:
     def test_identical_designs(self):
@@ -453,7 +503,8 @@ class TestOptimize:
 
 def test_hot_path_does_not_import_scipy():
     # scipy.optimize alone takes about half a second to import; the
-    # reduction and the principal representations must not pay for it.
+    # reduction and the principal representations must not pay for it,
+    # at p1 = 1 nor at p1 = 2, where the gate checks a plane of Q.
     code = textwrap.dedent(
         """
         import sys
@@ -466,6 +517,21 @@ def test_hot_path_does_not_import_scipy():
         xi = Design(points=tuple(range(1, 9)), weights=(0.125,) * 8,
                     interval=Interval(0.0, 10.0))
         reduce_design(model, [1.0, 1.0], xi, "upper")
+
+        from tcheb.errors import PreconditionError
+        from tcheb.models import psi_system
+        from tcheb.reduction import gate_checks
+        theta = [1.0, 1.0, -1.0]
+        model2 = make_model("exponential3", theta, (0.0, 3.0), p1=2)
+        list(gate_checks(psi_system(model2, theta), "lower", seed=0))
+        xi2 = Design(points=(0.5, 1.0, 1.5, 2.0, 2.5), weights=(0.2,) * 5,
+                     interval=Interval(0.0, 3.0))
+        try:
+            reduce_design(model2, theta, xi2, "lower")
+            raise SystemExit("the p1 = 2 reduction was not refused")
+        except PreconditionError:
+            pass
+
         system = polynomial_system(6, Interval(-1.0, 1.0))
         xs = np.linspace(-0.9, 0.9, 10)
         c0 = MomentPoint(coordinates=tuple(float(np.mean(xs**i)) for i in range(6)),
@@ -478,7 +544,11 @@ def test_hot_path_does_not_import_scipy():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(Path(tcheb.__file__).resolve().parents[1])},
+        env={
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": str(Path(tcheb.__file__).resolve().parents[1]),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
