@@ -249,6 +249,11 @@ def _verdict(tuples: np.ndarray, values: np.ndarray, scale: np.ndarray):
     return CheckReport(witness is None, int(tuples.shape[0]), min_det, witness), index
 
 
+def _collocation_verdict(tuples: np.ndarray, V: np.ndarray) -> CheckReport:
+    """The CheckReport on det V[:, t, :] per tuple t, V[i, t, j] = psi_i(t_j)."""
+    return _verdict(tuples, np.linalg.det(np.moveaxis(V, 1, 0)), _row_norms(V).prod(axis=0))[0]
+
+
 def check_chebyshev(
     system: ChebyshevSystem,
     num_random_tuples: int = DEFAULT_NUM_TUPLES,
@@ -272,36 +277,36 @@ def check_chebyshev(
     """
     k = system.k
     tuples = _sample(system.interval, k, grid_size, num_random_tuples, seed)
-    n = tuples.shape[0]
-    V = basis_matrix(system, tuples.ravel()).reshape(k, n, k)  # V[i, t, j] = psi_i(t_j)
-    return _verdict(tuples, np.linalg.det(np.moveaxis(V, 1, 0)), _row_norms(V).prod(axis=0))[0]
+    return _collocation_verdict(tuples, basis_matrix(system, tuples.ravel()).reshape(k, -1, k))
 
 
-def check_augmented(system: ChebyshevSystem, evaluator: Callable, p1: int, sign: float, seed: int):
-    """Check the system extended by sign * (Q . g)^2 for every nonzero Q at once.
+def check_gate(system: ChebyshevSystem, evaluator: Callable, p1: int, sign: float, seed: int):
+    """Check the system, and its extension by sign * (Q . g)^2 for every
+    nonzero Q, on one sample: ``check_chebyshev``'s default (k + 1)-tuples.
 
     ``evaluator`` maps n points to the (k + p1, n) stack of the system's
-    basis values over p1 functions g.  The last row of an augmented
-    collocation matrix enters its determinant linearly, so at a
-    (k + 1)-tuple t
+    basis values over p1 functions g, and runs once.  The base report
+    judges the leading k x k block of each collocation matrix, the system
+    on the tuple's first k points, by ``check_chebyshev``'s rule; its
+    witness is a k-tuple.  The last row enters the determinant linearly:
 
         det [psi(t); sign * (Q . g(t))^2] = sign * Q^T D(t) Q,
         D_ab(t) = det [psi(t); g_a(t) g_b(t)],
 
-    and the extension holds for every Q exactly when sign * D(t) is
-    positive definite.  On ``check_chebyshev``'s default sample of
-    (k + 1)-tuples, lambda_min(sign * D(t)) is judged as that check judges
-    a determinant, at the row scale of the matrix whose last row is
-    |g|^2, which bounds every unit Q's.  Returns the report and, on a
-    refusal, the unit eigenvector Q of lambda_min at the witness, signed
-    so that its largest component is positive (None when verified).  At
-    p1 = 1 the report is ``check_chebyshev``'s on the one augmented system.
+    so the extension holds for every Q exactly when sign * D(t) is
+    positive definite.  lambda_min(sign * D(t)) is judged as a
+    determinant at the row scale of the matrix whose last row is |g|^2,
+    which bounds every unit Q's; at p1 = 1 the augmented report is
+    ``check_chebyshev``'s on the one augmented system.  Returns (base,
+    augmented, Q), Q the unit eigenvector of lambda_min at the augmented
+    witness with its largest component positive, or None on a pass.
     """
     k = system.k
     tuples = _sample(system.interval, k + 1, DEFAULT_GRID_SIZE, DEFAULT_NUM_TUPLES, seed)
     n = tuples.shape[0]
     W = _evaluate(evaluator, k + p1, tuples.ravel(), "augmented").reshape(k + p1, n, k + 1)
     psi, g = W[:k], W[k:]
+    base = _collocation_verdict(tuples[:, :k], psi[:, :, :k])
     a, b = np.triu_indices(p1)
     M = np.empty((a.size, k + 1, n, k + 1))  # M[pair, i, t, j], one pair a <= b per last row
     M[:, :k] = psi
@@ -312,10 +317,10 @@ def check_augmented(system: ChebyshevSystem, evaluator: Callable, p1: int, sign:
     scale = _row_norms(psi).prod(axis=0) * _row_norms((g * g).sum(axis=0)[None])[0]
     report, index = _verdict(tuples, lam[:, 0], scale)
     if index is None:
-        return report, None
+        return base, report, None
     Q = vecs[index, :, 0]
     Q = Q if Q[np.argmax(np.abs(Q))] > 0.0 else -Q
-    return report, tuple(float(v) for v in Q)
+    return base, report, tuple(float(v) for v in Q)
 
 
 def augment(system: ChebyshevSystem, omega: Callable) -> ChebyshevSystem:

@@ -154,7 +154,7 @@ def _check_report(rep) -> dict:
 def _cmd_check(args) -> int:
     model, theta = _load_model(args.model)
     psi = psi_system(model, theta)
-    (_, base), (Q, aug) = gate_checks(psi, args.direction, args.seed)
+    base, aug, Q = gate_checks(psi, args.direction, args.seed)
     augmented = _check_report(aug)
     if Q is not None:
         augmented["Q"] = list(Q)

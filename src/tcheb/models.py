@@ -88,11 +88,6 @@ class PsiSystem:
         """The (p1, n) trailing block of h, the factor of C22 = h_tail h_tail^T."""
         return self.h(xs)[-self.p1 :]
 
-    def c22_map(self, x) -> np.ndarray:
-        """The trailing block C22(x) at one point."""
-        v = self.h_tail(x)[:, 0]
-        return np.outer(v, v)
-
     def with_tail(self, xs) -> np.ndarray:
         """The (k + p1, n) psi values over h_tail, from one evaluation of h."""
         H = self.h(xs)

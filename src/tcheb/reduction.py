@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .chebyshev import check_augmented, check_chebyshev, check_seed
+from .chebyshev import check_gate, check_seed
 from .errors import ConfigurationError, DegeneracyError, PreconditionError
 from .models import (
     PsiSystem,
@@ -78,38 +78,32 @@ class DominationReport:
 
 
 def gate_checks(psi: PsiSystem, direction: str, seed: int):
-    """The determinant gate of a direction, one check at a time.
+    """The determinant gate of a direction: (base, augmented, Q).
 
-    Yields (None, report) for the psi system, then (Q, report) for the
-    psi system augmented by +psi_k^Q (upper) or -psi_k^Q (lower), checked
-    for every nonzero Q at once by ``check_augmented``: Q is the witness
-    direction of a refusal and None on a pass.  Both checks sample at
-    ``check_chebyshev``'s defaults with ``seed``.
+    ``check_gate`` judges the psi system, on the leading k points of each
+    (k + 1)-tuple, and the psi system augmented by +psi_k^Q (upper) or
+    -psi_k^Q (lower) for every nonzero Q, in one pass over one sample at
+    ``seed``.  Q is the augmented witness direction, None on a pass.
     """
-    yield None, check_chebyshev(psi.system, seed=seed)
-    sign = 1.0 if direction == "upper" else -1.0
-    report, Q = check_augmented(psi.system, psi.with_tail, psi.p1, sign, seed)
-    yield Q, report
+    return check_gate(psi.system, psi.with_tail, psi.p1, 1.0 if direction == "upper" else -1.0, seed)
 
 
 @functools.lru_cache(maxsize=GATE_CACHE_SIZE)
 def _gated_psi(model: RegressionModel, theta_bytes: bytes, direction: str, seed: int) -> PsiSystem:
     """The psi system at theta, once it passed the gate of the direction.
 
-    The gate stops at its first refusal and raises PreconditionError.  It
-    does not depend on the design, so a passing verdict is memoised per
-    key; a refusal is never cached.  theta is keyed by its bytes, which
-    tell 0.0 from -0.0 where floats do not.
+    A base refusal raises PreconditionError before an augmented one.  The
+    gate does not depend on the design, so a passing verdict is memoised
+    per key; a refusal is never cached.  theta is keyed by its bytes,
+    which tell 0.0 from -0.0 where floats do not.
     """
     psi = psi_system(model, np.frombuffer(theta_bytes))
-    checks = gate_checks(psi, direction, seed)
-    _, rep = next(checks)
-    if not rep.verified:
+    base, rep, Q = gate_checks(psi, direction, seed)
+    if not base.verified:
         raise PreconditionError(
-            f"base psi system fails the determinant condition at tuple {rep.witness}",
-            witness=rep.witness,
+            f"base psi system fails the determinant condition at tuple {base.witness}",
+            witness=base.witness,
         )
-    Q, rep = next(checks)
     if not rep.verified:
         raise PreconditionError(
             f"augmented system for direction {direction!r} fails the determinant "

@@ -212,10 +212,8 @@ def test_fused_rows_keep_the_input_shape():
     np.testing.assert_array_equal(sys3.derivatives[2](xs), 2 * xs)
 
 
-def _reference_check(system, num_random_tuples=2000, grid_size=512, seed=0):
-    """check_chebyshev as first written: the sample drawn on every call and
-    the indeterminacy scale from np.linalg.norm of each collocation row."""
-    k = system.k
+def _reference_tuples(system, k, num_random_tuples=2000, grid_size=512, seed=0):
+    """check_chebyshev's k-tuple sample as first written, drawn afresh."""
     a, b = system.interval.lower, system.interval.upper
     batches = [sliding_window_view(np.linspace(a, b, grid_size), k).copy()]
     if num_random_tuples > 0:
@@ -225,8 +223,13 @@ def _reference_check(system, num_random_tuples=2000, grid_size=512, seed=0):
             gap = np.min(np.diff(rand, axis=1), axis=1)
             rand = rand[gap > 1e-9 * system.interval.length]
         batches.append(rand)
-    tuples = np.vstack(batches)
-    n = tuples.shape[0]
+    return np.vstack(batches)
+
+
+def _reference_verdict(system, tuples):
+    """The determinant verdict as first written, with the indeterminacy
+    scale from np.linalg.norm of each collocation row."""
+    n, k = tuples.shape
     mats = np.moveaxis(basis_matrix(system, tuples.ravel()).reshape(k, n, k), 1, 0)
     dets = np.linalg.det(mats)
     scale = np.prod(np.linalg.norm(mats, axis=2), axis=1)
@@ -235,6 +238,11 @@ def _reference_check(system, num_random_tuples=2000, grid_size=512, seed=0):
     witness = tuple(float(v) for v in tuples[int(np.argmax(failing))]) if failing.any() else None
     min_det = float(dets[decisive].min()) if decisive.any() else 0.0
     return CheckReport(witness is None, n, min_det, witness)
+
+
+def _reference_check(system, num_random_tuples=2000, grid_size=512, seed=0):
+    """check_chebyshev as first written: the sample drawn on every call."""
+    return _reference_verdict(system, _reference_tuples(system, system.k, num_random_tuples, grid_size, seed))
 
 
 @pytest.mark.parametrize("num_random_tuples", [0, 2000])
@@ -249,8 +257,9 @@ def test_check_matches_reference_on_monomials(k, num_random_tuples):
 # (model, base theta, interval, swept theta index, 20 swept values).
 # exponential and exponential3 sweep both signs of their rate, so the
 # +psi_k^Q system of exponential3 at theta_3 < 0 is refused.  At p1 = 1,
-# check_augmented must report exactly what the reference reports on the
-# one augmented system, with Q = (1.0,) on a refusal.
+# check_gate must report exactly what the reference reports on the one
+# augmented system, with Q = (1.0,) on a refusal, and on the base system
+# at the first k points of each (k + 1)-tuple.
 SWEEPS = [
     ("michaelis_menten", [1.0, 1.0], (0.0, 10.0), 1, np.linspace(0.25, 4.0, 20)),
     ("exponential", [1.0, -1.0], (0.0, 3.0), 1, np.linspace(-2.0, 2.0, 20)),
@@ -268,13 +277,15 @@ def test_check_matches_reference_on_catalog_systems(name, theta, iv, index, valu
         th[index] = value
         psi = psi_system(model, th)
         assert check_chebyshev(psi.system) == _reference_check(psi.system)
+        base = _reference_verdict(psi.system, _reference_tuples(psi.system, psi.k + 1)[:, : psi.k])
+        assert base.verified
         f = psi_k_Q(psi, [1.0])
         for sign in (1.0, -1.0):
             system = augment(psi.system, lambda xs, s=sign: s * f(xs))
             want = _reference_check(system)
             assert check_chebyshev(system) == want
             Q = None if want.verified else (1.0,)
-            assert chebyshev.check_augmented(psi.system, psi.with_tail, 1, sign, 0) == (want, Q)
+            assert chebyshev.check_gate(psi.system, psi.with_tail, 1, sign, 0) == (base, want, Q)
             refused += not want.verified
     if name == "exponential3":
         assert refused > 0

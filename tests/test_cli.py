@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 import tcheb
-from tcheb import Design, Interval, make_model, reduce_design
-from tcheb.chebyshev import basis_matrix
+from tcheb import Design, Interval, make_model, psi_system, reduce_design
+from tcheb.chebyshev import INDETERMINATE_REL, basis_matrix
 from tcheb.cli import main
 from tcheb.errors import PreconditionError
 
@@ -320,25 +321,22 @@ GATE_CASES = [
 def test_check_reports_the_gate_reduce_runs(
     workdir, monkeypatch, name, theta, iv, refused_direction, direction
 ):
-    """tcheb check and reduce_design call check_chebyshev and
-    check_augmented with the same arguments and get the same reports;
-    reduce stops at its first refusal."""
+    """tcheb check and reduce_design each call check_gate once, with the
+    same arguments, and get the same reports."""
     calls = []
     xs = np.linspace(iv[0], iv[1], 11)
 
     def recording(real):
-        def check(system, *args, **kwargs):
-            rep = real(system, *args, **kwargs)
-            # check_augmented's evaluator compares by its values at xs.
-            args = tuple(a(xs).tobytes() if callable(a) else a for a in args)
-            key = (real.__name__, system.interval, basis_matrix(system, xs).tobytes(), args, kwargs)
-            calls.append((key, rep))
-            return rep
+        def check(system, evaluator, *args):
+            result = real(system, evaluator, *args)
+            # Systems and evaluators compare by their values at xs.
+            key = (system.interval, basis_matrix(system, xs).tobytes(), evaluator(xs).tobytes(), args)
+            calls.append((key, result))
+            return result
 
         return check
 
-    for fn in ("check_chebyshev", "check_augmented"):
-        monkeypatch.setattr(tcheb.reduction, fn, recording(getattr(tcheb.reduction, fn)))
+    monkeypatch.setattr(tcheb.reduction, "check_gate", recording(tcheb.reduction.check_gate))
     spec, out = workdir / "spec.json", workdir / "check.json"
     spec.write_text(json.dumps({"model": name, "theta": theta, "interval": iv}))
     code = run(workdir, "check", "--model", spec, "--direction", direction, "--out", out)
@@ -354,14 +352,47 @@ def test_check_reports_the_gate_reduce_runs(
 
     assert refused == (direction == refused_direction)
     assert code == (2 if refused else 0)
-    assert len(checked) == 2
-    assert calls == checked[: len(calls)]
-    assert len(calls) == 2 or refused
+    assert len(checked) == 1
+    assert calls == checked
     report = json.loads(out.read_text())
-    (_, base), (_, (aug, Q)) = checked
+    (_, (base, aug, Q)), = checked
     assert report["augmented"].get("Q") == (None if Q is None else list(Q))
     assert (Q is None) == aug.verified
     for part, rep in (("base", base), ("augmented", aug)):
         assert report[part]["verified"] == rep.verified
         assert report[part]["tuples_checked"] == rep.tuples_checked
         assert report[part].get("witness") == (list(rep.witness) if rep.witness else None)
+
+
+# Catalog models with a psi_order that orients the base system wrongly:
+# no catalog base system is refused, so only these reach the base check.
+WRONG_ORDER_CASES = [
+    ("michaelis_menten", [1.0, 1.0], [0.0, 10.0], (0, 1)),
+    ("exponential", [1.0, -1.0], [0.0, 3.0], (1, 0)),
+    ("exponential3", [1.0, 1.0, -1.0], [0.0, 3.0], (0, 1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+@pytest.mark.parametrize("name,theta,iv,order", WRONG_ORDER_CASES, ids=[c[0] for c in WRONG_ORDER_CASES])
+def test_base_refusal_names_a_k_tuple(workdir, monkeypatch, name, theta, iv, order, direction):
+    """The base check, read off the leading k points of the gate's
+    (k + 1)-tuples, refuses a wrongly oriented psi system in reduce and
+    in check, with a k-tuple whose determinant is decisively nonpositive."""
+    model = dataclasses.replace(make_model(name, theta, iv), psi_order=order)
+    k = len(order) + 1
+    xi = Design(points=tuple(np.linspace(iv[0], iv[1], 9)[1:-1]), weights=(1 / 7,) * 7, interval=Interval(*iv))
+    with pytest.raises(PreconditionError, match="^base psi system") as err:
+        reduce_design(model, theta, xi, direction)
+    witness = err.value.witness
+    assert len(witness) == k and list(witness) == sorted(witness)
+    V = basis_matrix(psi_system(model, theta).system, witness)
+    assert np.linalg.det(V) < -INDETERMINATE_REL * np.prod(np.linalg.norm(V, axis=1))
+
+    monkeypatch.setattr(tcheb.cli, "make_model", lambda *args: model)
+    spec, out = workdir / "spec.json", workdir / "check.json"
+    spec.write_text(json.dumps({"model": name, "theta": theta, "interval": iv}))
+    assert run(workdir, "check", "--model", spec, "--direction", direction, "--out", out) == 2
+    base = json.loads(out.read_text())["base"]
+    assert base["verified"] is False
+    assert base["witness"] == list(witness)

@@ -259,21 +259,20 @@ def checks(monkeypatch):
 
         return check
 
-    for name in ("check_chebyshev", "check_augmented"):
-        monkeypatch.setattr(tcheb.reduction, name, counting(getattr(tcheb.reduction, name)))
+    monkeypatch.setattr(tcheb.reduction, "check_gate", counting(tcheb.reduction.check_gate))
     return calls
 
 
 class TestGateCache:
-    """The gate (base check plus the augmented check for every Q) runs
-    once per (model, theta, direction, seed) key."""
+    """The gate (base check plus the augmented check for every Q, one
+    check_gate call) runs once per (model, theta, direction, seed) key."""
 
     def test_repeat_key_skips_the_gate(self, checks):
         model = mm()
         reduce_design(model, [1.0, 1.0], uniform(range(1, 9), MM_IV), "upper")
-        assert len(checks) == 2
+        assert len(checks) == 1
         rep = reduce_design(model, (1.0, 1.0), uniform([1.0, 4.0, 9.0], MM_IV), "upper")
-        assert len(checks) == 2
+        assert len(checks) == 1
         assert rep.branch == "OddCase"
 
     @pytest.mark.parametrize(
@@ -291,7 +290,7 @@ class TestGateCache:
         reduce_design(**args)
         checks.clear()
         reduce_design(**{**args, **change})
-        assert len(checks) == 2
+        assert len(checks) == 1
 
     def test_direction_is_part_of_the_key(self, checks):
         model = mm()
@@ -300,14 +299,14 @@ class TestGateCache:
         checks.clear()
         with pytest.raises(PreconditionError):
             reduce_design(model, [1.0, 1.0], xi, "lower")
-        assert len(checks) == 2
+        assert len(checks) == 1
 
     def test_theta_key_tells_signed_zeros_apart(self, checks):
         model = make_model("polynomial", [0.0, 1.0, 1.0], (-1.0, 1.0))
         xi = uniform(np.linspace(-1.0, 1.0, 6), (-1.0, 1.0))
         reduce_design(model, [0.0, 1.0, 1.0], xi, "upper")
         reduce_design(model, [-0.0, 1.0, 1.0], xi, "upper")
-        assert len(checks) == 4
+        assert len(checks) == 2
 
     @pytest.mark.parametrize(
         "name,theta,iv,direction",
@@ -324,7 +323,7 @@ class TestGateCache:
             checks.clear()
             with pytest.raises(PreconditionError) as err:
                 reduce_design(model, theta, xi, direction)
-            assert len(checks) == 2
+            assert len(checks) == 1
             errors.append(err.value)
         assert errors[0].witness is not None
         assert all(e.witness == errors[0].witness for e in errors)
@@ -347,7 +346,7 @@ class TestGateCache:
             hash(model)
         xi = uniform(range(1, 9), MM_IV)
         reps = [reduce_design(model, [1.0, 1.0], xi, "upper") for _ in range(2)]
-        assert len(checks) == 4
+        assert len(checks) == 2
         want = reduce_design(base, [1.0, 1.0], xi, "upper")
         assert all(_reduce_payload(r) == _reduce_payload(want) for r in reps)
 
@@ -363,7 +362,7 @@ class TestGateCache:
         xi = uniform(np.linspace(iv[0] + 0.1, iv[1] - 0.1, 7), iv)
         miss = json.dumps(_reduce_payload(reduce_design(model, theta, xi, direction)), sort_keys=True)
         hit = json.dumps(_reduce_payload(reduce_design(model, theta, xi, direction)), sort_keys=True)
-        assert len(checks) == 2
+        assert len(checks) == 1
         assert hit == miss
 
 
@@ -407,7 +406,7 @@ def test_exact_q_gate_matches_sampled_q_gate_at_p1_2(name, theta, iv, index, val
         th = np.array(theta)
         th[index] = value
         psi = psi_system(model, th)
-        _, (Q, rep) = gate_checks(psi, direction, seed=0)
+        _, rep, Q = gate_checks(psi, direction, seed=0)
         sampled = _sampled_q_gate(psi, direction)
         assert rep.verified == all(r.verified for _, r in sampled)
         assert rep.tuples_checked == sampled[0][1].tuples_checked
@@ -523,7 +522,7 @@ def test_hot_path_does_not_import_scipy():
         from tcheb.reduction import gate_checks
         theta = [1.0, 1.0, -1.0]
         model2 = make_model("exponential3", theta, (0.0, 3.0), p1=2)
-        list(gate_checks(psi_system(model2, theta), "lower", seed=0))
+        gate_checks(psi_system(model2, theta), "lower", seed=0)
         xi2 = Design(points=(0.5, 1.0, 1.5, 2.0, 2.5), weights=(0.2,) * 5,
                      interval=Interval(0.0, 3.0))
         try:
