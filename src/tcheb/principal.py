@@ -304,16 +304,22 @@ def _shape_to_structure(
     """Coerce LP atoms onto the structure, or raise DegeneracyError.
 
     An end atom within 10 * tol of an endpoint the structure contains
-    snaps onto it, and the closest pairs merge until the count fits.
-    Neither step moves an atom onto or off an endpoint otherwise.
+    snaps onto it, and one on an endpoint the structure excludes moves
+    1e-3 * tol inside, where Newton takes it: the grid cannot resolve an
+    atom closer to the end than one spacing.  Then the closest pairs
+    merge until the count fits.
     """
     a, b = interval.lower, interval.upper
     pts = [p for p, _ in atoms]
     ws = [w for _, w in atoms]
     if structure.includes_B and b - pts[-1] <= 10.0 * tol:
         pts[-1] = b
+    elif pts[-1] == b:
+        pts[-1] = b - 1e-3 * tol
     if structure.includes_A and pts[0] - a <= 10.0 * tol:
         pts[0] = a
+    elif pts[0] == a:
+        pts[0] = a + 1e-3 * tol
     while len(pts) > structure.num_points:
         i = int(np.argmin(np.diff(pts)))
         keep, weight = merge_pair((pts[i], ws[i]), (pts[i + 1], ws[i + 1]), a, b)

@@ -217,18 +217,23 @@ def reduce_design(
 def verify_domination(
     model: RegressionModel, theta, xi1: Design, xi2: Design, tolerance: float = PSD_TOL
 ) -> DominationReport:
-    """Spectrum of M(xi1) - M(xi2) and the PSD verdict.
+    """Spectrum of M(xi1) - M(xi2) and the Loewner verdict M(xi1) >= M(xi2).
 
-    Dominates when the smallest eigenvalue is no smaller than
-    -tolerance * max(1, spectral norm of the difference).
+    The verdict does not change under a congruence M -> A M A^T.  With
+    S = M(xi1) + M(xi2) and R = S^(-1/2) on the range of S (the
+    eigenvalues above numpy's ``matrix_rank`` default tolerance), xi1
+    dominates when lambda_min(R^T (M(xi1) - M(xi2)) R) >= -tolerance.  The
+    whitened difference lies in [-1, 1], so a design that misses a
+    direction the other sees reads -1 there at any scale of theta.
     """
-    diff = information_matrix(model, theta, xi1) - information_matrix(model, theta, xi2)
-    spectrum = np.linalg.eigvalsh(diff)
-    spectral_norm = float(np.abs(spectrum).max())
-    dominates = bool(spectrum[0] >= -tolerance * max(1.0, spectral_norm))
+    M1, M2 = information_matrix(model, theta, xi1), information_matrix(model, theta, xi2)
+    diff = M1 - M2
+    w, U = np.linalg.eigh(M1 + M2)
+    keep = w > w[-1] * w.size * np.finfo(float).eps
+    R = U[:, keep] / np.sqrt(w[keep])
     return DominationReport(
-        difference_spectrum=tuple(float(v) for v in spectrum),
-        dominates=dominates,
+        difference_spectrum=tuple(float(v) for v in np.linalg.eigvalsh(diff)),
+        dominates=bool(np.all(np.linalg.eigvalsh(R.T @ diff @ R) >= -tolerance)),
         tolerance=float(tolerance),
     )
 
