@@ -23,7 +23,9 @@ import logging
 import os
 import sys
 
-from .errors import ConfigurationError, PreconditionError, TchebError
+import numpy as np
+
+from .errors import ConfigurationError, EvaluationError, PreconditionError, TchebError
 from .models import make_model, psi_system
 from .moments import DEFAULT_GRID, Design, design_index, json_numbers, moment_point
 from .principal import NEWTON_TOL
@@ -254,8 +256,10 @@ _COMMANDS = {
 }
 
 
-def _emit_error(out_path, code: str, message: str):
-    payload = {"error": {"code": code, "message": message}}
+def _emit_error(out_path, code: str, message: str, **extra):
+    """Write {"error": {"code", "message", **extra}} to out_path, or to
+    standard output when there is no path or it cannot be written."""
+    payload = {"error": {"code": code, "message": message, **extra}}
     try:
         if out_path:
             _write_report(out_path, payload)
@@ -274,23 +278,22 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     out_path = getattr(args, "out", None)
     try:
-        code = _COMMANDS[args.command](args)
+        # Arithmetic that overflows double precision ends the run as an
+        # evaluation error rather than as a warning and inf or NaN values.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            code = _COMMANDS[args.command](args)
         log.info("%s finished with exit code %d", args.command, code)
         return code
     except PreconditionError as err:
         log.info("precondition failure: %s", err)
-        payload = {"error": {"code": err.code, "message": str(err)}}
-        if err.witness is not None:
-            payload["error"]["witness"] = list(err.witness)
-        if err.q_vector is not None:
-            payload["error"]["Q"] = list(err.q_vector)
-        try:
-            _write_report(out_path, payload)
-        except OSError:
-            sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+        extra = {"witness": err.witness, "Q": err.q_vector}
+        _emit_error(out_path, err.code, str(err), **{k: list(v) for k, v in extra.items() if v is not None})
         return EXIT_PRECONDITION
     except TchebError as err:
         _emit_error(out_path, err.code, str(err))
+        return EXIT_ERROR
+    except FloatingPointError as err:
+        _emit_error(out_path, EvaluationError.code, f"floating-point error: {err}")
         return EXIT_ERROR
     except (OSError, json.JSONDecodeError) as err:
         _emit_error(out_path, "io", str(err))

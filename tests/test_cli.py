@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tcheb
 from tcheb import Design, Interval, make_model, psi_system, reduce_design
@@ -396,3 +398,80 @@ def test_base_refusal_names_a_k_tuple(workdir, monkeypatch, name, theta, iv, ord
     base = json.loads(out.read_text())["base"]
     assert base["verified"] is False
     assert base["witness"] == list(witness)
+
+
+@pytest.mark.parametrize("command", ["check", "moments", "reduce", "dominate"])
+def test_overflow_is_an_evaluation_error(workdir, command):
+    # exp(1000 x) overflows double precision on most of [0, 1000].
+    spec, xi, out = workdir / "spec.json", workdir / "xi.json", workdir / "out.json"
+    spec.write_text(json.dumps({"model": "exponential", "theta": [1.0, 1000.0], "interval": [0.0, 1000.0]}))
+    xi.write_text(json.dumps({"points": [1.0, 500.0, 999.0], "weights": [0.25, 0.25, 0.5], "interval": [0.0, 1000.0]}))
+    designs = {"moments": ["--design", xi], "reduce": ["--design", xi], "dominate": ["--design", xi, "--design2", xi]}
+    assert run(workdir, command, "--model", spec, *designs.get(command, []), "--out", out) == 1
+    assert json.loads(out.read_text())["error"]["code"] == "evaluation"
+
+
+# Generated inputs for the robustness property: catalog model specs and
+# designs on their interval, each number finite and at most 1e6 in
+# magnitude.  Most are well formed; a drawn flaw breaks one field.
+_P = {"michaelis_menten": 2, "exponential": 2, "exponential3": 3}
+_NUMBERS = st.one_of(st.floats(-1e6, 1e6), st.integers(-1000, 1000))
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.just([1.0]))
+_FLAWS = (None,) * 10 + ("model", "theta", "interval", "p1", "points")
+
+
+@st.composite
+def _cli_inputs(draw):
+    """A model spec and two designs for it."""
+    name = draw(st.sampled_from(("michaelis_menten", "exponential", "exponential3", "polynomial")))
+    p = _P.get(name) or draw(st.integers(2, 5))
+    a = draw(st.floats(-1e6, 1e6))
+    b = a + draw(st.floats(1e-3, 1e6))
+    spec = {
+        "model": name,
+        "theta": draw(st.lists(_NUMBERS, min_size=p, max_size=p)),
+        "interval": [a, b],
+        "p1": draw(st.integers(1, p)),
+    }
+
+    def design():
+        u = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9))
+        w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=len(u), max_size=len(u))))
+        return {"points": [a + (b - a) * v for v in u], "weights": list(w / w.sum()), "interval": [a, b]}
+
+    designs = [design(), design()]
+    flaw = draw(st.sampled_from(_FLAWS))
+    if flaw == "points":
+        designs[0]["points"] = draw(st.lists(st.one_of(_NUMBERS, _JUNK), max_size=9))
+    elif flaw is not None:
+        spec[flaw] = draw(st.one_of(_JUNK, st.lists(st.one_of(_NUMBERS, _JUNK), max_size=4), _NUMBERS))
+    return (spec, *designs)
+
+
+def test_cli_exits_with_a_json_payload_on_generated_input(tmp_path):
+    """check, moments, reduce and dominate end with exit 0, 1 or 2 and a
+    JSON report or error payload on any generated model spec and design,
+    and raise nothing."""
+    spec_path, xi_path, xi2_path = tmp_path / "spec.json", tmp_path / "xi.json", tmp_path / "xi2.json"
+    runs = {
+        "check": [],
+        "moments": ["--design", xi_path],
+        "reduce": ["--design", xi_path],
+        "dominate": ["--design", xi_path, "--design2", xi2_path],
+    }
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(_cli_inputs())
+    def prop(inputs):
+        for path, obj in zip((spec_path, xi_path, xi2_path), inputs):
+            path.write_text(json.dumps(obj))
+        for command, flags in runs.items():
+            out = tmp_path / f"{command}.json"
+            out.unlink(missing_ok=True)
+            code = main([command, "--model", str(spec_path), *map(str, flags), "--out", str(out)])
+            payload = json.loads(out.read_text())
+            assert code in (0, 1, 2)
+            if code != 2:  # check reports a refusal, reduce raises it
+                assert ("error" in payload) == (code == 1)
+
+    prop()
