@@ -8,7 +8,8 @@ and optimize, ``--grid`` and ``--tol.newton=`` on reduce, ``--tol.psd=``
 on dominate.  ``check`` reports every determinant check of the gate that
 ``reduce`` runs at the same seed.  Exit status 0 on success, 2 when a
 determinant precondition fails, 1 on I/O or schema errors.  All other
-library errors also exit 1, with the error serialized as
+library errors, and arithmetic that overflows, divides by zero or is
+invalid (code "evaluation"), also exit 1, with the error serialized as
 {"error": {"code", "message"}}.
 
 The environment variable TCHEB_LOG (debug or info) turns on diagnostics

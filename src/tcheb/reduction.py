@@ -14,12 +14,15 @@ unchanged.
 
 Both hypotheses are determinant conditions: the psi system, and the psi
 system augmented by +psi_k^Q (upper) or -psi_k^Q (lower) for every
-nonzero Q, must be Chebyshev systems.  The gate checks them before any
-computation, on sampled tuples but exactly in Q; a failed check raises a
-precondition error rather than producing an output whose domination
-guarantee has no backing.  The report gives the gain in every direction
-at once: the spectrum of Delta C22, the integral of h_tail h_tail^T
-against the output minus the input.
+nonzero Q, must be Chebyshev systems.  Both are statements about one
+(k + 1)-point collocation matrix, whose leading k x k block is the psi
+system's on the first k points, so the gate checks them in one pass over
+one sample of (k + 1)-tuples, before any computation: sampled in the
+tuples but exact in Q.  A failed check raises a precondition error
+rather than producing an output whose domination guarantee has no
+backing.  The report gives the gain in every direction at once: the
+spectrum of Delta C22, the integral of h_tail h_tail^T against the
+output minus the input.
 """
 
 from __future__ import annotations
@@ -133,9 +136,10 @@ def reduce_design(
 ) -> ReductionReport:
     """Reduce a design to its dominating principal representation.
 
-    Verifies the determinant hypotheses for the requested direction for
-    every nonzero Q (``gate_checks``, the gate ``tcheb check`` reports),
-    computes the moment point, and returns either the design itself
+    Verifies the determinant hypotheses for the requested direction, the
+    base system and its augmentation for every nonzero Q in one pass
+    (``gate_checks``, the gate ``tcheb check`` reports), computes the
+    moment point, and returns either the design itself
     (branch Identity, when its index is below k/2) or the principal
     representation matching all k moments.  The report records
     ``gain_spectrum``, the eigenvalues of Delta C22 = C22(output) -

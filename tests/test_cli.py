@@ -414,7 +414,7 @@ def test_overflow_is_an_evaluation_error(workdir, command):
 # Generated inputs for the robustness property: catalog model specs and
 # designs on their interval, each number finite and at most 1e6 in
 # magnitude.  Most are well formed; a drawn flaw breaks one field.
-_P = {"michaelis_menten": 2, "exponential": 2, "exponential3": 3}
+_NUM_PARAMS = {"michaelis_menten": 2, "exponential": 2, "exponential3": 3}
 _NUMBERS = st.one_of(st.floats(-1e6, 1e6), st.integers(-1000, 1000))
 _JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.just([1.0]))
 _FLAWS = (None,) * 10 + ("model", "theta", "interval", "p1", "points")
@@ -424,7 +424,7 @@ _FLAWS = (None,) * 10 + ("model", "theta", "interval", "p1", "points")
 def _cli_inputs(draw):
     """A model spec and two designs for it."""
     name = draw(st.sampled_from(("michaelis_menten", "exponential", "exponential3", "polynomial")))
-    p = _P.get(name) or draw(st.integers(2, 5))
+    p = _NUM_PARAMS.get(name) or draw(st.integers(2, 5))
     a = draw(st.floats(-1e6, 1e6))
     b = a + draw(st.floats(1e-3, 1e6))
     spec = {
