@@ -4,13 +4,13 @@ Subcommands: check, moments, reduce, dominate, optimize.  Inputs are a
 model-spec JSON and design JSONs; reports are written as JSON (with
 design tables additionally emitted as CSV next to the report).  Each
 subcommand accepts only the flags it reads: ``--seed`` on check, reduce
-and optimize, ``--grid`` and ``--tol.newton=`` on reduce, ``--tol.psd=``
-on dominate.  ``check`` reports every determinant check of the gate that
-``reduce`` runs at the same seed.  Exit status 0 on success, 2 when a
-determinant precondition fails, 1 on I/O or schema errors.  All other
-library errors, and arithmetic that overflows, divides by zero or is
-invalid (code "evaluation"), also exit 1, with the error serialized as
-{"error": {"code", "message"}}.
+and optimize, ``--grid`` on reduce, ``--tol.psd=`` on dominate.  ``check``
+reports every determinant check of the gate that ``reduce`` runs at the
+same seed.  Exit status 0 on success, 2 when a determinant precondition
+fails, 1 on I/O or schema errors.  All other library errors, and
+arithmetic that overflows, divides by zero or is invalid (code
+"evaluation"), also exit 1, with the error serialized as {"error":
+{"code", "message"}}.
 
 The environment variable TCHEB_LOG (debug or info) turns on diagnostics
 on standard error; reports never mix with logs.
@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ConfigurationError, EvaluationError, PreconditionError, TchebError
 from .models import make_model, psi_system
 from .moments import DEFAULT_GRID, Design, design_index, json_numbers, moment_point
-from .principal import NEWTON_TOL
 from .reduction import (
     PSD_TOL,
     criterion_value,
@@ -65,7 +64,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # No abbreviations: "--tol=" must not pick out "--tol.newton".
+    # No abbreviations: "--tol=" must not pick out "--tol.psd", the one
+    # --tol.* flag.
     parser = _Parser(
         prog="tcheb",
         description="Complete-class reduction of experimental designs",
@@ -90,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--direction", choices=("upper", "lower"), default="upper")
         p.add_argument("--seed", type=int, default=0)
     reduce.add_argument("--grid", type=int, default=DEFAULT_GRID)
-    reduce.add_argument("--tol.newton", dest="newton_tol", type=float, default=NEWTON_TOL)
     dominate.add_argument("--tol.psd", dest="psd_tol", type=float, default=PSD_TOL)
     optimize.add_argument("--criterion", choices=("d", "a"), default="d")
     return parser
@@ -195,7 +194,6 @@ def _cmd_reduce(args) -> int:
         args.direction,
         seed=args.seed,
         grid_size=args.grid,
-        newton_tol=args.newton_tol,
     )
     _write_report(args.out, _reduce_payload(report))
     _write_design_csv(args.out, report.output)

@@ -18,7 +18,7 @@ class DomainError(TchebError):
 
 
 class EvaluationError(TchebError):
-    """A basis or model function produced a non-finite value."""
+    """A basis or model function hit a floating-point error or a non-finite value."""
 
     code = "evaluation"
 
@@ -38,8 +38,8 @@ class InfeasibleError(TchebError):
 class UnboundedError(TchebError):
     """A linear program is unbounded.
 
-    Moment problems on a compact grid are always bounded, so this
-    signals an internal bug rather than bad user input.
+    Moment LPs are bounded, so ``grid_lp_extremum`` reports this as the
+    round-off it is there, a ConvergenceError.
     """
 
     code = "unbounded"

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .chebyshev import ChebyshevSystem, Interval, monomial_derivatives, monomials
+from .chebyshev import ChebyshevSystem, Interval, monomial_derivatives, monomials, values_or_raise
 from .errors import ConfigurationError, DomainError, EvaluationError
 
 DEDUP_GRID_SIZE = 256
@@ -96,13 +96,13 @@ class PsiSystem:
 
 def _grad_values(model: RegressionModel, theta, xs) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    G = np.asarray(model.gradient(xs, theta), dtype=float)
+    G = values_or_raise(f"gradient of {model.name}", model.gradient, xs, theta)
     if G.shape != (model.p, xs.size):
         raise ConfigurationError(
             f"gradient of {model.name} returned shape {G.shape}, expected {(model.p, xs.size)}"
         )
     if not np.all(np.isfinite(G)):
-        bad = xs[~np.isfinite(G).all(axis=0)][0]
+        bad = float(xs[~np.isfinite(G).all(axis=0)][0])
         raise EvaluationError(f"gradient of {model.name} non-finite at x={bad!r}")
     return G
 

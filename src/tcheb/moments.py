@@ -28,7 +28,7 @@ SNAP_REL = 1e-10
 # are renormalized so that math.fsum(weights) == 1.0 exactly.
 INGEST_WEIGHT_TOL = 1e-9
 
-# Default relative tolerance on the gamma gap in classify_point.
+# Relative tolerance on the gamma gap in classify_point.
 CLASSIFY_TOL = 1e-9
 # Points of the equispaced grid on which the moment LPs run.
 DEFAULT_GRID = 2001
@@ -268,14 +268,14 @@ def classify_point(
     system: ChebyshevSystem,
     c0: MomentPoint,
     probe: Callable,
-    tolerance: float = CLASSIFY_TOL,
     grid_size: int = DEFAULT_GRID,
 ) -> BoundaryReport:
     """Boundary or interior classification via the probe-moment interval.
 
     Maximizing and minimizing the probe moment over all measures with
     moment point c0 yields an interval [gamma_lower, gamma_upper]; the
-    point is a boundary point exactly when that interval collapses, in
+    point is a boundary point exactly when that interval collapses,
+    gamma_upper - gamma_lower <= CLASSIFY_TOL * max(1, |gamma_upper|), in
     which case its representing measure is unique.  The probe must
     augment the system to a Chebyshev system for the geometry to hold;
     that is the caller's obligation.
@@ -294,7 +294,7 @@ def classify_point(
         system, c0, probe, sense="min", grid_size=grid_size, feas_tol=slack
     )
     gap = gamma_upper - gamma_lower
-    boundary = gap <= tolerance * max(1.0, abs(gamma_upper))
+    boundary = gap <= CLASSIFY_TOL * max(1.0, abs(gamma_upper))
     return BoundaryReport(
         classification="Boundary" if boundary else "Interior",
         gamma_lower=float(gamma_lower),

@@ -25,6 +25,7 @@ atoms meet that same gate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
@@ -37,6 +38,7 @@ from .errors import (
     DegeneracyError,
     EvaluationError,
     SingularityError,
+    UnboundedError,
 )
 from .moments import DEFAULT_GRID, Atom, Design, MomentPoint, merge_pair, merge_runs
 from .simplex import solve_lp
@@ -115,18 +117,29 @@ def grid_lp_extremum(
     is above 1e-14, in increasing order, at most k of them.  The atoms are
     a warm start, not a validated design; their weights need not sum to 1
     exactly.  A vertex that misses the moments or has a weight below
-    -feas_tol raises ConvergenceError (see ``solve_lp``).
+    -feas_tol raises ConvergenceError (see ``solve_lp``), and so does a
+    simplex that reports the LP unbounded.
     """
     k = system.k
     if c0.k != k:
         raise ConfigurationError("moment point dimension does not match the system")
+    try:
+        grid_size = operator.index(grid_size)
+    except TypeError:
+        raise ConfigurationError(f"grid_size must be an integer, got {type(grid_size).__name__}") from None
     if grid_size < 2 * k + 1:
         raise ConfigurationError(f"grid_size must be at least 2k+1 = {2 * k + 1}")
     a, b = system.interval.lower, system.interval.upper
     grid = np.linspace(a, b, grid_size)
     V = basis_matrix(system, grid)
     obj = _as_objective_values(objective, grid)
-    result = solve_lp(V, c0.array(), obj, sense=sense, feas_tol=feas_tol)
+    try:
+        result = solve_lp(V, c0.array(), obj, sense=sense, feas_tol=feas_tol)
+    except UnboundedError as err:  # psi_0 = 1 and w >= 0 bound the LP: this is round-off
+        rows = np.abs(V).max(axis=1)
+        raise ConvergenceError(
+            f"round-off made the moment LP unbounded: its rows span {rows.min():.1e} to {rows.max():.1e}"
+        ) from err
     pos = result.x > 1e-14
     return float(result.value), list(zip(grid[pos].tolist(), result.x[pos].tolist()))
 
@@ -136,21 +149,22 @@ def refine_newton(
     c0: MomentPoint,
     structure: RepresentationStructure,
     initial: Sequence[Atom],
-    tol: float = NEWTON_TOL,
 ) -> PrincipalResult:
     """Newton iteration on the moment-matching equations.
 
     ``initial`` holds the starting (point, weight) atoms in increasing
     order, with the structure's count and endpoint membership.  Unknowns
     are the interior support points and all weights, exactly k of them by
-    the structure invariant.  The residual is
+    the structure invariant; the structure's endpoints stay fixed.  The
+    residual is
 
         F(t, w)_i = sum_j w_j psi_i(t_j) - c_i .
 
     Steps are damped to keep the points strictly ordered inside the
     interval and the weights positive, and must not increase the
-    residual norm.  Success means ||F||_inf <= tol * max(1, ||c0||_inf)
-    within ``NEWTON_MAX_ITER`` steps.
+    residual norm.  Success means ||F||_inf <= NEWTON_TOL * max(1,
+    ||c0||_inf) within ``NEWTON_MAX_ITER`` steps.  The basis is evaluated
+    once per iterate: the accepted trial's values serve the next Jacobian.
     """
     k = system.k
     a, b = system.interval.lower, system.interval.upper
@@ -164,47 +178,26 @@ def refine_newton(
     if structure.includes_A != (points[0] == a) or structure.includes_B != (points[-1] == b):
         raise ConfigurationError("initial support endpoint membership violates the structure")
 
-    lo = 1 if structure.includes_A else 0
-    hi = points.size - (1 if structure.includes_B else 0)
-    t_int = points[lo:hi]
-    ni = t_int.size
+    free = slice(int(structure.includes_A), points.size - int(structure.includes_B))
+    ni = structure.interior_points
     c = c0.array()
-    scale = max(1.0, float(np.abs(c).max()))
+    tol = NEWTON_TOL * max(1.0, float(np.abs(c).max()))
     gap_min = 1e-13 * system.interval.length
 
-    def full_points(ts: np.ndarray) -> np.ndarray:
-        parts = []
-        if structure.includes_A:
-            parts.append([a])
-        parts.append(ts)
-        if structure.includes_B:
-            parts.append([b])
-        return np.concatenate(parts)
-
-    def feasible(ts: np.ndarray, ws: np.ndarray) -> bool:
-        if np.any(ws <= 0.0):
-            return False
-        pts = full_points(ts)
-        if pts[0] < a or pts[-1] > b:
+    def feasible(pts: np.ndarray, ws: np.ndarray) -> bool:
+        if np.any(ws <= 0.0) or pts[0] < a or pts[-1] > b:
             return False
         return bool(np.all(np.diff(pts) > gap_min))
 
-    def residual(ts: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        return basis_matrix(system, full_points(ts)) @ ws - c
-
-    F = residual(t_int, w)
+    V = basis_matrix(system, points)
+    F = V @ w - c
     res = float(np.abs(F).max())
-    iterations = 0
     for iterations in range(1, NEWTON_MAX_ITER + 1):
-        if res <= tol * scale:
+        if res <= tol:
             break
-        pts = full_points(t_int)
-        V = basis_matrix(system, pts)
         J = np.empty((k, k))
         if ni:
-            dV = derivative_matrix(system, t_int)
-            for j in range(ni):
-                J[:, j] = w[lo + j] * dV[:, j]
+            J[:, :ni] = derivative_matrix(system, points[free]) * w[free]
         J[:, ni:] = V
         try:
             if np.linalg.cond(J) > 1e14:
@@ -217,29 +210,29 @@ def refine_newton(
             raise SingularityError(f"moment Jacobian not solvable: {err}") from err
 
         alpha = 1.0
-        accepted = False
         while alpha >= 1e-12:
-            t_new = t_int + alpha * step[:ni]
+            p_new = points.copy()
+            p_new[free] += alpha * step[:ni]
             w_new = w + alpha * step[ni:]
-            if feasible(t_new, w_new):
-                F_new = residual(t_new, w_new)
+            if feasible(p_new, w_new):
+                V_new = basis_matrix(system, p_new)
+                F_new = V_new @ w_new - c
                 res_new = float(np.abs(F_new).max())
-                if res_new <= res * (1.0 - 1e-4 * alpha) or res_new <= tol * scale:
-                    t_int, w, F, res = t_new, w_new, F_new, res_new
-                    accepted = True
+                if res_new <= res * (1.0 - 1e-4 * alpha) or res_new <= tol:
+                    points, w, V, F, res = p_new, w_new, V_new, F_new, res_new
                     break
             alpha *= 0.5
-        if not accepted:
+        else:
             raise ConvergenceError(
                 f"newton step stalled at residual {res:.3e}", residual=res
             )
-    if res > tol * scale:
+    if res > tol:
         raise ConvergenceError(
             f"newton did not reach tolerance, residual {res:.3e}", residual=res
         )
 
     design = Design(
-        points=tuple(float(x) for x in full_points(t_int)),
+        points=tuple(float(x) for x in points),
         weights=tuple(float(v) for v in w),
         interval=system.interval,
     )
@@ -345,7 +338,6 @@ def _principal(
     which: str,
     probe: Optional[Callable],
     grid_size: int,
-    newton_tol: float,
 ) -> PrincipalResult:
     k = system.k
     interval = system.interval
@@ -354,10 +346,11 @@ def _principal(
     )
     sense = "max" if which == "upper" else "min"
     probes = [probe] if probe is not None else [default_probe(system), _monomial_probe(k)]
-    cluster_tol = CLUSTER_SPACINGS * interval.length / (grid_size - 1)
 
     for omega in probes:
         value, atoms = grid_lp_extremum(system, c0, omega, sense=sense, grid_size=grid_size)
+        # Only now: grid_lp_extremum validates grid_size.
+        cluster_tol = CLUSTER_SPACINGS * interval.length / (grid_size - 1)
         merged = merge_runs(atoms, cluster_tol, interval.lower, interval.upper)
         if len(merged) < structure.num_points:
             # Degenerate (boundary) moment point: its representation is
@@ -370,7 +363,7 @@ def _principal(
                 return PrincipalResult(design, resid, value, 0, structure)
         try:
             shaped = _shape_to_structure(merged, structure, cluster_tol, interval, which)
-            result = refine_newton(system, c0, structure, shaped, newton_tol)
+            result = refine_newton(system, c0, structure, shaped)
         except (ConvergenceError, DegeneracyError, SingularityError) as err:
             last_error = err
             continue
@@ -388,13 +381,12 @@ def upper_principal(
     c0: MomentPoint,
     probe: Optional[Callable] = None,
     grid_size: int = DEFAULT_GRID,
-    newton_tol: float = NEWTON_TOL,
 ) -> PrincipalResult:
     """The representing measure maximizing every valid probe moment.
 
     Contains B among its support points, and A as well when k is even.
     """
-    return _principal(system, c0, "upper", probe, grid_size, newton_tol)
+    return _principal(system, c0, "upper", probe, grid_size)
 
 
 def lower_principal(
@@ -402,11 +394,10 @@ def lower_principal(
     c0: MomentPoint,
     probe: Optional[Callable] = None,
     grid_size: int = DEFAULT_GRID,
-    newton_tol: float = NEWTON_TOL,
 ) -> PrincipalResult:
     """The representing measure minimizing every valid probe moment.
 
     Avoids B; contains A when k is odd and avoids both endpoints when k
     is even.
     """
-    return _principal(system, c0, "lower", probe, grid_size, newton_tol)
+    return _principal(system, c0, "lower", probe, grid_size)

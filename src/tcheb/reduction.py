@@ -45,7 +45,6 @@ from .models import (
 )
 from .moments import DEFAULT_GRID, Design, HalfIndex, MomentPoint, design_index, moment_point
 from .principal import (
-    NEWTON_TOL,
     RepresentationStructure,
     check_structure,
     lower_principal,
@@ -132,7 +131,6 @@ def reduce_design(
     *,
     seed: int = 0,
     grid_size: int = DEFAULT_GRID,
-    newton_tol: float = NEWTON_TOL,
 ) -> ReductionReport:
     """Reduce a design to its dominating principal representation.
 
@@ -196,7 +194,7 @@ def reduce_design(
         principal, probe = upper_principal, trace_c22
     else:
         principal, probe = lower_principal, lambda x: -trace_c22(x)
-    result = principal(system, c0, probe=probe, grid_size=grid_size, newton_tol=newton_tol)
+    result = principal(system, c0, probe=probe, grid_size=grid_size)
     out = result.design
     check_structure(out.points, out.interval, result.structure, direction)
 

@@ -84,7 +84,7 @@ def _iterate(T: np.ndarray, buf: np.ndarray, basis: list, ncols: int, cost_scale
                     best_ratio = ratio
                     leave = i
         if leave < 0:
-            raise UnboundedError("unbounded linear program; impossible for a compact moment grid")
+            raise UnboundedError("unbounded linear program")
         stall = stall + 1 if best_ratio <= 1e-12 else 0
         T, buf = _pivot(T, buf, basis, leave, entering)
         count += 1

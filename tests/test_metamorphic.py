@@ -1,16 +1,20 @@
 """Metamorphic properties of reduce_design, which need no reference solver.
 
-Both follow from the uniqueness of the principal representation:
+All follow from the uniqueness of the principal representation:
 
 - reducing a reduced design returns it;
 - the output does not move under the linear parameters: the matrix P
-  absorbs them, so h = P^{-1} g and the psi system do not depend on them.
+  absorbs them, so h = P^{-1} g and the psi system do not depend on them;
+- the output does not depend on the probe that seeds the LP: the
+  principal representation with the default probe equals the one the
+  reduction seeds with +-tr C22, so Newton reaches it from both warm
+  starts.
 
 Designs have 4 to 19 points and positive weights, the points either
 spread (one jittered point per stratum of [A, B], as in the benchmark's
 timed reductions) or uniform (independent points anywhere in [A, B]).
 Each property is asked of every design whose first reduction returns;
-a design it refuses with a typed error is no input for either.
+a design it refuses with a typed error is no input for any.
 """
 
 import numpy as np
@@ -18,7 +22,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from tcheb import Design, Interval, make_model, reduce_design
+from tcheb import Design, Interval, lower_principal, make_model, psi_system, reduce_design, upper_principal
 from tcheb.errors import TchebError
 
 # name -> (theta, interval, direction, indices of the linear parameters)
@@ -94,5 +98,25 @@ def test_output_does_not_move_under_the_linear_parameters(name, family):
         want = _reduce_or_reject(model, theta, xi, direction).output
         got = reduce_design(model, moved, xi, direction).output
         _assert_same_design(got, want, INVARIANCE_TOL)
+
+    prop()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name", CASES)
+def test_representation_does_not_depend_on_the_probe(name, family):
+    theta, iv, direction, _ = CASES[name]
+    model = make_model(name, theta, iv)
+    principal = upper_principal if direction == "upper" else lower_principal
+    system = psi_system(model, theta).system
+
+    @PROPERTY
+    @given(designs(family, iv))
+    def prop(xi):
+        rep = _reduce_or_reject(model, theta, xi, direction)
+        if rep.branch == "Identity":  # index below k/2: no probe was used
+            reject()
+        got = principal(system, rep.moments_in).design
+        _assert_same_design(got, rep.output, IDEMPOTENCE_TOL)
 
     prop()

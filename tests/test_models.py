@@ -18,8 +18,9 @@ from tcheb import (
     psi_system,
 )
 from tcheb.chebyshev import derivative_matrix
-from tcheb.errors import ConfigurationError, DomainError
-from tcheb.reduction import gate_checks
+from tcheb.errors import ConfigurationError, DomainError, EvaluationError
+from tcheb.moments import moment_point
+from tcheb.reduction import gate_checks, reduce_design, verify_domination
 
 MM_IV = (0.0, 10.0)
 
@@ -287,3 +288,19 @@ def test_one_gradient_call_per_evaluation(name, theta, iv, direction):
     base, augmented, _ = gate_checks(psi, direction, seed=0)
     assert base.verified and augmented.verified
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("call", ["reduce_design", "verify_domination", "moment_point"])
+def test_overflow_is_an_evaluation_error(call):
+    # exp(1000 x) overflows double precision on most of [0, 1000]; numpy
+    # warns unless the evaluation raises, and a warning is no TchebError.
+    theta, iv = (1.0, 1000.0), (0.0, 1000.0)
+    model = make_model("exponential", theta, iv)
+    xi = Design(points=(1.0, 500.0, 999.0), weights=(0.25, 0.25, 0.5), interval=Interval(*iv))
+    calls = {
+        "reduce_design": lambda: reduce_design(model, theta, xi),
+        "verify_domination": lambda: verify_domination(model, theta, xi, xi),
+        "moment_point": lambda: moment_point(psi_system(model, theta).system, xi),
+    }
+    with pytest.raises(EvaluationError, match="overflow"):
+        calls[call]()

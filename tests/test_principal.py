@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+import tcheb.principal
 from tcheb import (
     Design,
     Interval,
     RepresentationStructure,
+    classify_point,
     grid_lp_extremum,
     lower_principal,
+    make_model,
     moment_point,
     polynomial_system,
+    reduce_design,
     refine_newton,
     upper_principal,
 )
@@ -116,6 +120,40 @@ class TestNewton:
         res = refine_newton(sys4, c0, RepresentationStructure.upper(4), initial)
         assert res.design.points == pytest.approx((-1.0, 0.0, 1.0), abs=1e-9)
         assert res.design.weights == pytest.approx((1 / 6, 2 / 3, 1 / 6), abs=1e-9)
+
+    def test_one_basis_evaluation_per_iterate(self, monkeypatch):
+        """The accepted trial's basis values serve the next Jacobian: the
+        basis is evaluated at the start and once per feasible line-search
+        trial, never twice in a row at the same points."""
+        sys4, c0 = uniform_c0(4)
+        calls = []
+
+        def spy(name):
+            real = getattr(tcheb.principal, name)
+
+            def record(system, xs):
+                calls.append((name, np.array(xs, dtype=float)))
+                return real(system, xs)
+
+            monkeypatch.setattr(tcheb.principal, name, record)
+
+        spy("basis_matrix")
+        spy("derivative_matrix")
+        full_steps = [(-1.0, 0.2), (0.1, 0.6), (1.0, 0.2)]
+        damped = [(-1.0, 0.05), (0.9, 0.9), (1.0, 0.05)]
+        for initial in (full_steps, damped):
+            calls.clear()
+            res = refine_newton(sys4, c0, RepresentationStructure.upper(4), initial)
+            names = [name for name, _ in calls]
+            values = [xs for name, xs in calls if name == "basis_matrix"]
+            steps = res.newton_iterations - 1
+            assert names.count("derivative_matrix") == steps >= 3
+            np.testing.assert_array_equal(values[0], [p for p, _ in initial])
+            assert not any(np.array_equal(u, v) for u, v in zip(values, values[1:]))
+            if initial is full_steps:
+                assert names == ["basis_matrix"] + ["derivative_matrix", "basis_matrix"] * steps
+            else:
+                assert len(values) > 1 + steps
 
     def test_rejects_wrong_point_count(self):
         sys3 = polynomial_system(3, UNIT)
@@ -229,3 +267,19 @@ class TestPrincipal:
             assert lo.design.size == s.num_points
             assert (-1.0 in lo.design.points) == s.includes_A
             assert (1.0 in lo.design.points) == s.includes_B
+
+
+@pytest.mark.parametrize("grid_size", [1, True, 2001.0, "2001"], ids=["one", "true", "float", "string"])
+@pytest.mark.parametrize("call", ["reduce_design", "upper_principal", "classify_point"])
+def test_grid_size_is_an_integer_of_at_least_2k_plus_1(call, grid_size):
+    sys3 = polynomial_system(3, UNIT)
+    c0 = MomentPoint(coordinates=(1.0, 0.5, 1.0 / 3.0), system=sys3)
+    model = make_model("michaelis_menten", (1.0, 1.0), (0.0, 10.0))
+    xi = Design(points=tuple(range(1, 9)), weights=(0.125,) * 8, interval=Interval(0.0, 10.0))
+    calls = {
+        "reduce_design": lambda: reduce_design(model, (1.0, 1.0), xi, grid_size=grid_size),
+        "upper_principal": lambda: upper_principal(sys3, c0, grid_size=grid_size),
+        "classify_point": lambda: classify_point(sys3, c0, lambda x: x**3, grid_size=grid_size),
+    }
+    with pytest.raises(ConfigurationError, match="grid_size"):
+        calls[call]()

@@ -31,6 +31,7 @@ from tcheb.errors import (
     DegeneracyError,
     PreconditionError,
     TchebError,
+    UnboundedError,
 )
 from tcheb.reduction import gate_checks
 
@@ -280,6 +281,22 @@ class TestReduce:
         low = np.linalg.eigvalsh(information_matrix(model, theta, out) - M_in)[0]
         assert low >= -1e-8 * np.abs(np.linalg.eigvalsh(M_in)).max()
 
+    def test_unbounded_moment_lp_is_not_an_internal_bug(self):
+        # Found by the CLI robustness property: the monomial rows span 1 to
+        # 1.6e41 on the grid, and the simplex called the bounded moment LP
+        # unbounded, which UnboundedError reports as an internal bug.
+        iv = (-769799.7710313231, -643109.9014441306)
+        theta = [1.0, 0.5, -0.5, 0.25, 1.0]
+        xi = Design(
+            points=(-654631.3411136859, -766079.9018081692, -733319.9300864545,
+                    -682694.5137866827, -697488.3969317211),
+            weights=(0.0032451046638759446, 0.9870195813444962, 0.0032451046638759446,
+                     0.0032451046638759446, 0.0032451046638759446),
+            interval=Interval(*iv),
+        )
+        with pytest.raises(TchebError) as err:
+            reduce_design(make_model("polynomial", theta, iv), theta, xi, "upper")
+        assert not isinstance(err.value, UnboundedError)
 
 
 @pytest.fixture

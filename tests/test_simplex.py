@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from tcheb import solve_lp
+from tcheb import simplex, solve_lp
 from tcheb.errors import InfeasibleError, UnboundedError
 
 
@@ -92,9 +92,14 @@ def test_basic_solution_support_bound():
     assert np.count_nonzero(res.x > 1e-10) <= m + 1
 
 
-def test_beale_cycling_example_terminates():
+# STALL_LIMIT = 0 prices every pivot by Bland's rule.  At the default these
+# LPs never stall long enough to reach that fallback.
+STALL_LIMITS = (simplex.STALL_LIMIT, 0)
+
+
+def test_beale_cycling_example_terminates(monkeypatch):
     """Beale's classic degenerate tableau cycles under the naive most-negative
-    rule; Bland's rule must terminate on it."""
+    rule; the default rule and Bland's rule alone must each terminate on it."""
     A = np.array(
         [
             [0.25, -60.0, -0.04, 9.0, 1.0, 0.0, 0.0],
@@ -104,14 +109,16 @@ def test_beale_cycling_example_terminates():
     )
     b = np.array([0.0, 0.0, 1.0])
     c = np.array([0.75, -150.0, 0.02, -6.0, 0.0, 0.0, 0.0])
-    res = solve_lp(A, b, c, sense="max")
     ref = linprog(-c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
     assert ref.status == 0
-    assert res.value == pytest.approx(-ref.fun, abs=1e-9)
+    for limit in STALL_LIMITS:
+        monkeypatch.setattr(simplex, "STALL_LIMIT", limit)
+        res = solve_lp(A, b, c, sense="max")
+        assert res.value == pytest.approx(-ref.fun, abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_random_lps_match_linprog(seed):
+def test_random_lps_match_linprog(monkeypatch, seed):
     rng = np.random.default_rng(seed)
     m = int(rng.integers(2, 6))
     n = int(rng.integers(m + 2, 25))
@@ -122,12 +129,14 @@ def test_random_lps_match_linprog(seed):
     A = np.vstack([A, np.ones(n)])
     b = np.append(b, x0.sum())
     for sense, sign in (("max", -1.0), ("min", 1.0)):
-        res = solve_lp(A, b, c, sense=sense)
         ref = linprog(sign * c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
         assert ref.status == 0
-        assert res.value == pytest.approx(sign * ref.fun, rel=1e-7, abs=1e-7)
-        np.testing.assert_allclose(A @ res.x, b, atol=1e-7)
-        assert np.all(res.x >= -1e-12)
+        for limit in STALL_LIMITS:
+            monkeypatch.setattr(simplex, "STALL_LIMIT", limit)
+            res = solve_lp(A, b, c, sense=sense)
+            assert res.value == pytest.approx(sign * ref.fun, rel=1e-7, abs=1e-7)
+            np.testing.assert_allclose(A @ res.x, b, atol=1e-7)
+            assert np.all(res.x >= -1e-12)
 
 
 GRID = np.linspace(-1.0, 1.0, 2001)
