@@ -22,7 +22,7 @@ xi = Design(
 print("input design: uniform on {1, ..., 8}, interval [0, 10]")
 
 rep = reduce_design(model, theta, xi, "upper")
-print(f"branch: {rep.branch} (design index {rep.input_index.value})")
+print(f"branch: {rep.branch} (design index {rep.input_index})")
 print("reduced design:")
 for p, w in zip(rep.output.points, rep.output.weights):
     print(f"  x = {p:8.5f}   w = {w:.6f}")

@@ -45,7 +45,6 @@ from .models import (
 from .moments import (
     BoundaryReport,
     Design,
-    HalfIndex,
     MomentPoint,
     classify_point,
     design_index,
@@ -83,7 +82,6 @@ __all__ = [
     "DomainError",
     "DominationReport",
     "EvaluationError",
-    "HalfIndex",
     "InfeasibleError",
     "Interval",
     "LPResult",

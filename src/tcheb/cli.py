@@ -4,10 +4,10 @@ Subcommands: check, moments, reduce, dominate, optimize.  Inputs are a
 model-spec JSON and design JSONs; reports are written as JSON (with
 design tables additionally emitted as CSV next to the report).  Each
 subcommand accepts only the flags it reads: ``--seed`` on check, reduce
-and optimize, ``--grid`` on reduce, ``--tol.psd=`` on dominate.  ``check``
-reports every determinant check of the gate that ``reduce`` runs at the
-same seed.  Exit status 0 on success, 2 when a determinant precondition
-fails, 1 on I/O or schema errors.  All other library errors, and
+and optimize, ``--tol.psd=`` on dominate.  ``check`` reports every
+determinant check of the gate that ``reduce`` runs at the same seed.
+Exit status 0 on success, 2 when a determinant precondition fails, 1 on
+I/O or schema errors.  All other library errors, and
 arithmetic that overflows, divides by zero or is invalid (code
 "evaluation"), also exit 1, with the error serialized as {"error":
 {"code", "message"}}.
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, PreconditionError, TchebError
 from .models import make_model, psi_system
-from .moments import DEFAULT_GRID, Design, design_index, json_numbers, moment_point
+from .moments import Design, design_index, json_numbers, moment_point
 from .reduction import (
     PSD_TOL,
     criterion_value,
@@ -89,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (check, reduce, optimize):
         p.add_argument("--direction", choices=("upper", "lower"), default="upper")
         p.add_argument("--seed", type=int, default=0)
-    reduce.add_argument("--grid", type=int, default=DEFAULT_GRID)
     dominate.add_argument("--tol.psd", dest="psd_tol", type=float, default=PSD_TOL)
     optimize.add_argument("--criterion", choices=("d", "a"), default="d")
     return parser
@@ -177,7 +176,7 @@ def _cmd_moments(args) -> int:
     point = moment_point(psi.system, design)
     report = {
         "moment_point": list(point.coordinates),
-        "index": design_index(design).value,
+        "index": design_index(design),
         "k": psi.k,
     }
     _write_report(args.out, report)
@@ -187,14 +186,7 @@ def _cmd_moments(args) -> int:
 def _cmd_reduce(args) -> int:
     model, theta = _load_model(args.model)
     design = _load_design(args.design, model)
-    report = reduce_design(
-        model,
-        theta,
-        design,
-        args.direction,
-        seed=args.seed,
-        grid_size=args.grid,
-    )
+    report = reduce_design(model, theta, design, args.direction, seed=args.seed)
     _write_report(args.out, _reduce_payload(report))
     _write_design_csv(args.out, report.output)
     return EXIT_OK
@@ -206,7 +198,7 @@ def _reduce_payload(report) -> dict:
         "output": report.output.as_json_obj(),
         "direction": report.direction,
         "branch": report.branch,
-        "input_index": report.input_index.value,
+        "input_index": report.input_index,
         "moments_in": list(report.moments_in.coordinates),
         "moments_out": list(report.moments_out.coordinates),
         "loewner_min_eigenvalue": _sig15(report.loewner_min_eigenvalue),

@@ -30,8 +30,6 @@ INGEST_WEIGHT_TOL = 1e-9
 
 # Relative tolerance on the gamma gap in classify_point.
 CLASSIFY_TOL = 1e-9
-# Points of the equispaced grid on which the moment LPs run.
-DEFAULT_GRID = 2001
 
 
 def _exact_unit_sum(weights: list) -> list:
@@ -174,48 +172,6 @@ class Design:
         )
 
 
-class HalfIndex:
-    """Index value stored as twice the index, so halves stay exact."""
-
-    __slots__ = ("twice",)
-
-    def __init__(self, twice: int):
-        self.twice = int(twice)
-
-    @property
-    def value(self) -> float:
-        return self.twice / 2.0
-
-    def _other(self, other) -> float:
-        if isinstance(other, HalfIndex):
-            return other.value
-        return float(other)
-
-    def __eq__(self, other):
-        try:
-            return self.value == self._other(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-
-    def __lt__(self, other):
-        return self.value < self._other(other)
-
-    def __le__(self, other):
-        return self.value <= self._other(other)
-
-    def __gt__(self, other):
-        return self.value > self._other(other)
-
-    def __ge__(self, other):
-        return self.value >= self._other(other)
-
-    def __hash__(self):
-        return hash(("HalfIndex", self.twice))
-
-    def __repr__(self):
-        return f"HalfIndex({self.value})"
-
-
 @dataclass(frozen=True)
 class MomentPoint:
     """Vector of generalized moments together with its generating system."""
@@ -255,20 +211,22 @@ def moment_point(system: ChebyshevSystem, design: Design) -> MomentPoint:
     return MomentPoint(coordinates=coords, system=system)
 
 
-def design_index(design: Design) -> HalfIndex:
-    """Interior support points count 1, endpoint support points count 1/2."""
+def design_index(design: Design) -> float:
+    """Interior support points count 1, endpoint support points count 1/2.
+
+    Counted in halves, so the float is exact.
+    """
     a, b = design.interval.lower, design.interval.upper
     twice = 0
     for p in design.points:
         twice += 1 if (p == a or p == b) else 2
-    return HalfIndex(twice)
+    return twice / 2
 
 
 def classify_point(
     system: ChebyshevSystem,
     c0: MomentPoint,
     probe: Callable,
-    grid_size: int = DEFAULT_GRID,
 ) -> BoundaryReport:
     """Boundary or interior classification via the probe-moment interval.
 
@@ -287,12 +245,8 @@ def classify_point(
     # moment body, so classification runs the LPs with a relaxed
     # feasibility acceptance.
     slack = 1e-6 * max(1.0, float(np.max(np.abs(c0.array()))))
-    gamma_upper, _ = grid_lp_extremum(
-        system, c0, probe, sense="max", grid_size=grid_size, feas_tol=slack
-    )
-    gamma_lower, _ = grid_lp_extremum(
-        system, c0, probe, sense="min", grid_size=grid_size, feas_tol=slack
-    )
+    gamma_upper, _ = grid_lp_extremum(system, c0, probe, sense="max", feas_tol=slack)
+    gamma_lower, _ = grid_lp_extremum(system, c0, probe, sense="min", feas_tol=slack)
     gap = gamma_upper - gamma_lower
     boundary = gap <= CLASSIFY_TOL * max(1.0, abs(gamma_upper))
     return BoundaryReport(

@@ -10,23 +10,25 @@ function Omega that augments the system to a Chebyshev system, the
 upper one maximizing and the lower one minimizing, and the measures do
 not depend on which valid Omega is used.
 
-The solver is one path.  A finite linear program on an equispaced grid
-locates the support approximately (an optimal basic solution of a
-moment LP carries at most k atoms).  Its atoms, plain (point, weight)
-pairs, merge where discretization split one support point, take the
-shape the structure fixed by k and the direction prescribes, and seed a
-damped Newton iteration on the exact moment-matching equations, which
-removes the grid bias.  Only the returned representation becomes a
-``Design``, and it must match every moment to 1e-9 relative; there is no
-unrefined fallback.  A boundary moment point, whose merged LP atoms are
-fewer than the structure wants, is returned unrefined only when its
-atoms meet that same gate.
+The solver is one path with one attempt.  A finite linear program on
+the fixed ``DEFAULT_GRID``-point equispaced grid, with the caller's
+probe as objective (x -> x^k when none is given, the augmentation of
+the monomials), locates the support approximately (an optimal basic
+solution of a moment LP carries at most k atoms).  Its atoms, plain
+(point, weight) pairs, merge where discretization split one support
+point, take the shape the structure fixed by k and the direction
+prescribes, and seed a damped Newton iteration on the exact
+moment-matching equations, which removes the grid bias.  Only the
+returned representation becomes a ``Design``, and it must match every
+moment to 1e-9 relative; there is no unrefined fallback and no retry:
+the first failure is raised.  A boundary moment point, whose merged LP
+atoms are fewer than the structure wants, is returned unrefined only
+when its atoms of weight above 1e-9 meet that same gate.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -40,11 +42,13 @@ from .errors import (
     SingularityError,
     UnboundedError,
 )
-from .moments import DEFAULT_GRID, Atom, Design, MomentPoint, merge_pair, merge_runs
+from .moments import Atom, Design, MomentPoint, merge_pair, merge_runs
 from .simplex import solve_lp
 
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 50
+# Points of the equispaced grid on which every moment LP runs.
+DEFAULT_GRID = 2001
 # Grid atoms closer than this many grid spacings are one true support
 # point split by discretization.
 CLUSTER_SPACINGS = 3.0
@@ -83,7 +87,6 @@ class RepresentationStructure:
 class PrincipalResult:
     design: Design
     residual_norm: float
-    lp_objective: float
     newton_iterations: int
     structure: RepresentationStructure
 
@@ -100,7 +103,6 @@ def grid_lp_extremum(
     c0: MomentPoint,
     objective: Callable,
     sense: str = "max",
-    grid_size: int = DEFAULT_GRID,
     feas_tol: Optional[float] = None,
 ):
     """Extremize the objective moment over grid measures matching c0.
@@ -112,25 +114,17 @@ def grid_lp_extremum(
         s.t.     sum_g w_g * psi_i(x_g) = c_i   for i = 0..k-1,
                  w >= 0
 
-    on an equispaced grid of the interval.  Returns the optimal value and
-    the atoms: the (point, weight) pairs of the grid points whose weight
-    is above 1e-14, in increasing order, at most k of them.  The atoms are
-    a warm start, not a validated design; their weights need not sum to 1
-    exactly.  A vertex that misses the moments or has a weight below
-    -feas_tol raises ConvergenceError (see ``solve_lp``), and so does a
-    simplex that reports the LP unbounded.
+    on the ``DEFAULT_GRID``-point equispaced grid of the interval.
+    Returns the optimal value and the atoms: the (point, weight) pairs of
+    the grid points whose weight is above 1e-14, in increasing order, at
+    most k of them.  The atoms are a warm start, not a validated design;
+    their weights need not sum to 1 exactly.  A vertex that misses the
+    moments or has a weight below -feas_tol raises ConvergenceError (see
+    ``solve_lp``), and so does a simplex that reports the LP unbounded.
     """
-    k = system.k
-    if c0.k != k:
+    if c0.k != system.k:
         raise ConfigurationError("moment point dimension does not match the system")
-    try:
-        grid_size = operator.index(grid_size)
-    except TypeError:
-        raise ConfigurationError(f"grid_size must be an integer, got {type(grid_size).__name__}") from None
-    if grid_size < 2 * k + 1:
-        raise ConfigurationError(f"grid_size must be at least 2k+1 = {2 * k + 1}")
-    a, b = system.interval.lower, system.interval.upper
-    grid = np.linspace(a, b, grid_size)
+    grid = np.linspace(system.interval.lower, system.interval.upper, DEFAULT_GRID)
     V = basis_matrix(system, grid)
     obj = _as_objective_values(objective, grid)
     try:
@@ -239,37 +233,23 @@ def refine_newton(
     return PrincipalResult(
         design=design,
         residual_norm=res,
-        lp_objective=float("nan"),
         newton_iterations=iterations,
         structure=structure,
     )
 
 
-def default_probe(system: ChebyshevSystem) -> Callable:
-    """Probe objective psi_{k-1}(x) * (x - A) / (B - A).
-
-    For the regression systems in the catalog this coincides, up to a
-    positive factor, with the quadratic-form augmentation of the
-    complete-class argument, so the LP optimizer lands directly on the
-    principal support.
-    """
-    last = system.basis[-1]
-    a = system.interval.lower
-    length = system.interval.length
+def _power_probe(k: int) -> Callable:
+    """x -> x^k, which augments the monomials 1, ..., x^(k-1), by k - 1
+    in-place products: on the LP grid numpy's ``x ** k`` takes an order
+    of magnitude longer."""
 
     def probe(x):
         x = np.asarray(x, dtype=float)
-        return _call_on_array(last, x) * (x - a) / length
+        out = x.copy()
+        for _ in range(k - 1):
+            out *= x
+        return out
 
-    probe.__name__ = "psi_last_scaled_identity"
-    return probe
-
-
-def _monomial_probe(k: int) -> Callable:
-    def probe(x):
-        return np.asarray(x, dtype=float) ** k
-
-    probe.__name__ = f"x_power_{k}"
     return probe
 
 
@@ -333,71 +313,58 @@ def _gated_residual(system: ChebyshevSystem, c0: MomentPoint, points, weights) -
 
 
 def _principal(
-    system: ChebyshevSystem,
-    c0: MomentPoint,
-    which: str,
-    probe: Optional[Callable],
-    grid_size: int,
+    system: ChebyshevSystem, c0: MomentPoint, which: str, probe: Optional[Callable]
 ) -> PrincipalResult:
     k = system.k
     interval = system.interval
+    a, b = interval.lower, interval.upper
     structure = (
         RepresentationStructure.upper(k) if which == "upper" else RepresentationStructure.lower(k)
     )
     sense = "max" if which == "upper" else "min"
-    probes = [probe] if probe is not None else [default_probe(system), _monomial_probe(k)]
-
-    for omega in probes:
-        value, atoms = grid_lp_extremum(system, c0, omega, sense=sense, grid_size=grid_size)
-        # Only now: grid_lp_extremum validates grid_size.
-        cluster_tol = CLUSTER_SPACINGS * interval.length / (grid_size - 1)
-        merged = merge_runs(atoms, cluster_tol, interval.lower, interval.upper)
-        if len(merged) < structure.num_points:
-            # Degenerate (boundary) moment point: its representation is
-            # unique with fewer atoms than the interior structure, and
-            # the Newton system below would be singular.
-            points, weights = zip(*merged)
-            resid = _gated_residual(system, c0, points, weights)
-            if resid is not None:
-                design = Design(points=points, weights=weights, interval=interval)
-                return PrincipalResult(design, resid, value, 0, structure)
-        try:
-            shaped = _shape_to_structure(merged, structure, cluster_tol, interval, which)
-            result = refine_newton(system, c0, structure, shaped)
-        except (ConvergenceError, DegeneracyError, SingularityError) as err:
-            last_error = err
-            continue
-        out = result.design
-        if _gated_residual(system, c0, out.points, out.weights) is not None:
-            return replace(result, lp_objective=value)
-        last_error = ConvergenceError(
+    _, atoms = grid_lp_extremum(system, c0, _power_probe(k) if probe is None else probe, sense=sense)
+    cluster_tol = CLUSTER_SPACINGS * interval.length / (DEFAULT_GRID - 1)
+    merged = merge_runs(atoms, cluster_tol, a, b)
+    if len(merged) < structure.num_points:
+        # Degenerate (boundary) moment point: its representation is
+        # unique with fewer atoms than the interior structure, and the
+        # Newton system below would be singular.  An atom of weight at
+        # most 1e-9 is LP round-off, not a support point; if no atom is
+        # heavier, c0 is no probability measure's, and Design says so.
+        points, weights = zip(*([(p, w) for p, w in merged if w > 1e-9] or merged))
+        resid = _gated_residual(system, c0, points, weights)
+        if resid is not None:
+            design = Design(points=points, weights=weights, interval=interval)
+            return PrincipalResult(design, resid, 0, structure)
+    shaped = _shape_to_structure(merged, structure, cluster_tol, interval, which)
+    result = refine_newton(system, c0, structure, shaped)
+    out = result.design
+    if _gated_residual(system, c0, out.points, out.weights) is None:
+        raise ConvergenceError(
             "refined design drifted off the moment point", residual=result.residual_norm
         )
-    raise last_error
+    return result
 
 
 def upper_principal(
-    system: ChebyshevSystem,
-    c0: MomentPoint,
-    probe: Optional[Callable] = None,
-    grid_size: int = DEFAULT_GRID,
+    system: ChebyshevSystem, c0: MomentPoint, probe: Optional[Callable] = None
 ) -> PrincipalResult:
     """The representing measure maximizing every valid probe moment.
 
     Contains B among its support points, and A as well when k is even.
+    ``probe`` seeds the one grid LP and must augment the system to a
+    Chebyshev system; the default x -> x^k does so for the monomials
+    and, by measurement only, for the catalog psi systems.
     """
-    return _principal(system, c0, "upper", probe, grid_size)
+    return _principal(system, c0, "upper", probe)
 
 
 def lower_principal(
-    system: ChebyshevSystem,
-    c0: MomentPoint,
-    probe: Optional[Callable] = None,
-    grid_size: int = DEFAULT_GRID,
+    system: ChebyshevSystem, c0: MomentPoint, probe: Optional[Callable] = None
 ) -> PrincipalResult:
     """The representing measure minimizing every valid probe moment.
 
     Avoids B; contains A when k is odd and avoids both endpoints when k
-    is even.
+    is even.  ``probe`` is as for ``upper_principal``.
     """
-    return _principal(system, c0, "lower", probe, grid_size)
+    return _principal(system, c0, "lower", probe)

@@ -43,7 +43,7 @@ from .models import (
     information_matrix,
     psi_system,
 )
-from .moments import DEFAULT_GRID, Design, HalfIndex, MomentPoint, design_index, moment_point
+from .moments import Design, MomentPoint, design_index, moment_point
 from .principal import (
     RepresentationStructure,
     check_structure,
@@ -64,7 +64,7 @@ class ReductionReport:
     output: Design
     direction: str  # "upper" or "lower"
     branch: str  # "Identity", "OddCase" or "EvenCase"
-    input_index: HalfIndex
+    input_index: float
     moments_in: MomentPoint
     moments_out: MomentPoint
     loewner_min_eigenvalue: float
@@ -130,7 +130,6 @@ def reduce_design(
     direction: str = "upper",
     *,
     seed: int = 0,
-    grid_size: int = DEFAULT_GRID,
 ) -> ReductionReport:
     """Reduce a design to its dominating principal representation.
 
@@ -169,7 +168,7 @@ def reduce_design(
     c0 = moment_point(system, xi)
     idx = design_index(xi)
     p = model.p
-    if idx.value < k / 2.0:
+    if idx < k / 2.0:
         return ReductionReport(
             input=xi,
             output=xi,
@@ -194,7 +193,7 @@ def reduce_design(
         principal, probe = upper_principal, trace_c22
     else:
         principal, probe = lower_principal, lambda x: -trace_c22(x)
-    result = principal(system, c0, probe=probe, grid_size=grid_size)
+    result = principal(system, c0, probe=probe)
     out = result.design
     check_structure(out.points, out.interval, result.structure, direction)
 

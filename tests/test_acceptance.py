@@ -84,8 +84,8 @@ def test_criterion_03_extremal_values_bracket_all_designs(capsys):
         base = Design(points=tuple(pts), weights=tuple(wts), interval=UNIT)
         c0 = moment_point(sys3, base)
 
-        g_hi, _ = grid_lp_extremum(sys3, c0, probe, "max", grid_size=2001)
-        g_lo, _ = grid_lp_extremum(sys3, c0, probe, "min", grid_size=2001)
+        g_hi, _ = grid_lp_extremum(sys3, c0, probe, "max")
+        g_lo, _ = grid_lp_extremum(sys3, c0, probe, "min")
         up = upper_principal(sys3, c0, probe=probe)
         lo = lower_principal(sys3, c0, probe=probe)
         n_hi = float(up.design.weights_array() @ probe(up.design.points_array()))

@@ -246,6 +246,7 @@ def test_psd_tolerance_flag(workdir):
         ("reduce", ["--tol=1e-9"]),
         ("dominate", ["--tol=1e-9"]),
         ("reduce", ["--tol.newton=1e-9"]),
+        ("reduce", ["--grid", "10"]),
     ],
 )
 def test_flags_a_command_does_not_read_exit_one(workdir, capsys, command, flags):
@@ -270,13 +271,6 @@ def test_negative_seed_is_a_configuration_error(workdir, command, inputs):
     out = workdir / "x.json"
     inputs = [workdir / v if v.endswith(".json") else v for v in inputs]
     assert run(workdir, command, "--model", workdir / "mm.json", *inputs, "--seed", -1, "--out", out) == 1
-    assert json.loads(out.read_text())["error"]["code"] == "configuration"
-
-
-def test_grid_below_2k_plus_1_is_a_configuration_error(workdir):
-    out = workdir / "x.json"
-    assert run(workdir, "reduce", "--model", workdir / "mm.json", "--design", workdir / "design8.json",
-               "--grid", 1, "--out", out) == 1
     assert json.loads(out.read_text())["error"]["code"] == "configuration"
 
 

@@ -6,7 +6,6 @@ import pytest
 from tcheb import (
     ChebyshevSystem,
     Design,
-    HalfIndex,
     Interval,
     classify_point,
     design_index,
@@ -85,21 +84,6 @@ class TestDesignConstruction:
             Design.from_json_obj([0.5])
 
 
-class TestHalfIndex:
-    def test_value(self):
-        assert HalfIndex(3).value == 1.5
-        assert HalfIndex(4).value == 2.0
-
-    def test_comparisons(self):
-        assert HalfIndex(3) < 2
-        assert HalfIndex(3) == 1.5
-        assert HalfIndex(4) >= HalfIndex(3)
-        assert HalfIndex(1) < HalfIndex(2)
-
-    def test_hashable(self):
-        assert len({HalfIndex(2), HalfIndex(2), HalfIndex(3)}) == 2
-
-
 def test_moment_point_two_point_sum():
     sys3 = polynomial_system(3, UNIT)
     c = moment_point(sys3, mk([0.0, 1.0], [0.5, 0.5]))
@@ -170,7 +154,7 @@ def test_moment_point_linearity():
 )
 def test_design_index_half_counting(points, weights, expected):
     d = mk(points, weights, Interval(0.0, 10.0))
-    assert design_index(d).value == expected
+    assert design_index(d) == expected
 
 
 def test_classify_boundary_dirac_at_endpoint():
@@ -185,7 +169,7 @@ def test_classify_boundary_dirac_at_endpoint():
 def test_classify_interior_linear():
     sys2 = polynomial_system(2, UNIT)
     c0 = MomentPoint(coordinates=(1.0, 0.5), system=sys2)
-    rep = classify_point(sys2, c0, lambda x: x**2, grid_size=1001)
+    rep = classify_point(sys2, c0, lambda x: x**2)
     assert rep.classification == "Interior"
     assert rep.gamma_lower == pytest.approx(0.25, abs=1e-8)
     assert rep.gamma_upper == pytest.approx(0.5, abs=1e-8)
@@ -194,7 +178,7 @@ def test_classify_interior_linear():
 def test_classify_interior_cubic():
     sys4 = polynomial_system(4, Interval(-1.0, 1.0))
     c0 = MomentPoint(coordinates=(1.0, 0.0, 1.0 / 3.0, 0.0), system=sys4)
-    rep = classify_point(sys4, c0, lambda x: x**4, grid_size=2001)
+    rep = classify_point(sys4, c0, lambda x: x**4)
     assert rep.classification == "Interior"
     # gamma_lower is attained at the off-grid Gauss points; grid bias is O(h^2)
     assert rep.gamma_lower == pytest.approx(1.0 / 9.0, abs=5e-5)

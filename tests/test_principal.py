@@ -6,13 +6,12 @@ from tcheb import (
     Design,
     Interval,
     RepresentationStructure,
-    classify_point,
     grid_lp_extremum,
     lower_principal,
     make_model,
     moment_point,
     polynomial_system,
-    reduce_design,
+    psi_system,
     refine_newton,
     upper_principal,
 )
@@ -53,7 +52,7 @@ class TestGridLP:
     def test_max_mean_half(self):
         sys2 = polynomial_system(2, UNIT)
         c0 = MomentPoint(coordinates=(1.0, 0.5), system=sys2)
-        value, atoms = grid_lp_extremum(sys2, c0, lambda x: x**2, "max", grid_size=1001)
+        value, atoms = grid_lp_extremum(sys2, c0, lambda x: x**2, "max")
         assert value == pytest.approx(0.5, abs=1e-9)
         points, weights = zip(*atoms)
         assert points == pytest.approx((0.0, 1.0), abs=1e-9)
@@ -62,13 +61,13 @@ class TestGridLP:
     def test_min_mean_half(self):
         sys2 = polynomial_system(2, UNIT)
         c0 = MomentPoint(coordinates=(1.0, 0.5), system=sys2)
-        value, atoms = grid_lp_extremum(sys2, c0, lambda x: x**2, "min", grid_size=1001)
+        value, atoms = grid_lp_extremum(sys2, c0, lambda x: x**2, "min")
         assert value == pytest.approx(0.25, abs=1e-9)
         assert [p for p, _ in atoms] == pytest.approx([0.5], abs=1e-9)
 
     def test_min_quartic_moment(self):
         sys4, c0 = uniform_c0(4)
-        value, atoms = grid_lp_extremum(sys4, c0, lambda x: x**4, "min", grid_size=2001)
+        value, atoms = grid_lp_extremum(sys4, c0, lambda x: x**4, "min")
         assert value == pytest.approx(1.0 / 9.0, abs=5e-5)
         # grid LP scatters the off-grid Gauss atoms onto neighbours
         assert len(atoms) <= 4
@@ -80,20 +79,14 @@ class TestGridLP:
         sys3 = polynomial_system(3, UNIT)
         d = Design(points=(0.1, 0.4, 0.5, 0.9), weights=(0.25,) * 4, interval=UNIT)
         c0 = moment_point(sys3, d)
-        _, atoms = grid_lp_extremum(sys3, c0, lambda x: x**3, "max", grid_size=501)
+        _, atoms = grid_lp_extremum(sys3, c0, lambda x: x**3, "max")
         assert len(atoms) <= 3
 
     def test_infeasible_moment_point(self):
         sys2 = polynomial_system(2, UNIT)
         outside = MomentPoint(coordinates=(1.0, 1.5), system=sys2)
         with pytest.raises(InfeasibleError):
-            grid_lp_extremum(sys2, outside, lambda x: x**2, "max", grid_size=201)
-
-    def test_grid_too_small(self):
-        sys2 = polynomial_system(2, UNIT)
-        c0 = MomentPoint(coordinates=(1.0, 0.5), system=sys2)
-        with pytest.raises(ConfigurationError):
-            grid_lp_extremum(sys2, c0, lambda x: x**2, "max", grid_size=4)
+            grid_lp_extremum(sys2, outside, lambda x: x**2, "max")
 
 
 class TestNewton:
@@ -221,8 +214,8 @@ class TestPrincipal:
         probe = lambda x: x**3
         up = upper_principal(sys3, c0, probe=probe)
         lo = lower_principal(sys3, c0, probe=probe)
-        vmax, _ = grid_lp_extremum(sys3, c0, probe, "max", grid_size=2001)
-        vmin, _ = grid_lp_extremum(sys3, c0, probe, "min", grid_size=2001)
+        vmax, _ = grid_lp_extremum(sys3, c0, probe, "max")
+        vmin, _ = grid_lp_extremum(sys3, c0, probe, "min")
         up_val = float(np.dot(up.design.weights_array(), probe(up.design.points_array())))
         lo_val = float(np.dot(lo.design.weights_array(), probe(lo.design.points_array())))
         assert up_val == pytest.approx(vmax, abs=1e-6)
@@ -250,6 +243,36 @@ class TestPrincipal:
         assert lo.design.points == pytest.approx((0.3,), abs=1e-8)
         assert up.design.points == pytest.approx(lo.design.points, abs=1e-8)
 
+    def test_boundary_point_drops_a_round_off_atom(self):
+        """The merged LP atoms of a boundary point can carry a third atom
+        of weight about 2e-13 (at -0.833 here); it is not a support point."""
+        theta = (1.0, 0.5, -0.5, 0.25)
+        system = psi_system(make_model("polynomial", theta, (-1.0, 1.0)), theta).system
+        xi = Design(points=(-1.0, 0.5), weights=(6 / 7, 1 / 7), interval=SYM)
+        up = upper_principal(system, moment_point(system, xi))
+        assert up.design.points == pytest.approx((-1.0, 0.5), abs=1e-12)
+        assert up.design.weights == pytest.approx((6 / 7, 1 / 7), abs=1e-12)
+
+    def test_one_lp_per_call(self, monkeypatch):
+        """No probe, no retry: a principal call solves one moment LP, and
+        x^k seeds the lower representation of the exponential psi system."""
+        theta = (1.0, -1.0)
+        system = psi_system(make_model("exponential", theta, (0.0, 3.0)), theta).system
+        xi = Design(
+            points=tuple((i + 0.5) * 3 / 8 for i in range(8)), weights=(0.125,) * 8, interval=Interval(0.0, 3.0)
+        )
+        calls = []
+        real = tcheb.principal.grid_lp_extremum
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tcheb.principal, "grid_lp_extremum", spy)
+        lo = lower_principal(system, moment_point(system, xi))
+        assert len(calls) == 1
+        assert lo.design.points == (0.0, 1.3300912578617015)
+
     def test_structure_compliance(self):
         rng = np.random.default_rng(41)
         for k in (3, 4, 5):
@@ -267,19 +290,3 @@ class TestPrincipal:
             assert lo.design.size == s.num_points
             assert (-1.0 in lo.design.points) == s.includes_A
             assert (1.0 in lo.design.points) == s.includes_B
-
-
-@pytest.mark.parametrize("grid_size", [1, True, 2001.0, "2001"], ids=["one", "true", "float", "string"])
-@pytest.mark.parametrize("call", ["reduce_design", "upper_principal", "classify_point"])
-def test_grid_size_is_an_integer_of_at_least_2k_plus_1(call, grid_size):
-    sys3 = polynomial_system(3, UNIT)
-    c0 = MomentPoint(coordinates=(1.0, 0.5, 1.0 / 3.0), system=sys3)
-    model = make_model("michaelis_menten", (1.0, 1.0), (0.0, 10.0))
-    xi = Design(points=tuple(range(1, 9)), weights=(0.125,) * 8, interval=Interval(0.0, 10.0))
-    calls = {
-        "reduce_design": lambda: reduce_design(model, (1.0, 1.0), xi, grid_size=grid_size),
-        "upper_principal": lambda: upper_principal(sys3, c0, grid_size=grid_size),
-        "classify_point": lambda: classify_point(sys3, c0, lambda x: x**3, grid_size=grid_size),
-    }
-    with pytest.raises(ConfigurationError, match="grid_size"):
-        calls[call]()

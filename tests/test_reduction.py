@@ -62,7 +62,7 @@ class TestReduce:
         xi = uniform(range(1, 9), MM_IV)
         rep = reduce_design(mm(), [1.0, 1.0], xi, "upper")
         assert rep.branch == "OddCase"
-        assert rep.input_index.value == 8
+        assert rep.input_index == 8
         assert rep.output.size <= 2
         assert 10.0 in rep.output.points
         np.testing.assert_allclose(
