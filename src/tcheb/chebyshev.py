@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -68,53 +68,36 @@ class Interval:
 
 @dataclass(frozen=True)
 class ChebyshevSystem:
-    """Ordered basis psi_0, ..., psi_{k-1} on an interval.
+    """Ordered basis psi_0, ..., psi_{k-1} on an interval, evaluated as a whole.
 
-    ``basis`` holds callables that accept a float ndarray and return an
-    ndarray of the same shape (scalar returns are broadcast).  When the
-    system feeds the regression pipeline, psi_0 must be identically 1.
-    ``derivatives``, when given, holds d(psi_i)/dx in matching order.
-
-    ``evaluator`` maps n points to the (k, n) basis values, and so does
-    ``derivative_evaluator`` (or None) for the derivatives.  Both stack
-    the callables unless ``from_evaluator`` built the system.
+    ``evaluator`` maps a float ndarray of n points to the (k, n) basis
+    values, and ``derivative_evaluator`` (None: finite differences) to
+    those of d(psi_i)/dx.  The regression pipeline and the principal
+    representations need psi_0 identically 1.
     """
 
     interval: Interval
-    basis: Tuple[Callable, ...]
-    derivatives: Optional[Tuple[Callable, ...]] = None
+    k: int
+    evaluator: Callable
+    derivative_evaluator: Optional[Callable] = None
     name: str = ""
-    evaluator: Callable = field(init=False, compare=False, repr=False)
-    derivative_evaluator: Optional[Callable] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(self.basis))
-        if not self.basis:
+        if self.k < 1:
             raise ConfigurationError("a system needs at least one basis function")
-        if self.derivatives is not None:
-            object.__setattr__(self, "derivatives", tuple(self.derivatives))
-            if len(self.derivatives) != len(self.basis):
-                raise ConfigurationError("derivatives must match the basis in length")
-            object.__setattr__(self, "derivative_evaluator", _stacked(self.derivatives))
-        object.__setattr__(self, "evaluator", _stacked(self.basis))
 
     @classmethod
-    def from_evaluator(cls, interval, k: int, evaluator, derivative_evaluator=None, name=""):
-        """A system evaluated as a whole; ``basis[i]`` reads row i."""
-        rows = [None if ev is None else tuple(_row(ev, i) for i in range(k))
-                for ev in (evaluator, derivative_evaluator)]
-        system = cls(interval, *rows, name)
-        object.__setattr__(system, "evaluator", evaluator)
-        object.__setattr__(system, "derivative_evaluator", derivative_evaluator)
-        return system
-
-    @property
-    def k(self) -> int:
-        return len(self.basis)
-
-
-def _row(evaluator: Callable, i: int) -> Callable:
-    return lambda xs: evaluator(np.ravel(np.asarray(xs, dtype=float)))[i].reshape(np.shape(xs))
+    def from_functions(cls, interval, basis, derivatives=None, name="") -> "ChebyshevSystem":
+        """The system of one callable per psi_i, and per d(psi_i)/dx if given:
+        each maps a float ndarray to one of its shape or to a scalar, or is
+        called point by point if it rejects arrays."""
+        basis = tuple(basis)
+        if derivatives is not None:
+            derivatives = tuple(derivatives)
+            if len(derivatives) != len(basis):
+                raise ConfigurationError("derivatives must match the basis in length")
+            derivatives = _stacked(derivatives)
+        return cls(interval, len(basis), _stacked(basis), derivatives, name)
 
 
 def _stacked(fs: Tuple[Callable, ...]) -> Callable:
@@ -144,18 +127,16 @@ def _call_on_array(f: Callable, xs: np.ndarray) -> np.ndarray:
 
 # Decorating costs about a third of a with np.errstate block per call.
 @np.errstate(over="raise", divide="raise", invalid="raise")
-def values_or_raise(what: str, f: Callable, *args) -> np.ndarray:
-    """np.asarray(f(*args), dtype=float); arithmetic that overflows,
-    divides by zero or is invalid raises EvaluationError naming ``what``."""
-    try:
-        return np.asarray(f(*args), dtype=float)
-    except FloatingPointError as err:
-        raise EvaluationError(f"{what}: {err}") from err
-
-
-def _evaluate(evaluator: Callable, k: int, xs, what: str) -> np.ndarray:
+def _evaluate(evaluator: Callable, k: int, xs, what: str, *args) -> np.ndarray:
+    """The (k, n) values evaluator(xs, *args) at the n points xs: every
+    function value the library reads passes here.  A floating-point error,
+    an ArithmeticError or ValueError of the callable, or a non-finite value
+    raises EvaluationError naming ``what``; a wrong shape, ConfigurationError."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    V = values_or_raise(f"{what} evaluation", evaluator, xs)
+    try:
+        V = np.asarray(evaluator(xs, *args), dtype=float)
+    except (ArithmeticError, ValueError) as err:
+        raise EvaluationError(f"{what} evaluation: {err}") from err
     if V.shape != (k, xs.size):
         raise ConfigurationError(f"{what} evaluator returned shape {V.shape}, expected {(k, xs.size)}")
     if not np.all(np.isfinite(V)):
@@ -179,13 +160,13 @@ def derivative_matrix(system: ChebyshevSystem, xs) -> np.ndarray:
     Uses analytic derivatives when the system carries them, otherwise a
     central finite difference with step 1e-6 * (B - A).
     """
-    if system.derivative_evaluator is not None:
-        return _evaluate(system.derivative_evaluator, system.k, xs, "derivative")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     fd_step = 1e-6 * system.interval.length
     # Central difference; evaluation may step slightly outside [A, B],
     # which every catalog function tolerates.
-    return (basis_matrix(system, xs + fd_step) - basis_matrix(system, xs - fd_step)) / (2.0 * fd_step)
+    evaluator = system.derivative_evaluator or (
+        lambda x: (basis_matrix(system, x + fd_step) - basis_matrix(system, x - fd_step)) / (2.0 * fd_step)
+    )
+    return _evaluate(evaluator, system.k, xs, "derivative")
 
 
 def evaluate_basis(system: ChebyshevSystem, x: float) -> np.ndarray:
@@ -341,7 +322,7 @@ def augment(system: ChebyshevSystem, omega: Callable) -> ChebyshevSystem:
     result when they need the property.
     """
     name = f"{system.name}+omega" if system.name else "+omega"
-    return ChebyshevSystem.from_evaluator(
+    return ChebyshevSystem(
         system.interval, system.k + 1,
         lambda xs: np.vstack([system.evaluator(xs), _call_on_array(omega, xs)]), name=name,
     )
@@ -362,8 +343,6 @@ def monomial_derivatives(x, k: int) -> np.ndarray:
 
 def polynomial_system(k: int, interval: Interval) -> ChebyshevSystem:
     """The monomial system {1, x, ..., x^(k-1)} with analytic derivatives."""
-    if k < 1:
-        raise ConfigurationError("k must be positive")
-    return ChebyshevSystem.from_evaluator(
+    return ChebyshevSystem(
         interval, k, lambda xs: monomials(xs, k), lambda xs: monomial_derivatives(xs, k), f"monomials_{k}"
     )

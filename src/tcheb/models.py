@@ -28,8 +28,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .chebyshev import ChebyshevSystem, Interval, monomial_derivatives, monomials, values_or_raise
-from .errors import ConfigurationError, DomainError, EvaluationError
+from .chebyshev import ChebyshevSystem, Interval, _evaluate, monomial_derivatives, monomials
+from .errors import ConfigurationError, DomainError
 
 DEDUP_GRID_SIZE = 256
 DEDUP_TOL = 1e-10
@@ -95,16 +95,7 @@ class PsiSystem:
 
 
 def _grad_values(model: RegressionModel, theta, xs) -> np.ndarray:
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    G = values_or_raise(f"gradient of {model.name}", model.gradient, xs, theta)
-    if G.shape != (model.p, xs.size):
-        raise ConfigurationError(
-            f"gradient of {model.name} returned shape {G.shape}, expected {(model.p, xs.size)}"
-        )
-    if not np.all(np.isfinite(G)):
-        bad = float(xs[~np.isfinite(G).all(axis=0)][0])
-        raise EvaluationError(f"gradient of {model.name} non-finite at x={bad!r}")
-    return G
+    return _evaluate(model.gradient, model.p, xs, f"gradient of {model.name}", theta)
 
 
 def _check_theta(model: RegressionModel, theta) -> np.ndarray:
@@ -206,7 +197,7 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
         dH = Pinv @ np.asarray(model.gradient_dx(xs, theta), dtype=float)
         return np.vstack([np.zeros((1, H.shape[1])), dH[I] * H[J] + H[I] * dH[J]])
 
-    system = ChebyshevSystem.from_evaluator(
+    system = ChebyshevSystem(
         model.design_interval, k, lambda xs: rows(h(xs)),
         None if model.gradient_dx is None else derivative_rows, name=f"{model.name}_psi"
     )

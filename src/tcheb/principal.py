@@ -33,16 +33,15 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .chebyshev import ChebyshevSystem, Interval, basis_matrix, derivative_matrix, _call_on_array
+from .chebyshev import ChebyshevSystem, Interval, _evaluate, _stacked, basis_matrix, derivative_matrix
 from .errors import (
     ConfigurationError,
     ConvergenceError,
     DegeneracyError,
-    EvaluationError,
     SingularityError,
     UnboundedError,
 )
-from .moments import Atom, Design, MomentPoint, merge_pair, merge_runs
+from .moments import INGEST_WEIGHT_TOL, Atom, Design, MomentPoint, merge_pair, merge_runs
 from .simplex import solve_lp
 
 NEWTON_TOL = 1e-11
@@ -91,13 +90,6 @@ class PrincipalResult:
     structure: RepresentationStructure
 
 
-def _as_objective_values(objective: Callable, grid: np.ndarray) -> np.ndarray:
-    vals = _call_on_array(objective, grid)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError("objective evaluation is non-finite on the grid")
-    return vals
-
-
 def grid_lp_extremum(
     system: ChebyshevSystem,
     c0: MomentPoint,
@@ -126,7 +118,7 @@ def grid_lp_extremum(
         raise ConfigurationError("moment point dimension does not match the system")
     grid = np.linspace(system.interval.lower, system.interval.upper, DEFAULT_GRID)
     V = basis_matrix(system, grid)
-    obj = _as_objective_values(objective, grid)
+    obj = _evaluate(_stacked((objective,)), 1, grid, "objective")[0]
     try:
         result = solve_lp(V, c0.array(), obj, sense=sense, feas_tol=feas_tol)
     except UnboundedError as err:  # psi_0 = 1 and w >= 0 bound the LP: this is round-off
@@ -318,6 +310,9 @@ def _principal(
     k = system.k
     interval = system.interval
     a, b = interval.lower, interval.upper
+    c00 = c0.coordinates[0]
+    if not abs(c00 - 1.0) <= INGEST_WEIGHT_TOL:  # psi_0 = 1: c0[0] is a total weight
+        raise ConfigurationError(f"zeroth moment c0[0] = {c00!r} is not 1, so no design represents c0")
     structure = (
         RepresentationStructure.upper(k) if which == "upper" else RepresentationStructure.lower(k)
     )
@@ -329,9 +324,9 @@ def _principal(
         # Degenerate (boundary) moment point: its representation is
         # unique with fewer atoms than the interior structure, and the
         # Newton system below would be singular.  An atom of weight at
-        # most 1e-9 is LP round-off, not a support point; if no atom is
-        # heavier, c0 is no probability measure's, and Design says so.
-        points, weights = zip(*([(p, w) for p, w in merged if w > 1e-9] or merged))
+        # most 1e-9 is LP round-off, not a support point; c0[0] = 1 leaves
+        # a heavier one.
+        points, weights = zip(*[(p, w) for p, w in merged if w > 1e-9])
         resid = _gated_residual(system, c0, points, weights)
         if resid is not None:
             design = Design(points=points, weights=weights, interval=interval)
@@ -354,7 +349,9 @@ def upper_principal(
     Contains B among its support points, and A as well when k is even.
     ``probe`` seeds the one grid LP and must augment the system to a
     Chebyshev system; the default x -> x^k does so for the monomials
-    and, by measurement only, for the catalog psi systems.
+    and, by measurement only, for the catalog psi systems.  With psi_0 = 1,
+    c0[0] is the total weight: one farther than ``INGEST_WEIGHT_TOL``
+    from 1 raises ConfigurationError before the LP runs.
     """
     return _principal(system, c0, "upper", probe)
 

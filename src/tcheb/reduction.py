@@ -225,8 +225,11 @@ def verify_domination(
     eigenvalues above numpy's ``matrix_rank`` default tolerance), xi1
     dominates when lambda_min(R^T (M(xi1) - M(xi2)) R) >= -tolerance.  The
     whitened difference lies in [-1, 1], so a design that misses a
-    direction the other sees reads -1 there at any scale of theta.
+    direction the other sees reads -1 there at any scale of theta.  The
+    tolerance must be finite.
     """
+    if not math.isfinite(tolerance):
+        raise ConfigurationError(f"tolerance must be finite, got {tolerance!r}")
     M1, M2 = information_matrix(model, theta, xi1), information_matrix(model, theta, xi2)
     diff = M1 - M2
     w, U = np.linalg.eigh(M1 + M2)

@@ -253,9 +253,9 @@ def test_criterion_09_d_optimality_brute_force_cross_check(capsys):
 
 
 def test_criterion_10_falsification_and_vandermonde(capsys):
-    flipped = ChebyshevSystem(
-        interval=UNIT,
-        basis=(lambda x: np.ones_like(np.asarray(x, dtype=float)), lambda x: -x),
+    flipped = ChebyshevSystem.from_functions(
+        UNIT,
+        (lambda x: np.ones_like(np.asarray(x, dtype=float)), lambda x: -x),
     )
     rep = check_chebyshev(flipped, num_random_tuples=200, grid_size=64, seed=10)
     ok = (not rep.verified) and rep.witness is not None

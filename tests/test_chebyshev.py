@@ -43,9 +43,9 @@ def test_evaluate_basis_polynomial():
 def test_evaluate_basis_rational_system():
     # {1, x^2/(1+x)^2, x^2/(1+x)^3} on [0, 10]
     iv = Interval(0.0, 10.0)
-    sys_r = ChebyshevSystem(
-        interval=iv,
-        basis=(
+    sys_r = ChebyshevSystem.from_functions(
+        iv,
+        (
             lambda x: np.ones_like(np.asarray(x, dtype=float)),
             lambda x: x**2 / (1.0 + x) ** 2,
             lambda x: x**2 / (1.0 + x) ** 3,
@@ -73,9 +73,9 @@ def test_check_positive_linear_system():
 
 def test_check_flipped_sign_gives_witness():
     iv = Interval(0.0, 1.0)
-    bad = ChebyshevSystem(
-        interval=iv,
-        basis=(lambda x: np.ones_like(np.asarray(x, dtype=float)), lambda x: -x),
+    bad = ChebyshevSystem.from_functions(
+        iv,
+        (lambda x: np.ones_like(np.asarray(x, dtype=float)), lambda x: -x),
     )
     rep = check_chebyshev(bad, num_random_tuples=100, grid_size=32, seed=0)
     assert not rep.verified
@@ -100,9 +100,9 @@ def test_scaling_last_function_preserves_verdict():
     iv = Interval(0.0, 1.0)
 
     def scaled(lam):
-        return ChebyshevSystem(
-            interval=iv,
-            basis=(
+        return ChebyshevSystem.from_functions(
+            iv,
+            (
                 lambda x: np.ones_like(np.asarray(x, dtype=float)),
                 lambda x: x,
                 lambda x: lam * x**2,
@@ -139,9 +139,9 @@ def test_augment_appends_last():
 
 def test_nonfinite_evaluation_reports_offending_point():
     iv = Interval(0.0, 1.0)
-    sick = ChebyshevSystem(
-        interval=iv,
-        basis=(
+    sick = ChebyshevSystem.from_functions(
+        iv,
+        (
             lambda x: np.ones_like(np.asarray(x, dtype=float)),
             lambda x: np.where(np.asarray(x) == 0.5, np.nan, np.asarray(x, dtype=float)),
         ),
@@ -162,18 +162,26 @@ def test_derivative_matrix_analytic_vs_fd():
     sys4 = polynomial_system(4, Interval(-1.0, 1.0))
     xs = np.linspace(-0.9, 0.9, 13)
     analytic = derivative_matrix(sys4, xs)
-    stripped = ChebyshevSystem(interval=sys4.interval, basis=sys4.basis)
+    stripped = dataclasses.replace(sys4, derivative_evaluator=None)
     fd = derivative_matrix(stripped, xs)
     np.testing.assert_allclose(fd, analytic, rtol=1e-6, atol=1e-6)
+
+
+def test_finite_difference_overflow_is_an_evaluation_error():
+    """Finite basis values can overflow in the central difference."""
+    iv = Interval(0.0, 1.0)
+    step = ChebyshevSystem.from_functions(iv, (np.ones_like, lambda x: np.where(x < 0.5, -1.5e308, 1.5e308)))
+    with pytest.raises(EvaluationError, match="^derivative evaluation: overflow"):
+        derivative_matrix(step, [0.5])
 
 
 def test_scalar_only_callables_evaluate_point_by_point():
     """Callables that reject arrays fall back to one call per point, and
     scalar returns broadcast, for values and derivatives alike."""
     iv = Interval(0.0, 1.0)
-    sys2 = ChebyshevSystem(
-        interval=iv,
-        basis=(lambda x: 1.0, math.exp),
+    sys2 = ChebyshevSystem.from_functions(
+        iv,
+        (lambda x: 1.0, math.exp),
         derivatives=(lambda x: 0.0, math.exp),
     )
     xs = np.array([0.0, 0.5, 1.0])
@@ -185,31 +193,36 @@ def test_scalar_only_callables_evaluate_point_by_point():
 
 def test_evaluator_shape_is_checked():
     iv = Interval(0.0, 1.0)
-    sys2 = ChebyshevSystem.from_evaluator(iv, 2, lambda xs: np.ones((3, xs.size)))
+    sys2 = ChebyshevSystem(iv, 2, lambda xs: np.ones((3, xs.size)))
     with pytest.raises(ConfigurationError):
         basis_matrix(sys2, [0.25, 0.75])
 
 
-def test_replace_rebuilds_the_evaluators():
-    """dataclasses.replace derives the evaluators from the new fields:
-    without derivatives it falls back to finite differences, and a new
-    basis is the one evaluated."""
-    sys3 = polynomial_system(3, Interval(0.0, 1.0))
-    xs = np.array([0.2, 0.5, 0.9])
-    stripped = dataclasses.replace(sys3, derivatives=None)
-    assert stripped.derivative_evaluator is None
-    np.testing.assert_allclose(derivative_matrix(stripped, xs), [np.zeros(3), np.ones(3), 2 * xs], atol=1e-6)
-    swapped = dataclasses.replace(stripped, basis=(np.ones_like, np.exp, np.sin))
-    np.testing.assert_array_equal(basis_matrix(swapped, xs), [np.ones(3), np.exp(xs), np.sin(xs)])
+def test_from_functions_refuses_inconsistent_sizes():
+    iv = Interval(0.0, 1.0)
+    with pytest.raises(ConfigurationError, match="at least one basis function"):
+        ChebyshevSystem.from_functions(iv, ())
+    with pytest.raises(ConfigurationError, match="at least one basis function"):
+        ChebyshevSystem(iv, 0, lambda xs: np.ones((0, xs.size)))
+    with pytest.raises(ConfigurationError, match="derivatives must match"):
+        ChebyshevSystem.from_functions(iv, (np.ones_like, np.exp), derivatives=(np.exp,))
 
 
-def test_fused_rows_keep_the_input_shape():
-    sys3 = polynomial_system(3, Interval(-1.0, 1.0))
-    assert np.shape(sys3.basis[2](0.5)) == ()
-    assert sys3.basis[2](0.5) == 0.25
-    xs = np.array([[0.5, -1.0], [0.0, 2.0]])
-    np.testing.assert_array_equal(sys3.basis[2](xs), xs**2)
-    np.testing.assert_array_equal(sys3.derivatives[2](xs), 2 * xs)
+@pytest.mark.parametrize(
+    "f,message",
+    [(lambda x: math.exp(1000.0 * x), "math range error"), (lambda x: math.log(x - 0.5), "math domain error")],
+    ids=["overflow", "domain"],
+)
+def test_python_arithmetic_errors_are_evaluation_errors(f, message):
+    """A scalar-only callable written with math raises OverflowError or
+    ValueError itself; the evaluation names it, values and derivatives
+    alike."""
+    system = ChebyshevSystem.from_functions(Interval(0.0, 1.0), (lambda x: 1.0, f), derivatives=(lambda x: 0.0, f))
+    xs = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(EvaluationError, match=f"^basis evaluation: {message}$"):
+        basis_matrix(system, xs)
+    with pytest.raises(EvaluationError, match=f"^derivative evaluation: {message}$"):
+        derivative_matrix(system, xs)
 
 
 def _reference_tuples(system, k, num_random_tuples=2000, grid_size=512, seed=0):
@@ -292,9 +305,9 @@ def test_check_matches_reference_on_catalog_systems(name, theta, iv, index, valu
 
 
 def test_flipped_system_matches_reference():
-    bad = ChebyshevSystem(
-        interval=Interval(0.0, 1.0),
-        basis=(lambda x: np.ones_like(np.asarray(x, dtype=float)), lambda x: -x),
+    bad = ChebyshevSystem.from_functions(
+        Interval(0.0, 1.0),
+        (lambda x: np.ones_like(np.asarray(x, dtype=float)), lambda x: -x),
     )
     want = _reference_check(bad)
     assert not want.verified
@@ -307,7 +320,7 @@ def test_tuple_sample_is_memoised_per_key():
     check_chebyshev(polynomial_system(3, iv), 100, 16, seed=5)
     # The sample does not depend on the functions: another system with
     # the same interval and k hits.
-    flipped = ChebyshevSystem.from_evaluator(iv, 3, lambda xs: -polynomial_system(3, iv).evaluator(xs))
+    flipped = ChebyshevSystem(iv, 3, lambda xs: -polynomial_system(3, iv).evaluator(xs))
     check_chebyshev(flipped, 100, 16, seed=5)
     info = chebyshev._memo_tuples.cache_info()
     assert (info.hits, info.misses) == (1, 1)

@@ -231,6 +231,17 @@ def test_psd_tolerance_flag(workdir):
     assert json.loads(out.read_text())["tolerance"] == 0.5
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_psd_tolerance_is_a_configuration_error(workdir, value):
+    out = workdir / "dom.json"
+    code = run(
+        workdir, "dominate", "--model", workdir / "mm.json", "--design", workdir / "design8.json",
+        "--design2", workdir / "design8.json", "--out", out, f"--tol.psd={value}",
+    )
+    assert code == 1
+    assert json.loads(out.read_text())["error"]["code"] == "configuration"
+
+
 @pytest.mark.parametrize(
     "command,flags",
     [
@@ -445,10 +456,14 @@ def _cli_inputs(draw):
     return (spec, *designs)
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def test_cli_exits_with_a_json_payload_on_generated_input(tmp_path):
     """check, moments, reduce and dominate end with exit 0, 1 or 2 and a
-    JSON report or error payload on any generated model spec and design,
-    and raise nothing."""
+    strict JSON report or error payload (no NaN or Infinity) on any
+    generated model spec and design, and raise nothing."""
     spec_path, xi_path, xi2_path = tmp_path / "spec.json", tmp_path / "xi.json", tmp_path / "xi2.json"
     runs = {
         "check": [],
@@ -466,7 +481,7 @@ def test_cli_exits_with_a_json_payload_on_generated_input(tmp_path):
             out = tmp_path / f"{command}.json"
             out.unlink(missing_ok=True)
             code = main([command, "--model", str(spec_path), *map(str, flags), "--out", str(out)])
-            payload = json.loads(out.read_text())
+            payload = json.loads(out.read_text(), parse_constant=_refuse_constant)
             assert code in (0, 1, 2)
             if code != 2:  # check reports a refusal, reduce raises it
                 assert ("error" in payload) == (code == 1)

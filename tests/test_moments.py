@@ -99,9 +99,9 @@ def test_moment_point_dirac():
 def test_moment_point_rational_system():
     # {1, x^2/(1+x)^2, x^2/(1+x)^3} at the Dirac in x=1
     iv = Interval(0.0, 10.0)
-    sys_r = ChebyshevSystem(
-        interval=iv,
-        basis=(
+    sys_r = ChebyshevSystem.from_functions(
+        iv,
+        (
             lambda x: np.ones_like(np.asarray(x, dtype=float)),
             lambda x: x**2 / (1.0 + x) ** 2,
             lambda x: x**2 / (1.0 + x) ** 3,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from tcheb import (
     refine_newton,
     upper_principal,
 )
-from tcheb.errors import ConfigurationError, InfeasibleError
-from tcheb.moments import MomentPoint
+from tcheb.errors import ConfigurationError, EvaluationError, InfeasibleError
+from tcheb.moments import MomentPoint, classify_point
 
 UNIT = Interval(0.0, 1.0)
 SYM = Interval(-1.0, 1.0)
@@ -290,3 +292,38 @@ class TestPrincipal:
             assert lo.design.size == s.num_points
             assert (-1.0 in lo.design.points) == s.includes_A
             assert (1.0 in lo.design.points) == s.includes_B
+
+
+# Probes whose evaluation on the LP grid of [0, 1] fails: numpy arithmetic
+# that overflows, divides by zero or is invalid, and scalar-only math
+# callables that raise OverflowError or ValueError themselves.
+BAD_PROBES = {
+    "overflow": (lambda x: np.exp(1000.0 * x), "overflow encountered in exp"),
+    "divide": (lambda x: 1.0 / x, "divide by zero"),
+    "log": (lambda x: np.log(x - 0.5), "(divide by zero|invalid value) encountered in log"),
+    "math_overflow": (lambda x: math.exp(1000.0 * x), "math range error"),
+    "math_domain": (lambda x: math.log(x - 0.5), "math domain error"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_PROBES)
+@pytest.mark.parametrize("call", ["upper_principal", "lower_principal", "classify_point"])
+def test_a_failing_probe_is_an_evaluation_error(call, name):
+    probe, message = BAD_PROBES[name]
+    sys3 = polynomial_system(3, UNIT)
+    c0 = moment_point(sys3, Design(points=(0.15, 0.55, 0.85), weights=(0.25, 0.5, 0.25), interval=UNIT))
+    run = {"upper_principal": upper_principal, "lower_principal": lower_principal, "classify_point": classify_point}
+    with pytest.raises(EvaluationError, match=f"^objective evaluation: {message}"):
+        run[call](sys3, c0, probe)
+
+
+@pytest.mark.parametrize("coords", [(1e-10, 0.0), (1e-10, 5e-11)])
+@pytest.mark.parametrize("build", [upper_principal, lower_principal])
+def test_zeroth_moment_off_one_is_refused_before_the_lp(monkeypatch, build, coords):
+    """psi_0 = 1 makes c0[0] the total weight of every representing
+    measure; one farther than 1e-9 from 1 is refused by name, not after
+    the LP and Newton as a weight sum the caller never gave."""
+    system = polynomial_system(2, Interval(0.0, 1.0))
+    monkeypatch.setattr(tcheb.principal, "grid_lp_extremum", None)
+    with pytest.raises(ConfigurationError, match=r"^zeroth moment c0\[0\] = 1e-10 is not 1"):
+        build(system, MomentPoint(coordinates=coords, system=system))

@@ -477,6 +477,13 @@ class TestDomination:
         assert rep.dominates
         np.testing.assert_allclose(rep.difference_spectrum, 0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tolerance_is_refused(self, tolerance):
+        # At inf every pair would dominate, and NaN or Infinity is no JSON.
+        xi = uniform(range(1, 9), MM_IV)
+        with pytest.raises(ConfigurationError, match="tolerance must be finite"):
+            verify_domination(mm(), [1.0, 1.0], xi, xi, tolerance=tolerance)
+
     def test_reduction_output_dominates_input(self):
         xi = uniform(range(1, 9), MM_IV)
         red = reduce_design(mm(), [1.0, 1.0], xi, "upper")
