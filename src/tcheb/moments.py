@@ -203,8 +203,11 @@ def moment_point(system: ChebyshevSystem, design: Design) -> MomentPoint:
     """
     if design.interval != system.interval:
         raise DomainError("design and system live on different intervals")
-    V = basis_matrix(system, design.points_array())
-    w = design.weights
+    return fsum_moments(system, basis_matrix(system, design.points_array()), design.weights)
+
+
+def fsum_moments(system: ChebyshevSystem, V: np.ndarray, w) -> MomentPoint:
+    """The moment point sum_j w_j V[:, j], V the basis at the support."""
     coords = tuple(
         math.fsum(V[i, j] * w[j] for j in range(len(w))) for i in range(system.k)
     )

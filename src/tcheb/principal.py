@@ -14,21 +14,23 @@ The solver is one path with one attempt.  A finite linear program on
 the fixed ``DEFAULT_GRID``-point equispaced grid, with the caller's
 probe as objective (x -> x^k when none is given, the augmentation of
 the monomials), locates the support approximately (an optimal basic
-solution of a moment LP carries at most k atoms).  Its atoms, plain
-(point, weight) pairs, merge where discretization split one support
-point, take the shape the structure fixed by k and the direction
-prescribes, and seed a damped Newton iteration on the exact
-moment-matching equations, which removes the grid bias.  Only the
-returned representation becomes a ``Design``, and it must match every
-moment to 1e-9 relative; there is no unrefined fallback and no retry:
-the first failure is raised.  A boundary moment point, whose merged LP
+solution of a moment LP carries at most k atoms); the grid, the basis
+on it and the probe row do not depend on the moment point, so they are
+memoised per (system, probe) key.  The LP's atoms, plain (point, weight)
+pairs, merge where discretization split one support point, take the
+shape the structure fixed by k and the direction prescribes, and seed a
+damped Newton iteration on the exact moment-matching equations, which
+removes the grid bias.  Only the returned representation becomes a
+``Design``, and it must match every moment to 1e-9 relative; there is
+no unrefined fallback and no retry: the first failure is raised.  A boundary moment point, whose merged LP
 atoms are fewer than the structure wants, is returned unrefined only
 when its atoms of weight above 1e-9 meet that same gate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -51,6 +53,10 @@ DEFAULT_GRID = 2001
 # Grid atoms closer than this many grid spacings are one true support
 # point split by discretization.
 CLUSTER_SPACINGS = 3.0
+# LP grids kept per (system, objective) key: the grid, the basis on it
+# and the objective row, (k + 2) * DEFAULT_GRID floats, so about 160 kB
+# an entry at k = 8.
+GRID_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -84,10 +90,38 @@ class RepresentationStructure:
 
 @dataclass(frozen=True)
 class PrincipalResult:
+    """A principal representation, with ``basis``, the (k, n) basis values
+    at its n support points."""
+
     design: Design
     residual_norm: float
     newton_iterations: int
     structure: RepresentationStructure
+    basis: np.ndarray = field(compare=False, repr=False)
+
+
+def _cached_call(cached: Callable, *key):
+    """cached(*key), or the function it memoises when a part of the key is
+    unhashable."""
+    try:
+        hash(key)
+    except TypeError:
+        return cached.__wrapped__(*key)
+    return cached(*key)
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _lp_grid(system: ChebyshevSystem, objective: Callable, bounds: bytes):
+    """The ``DEFAULT_GRID``-point grid of the interval, the basis V on it
+    and the objective row, memoised per key and read-only; an evaluation
+    error is never cached.  The endpoints are keyed by their bytes, which
+    tell 0.0 from -0.0 where the system's interval does not."""
+    grid = np.linspace(*np.frombuffer(bounds).tolist(), DEFAULT_GRID)
+    V = basis_matrix(system, grid)
+    arrays = grid, V, _evaluate(_stacked((objective,)), 1, grid, "objective")[0]
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def grid_lp_extremum(
@@ -106,7 +140,12 @@ def grid_lp_extremum(
         s.t.     sum_g w_g * psi_i(x_g) = c_i   for i = 0..k-1,
                  w >= 0
 
-    on the ``DEFAULT_GRID``-point equispaced grid of the interval.
+    on the ``DEFAULT_GRID``-point equispaced grid of the interval.  The
+    grid, V = [psi_i(x_g)] and the objective row do not depend on c0, so
+    they are built once per (system, objective) key and kept for the last
+    ``GRID_CACHE_SIZE`` keys; the system and the objective are keyed like
+    ``reduce_design``'s model, by their fields and by identity, so they
+    must be pure functions of the points.  An unhashable key runs uncached.
     Returns the optimal value and the atoms: the (point, weight) pairs of
     the grid points whose weight is above 1e-14, in increasing order, at
     most k of them.  The atoms are a warm start, not a validated design;
@@ -116,9 +155,8 @@ def grid_lp_extremum(
     """
     if c0.k != system.k:
         raise ConfigurationError("moment point dimension does not match the system")
-    grid = np.linspace(system.interval.lower, system.interval.upper, DEFAULT_GRID)
-    V = basis_matrix(system, grid)
-    obj = _evaluate(_stacked((objective,)), 1, grid, "objective")[0]
+    bounds = np.array([system.interval.lower, system.interval.upper]).tobytes()
+    grid, V, obj = _cached_call(_lp_grid, system, objective, bounds)
     try:
         result = solve_lp(V, c0.array(), obj, sense=sense, feas_tol=feas_tol)
     except UnboundedError as err:  # psi_0 = 1 and w >= 0 bound the LP: this is round-off
@@ -150,7 +188,9 @@ def refine_newton(
     interval and the weights positive, and must not increase the
     residual norm.  Success means ||F||_inf <= NEWTON_TOL * max(1,
     ||c0||_inf) within ``NEWTON_MAX_ITER`` steps.  The basis is evaluated
-    once per iterate: the accepted trial's values serve the next Jacobian.
+    once per iterate: the accepted trial's values serve the next Jacobian,
+    and the last ones the result's ``basis`` unless building the ``Design``
+    moved a point.
     """
     k = system.k
     a, b = system.interval.lower, system.interval.upper
@@ -227,13 +267,23 @@ def refine_newton(
         residual_norm=res,
         newton_iterations=iterations,
         structure=structure,
+        basis=_basis_at(system, design, points, V),
     )
 
 
+def _basis_at(system: ChebyshevSystem, design: Design, points, V: np.ndarray) -> np.ndarray:
+    """The basis at the design's points: V, the basis at ``points``, when
+    building the design kept their bits, else evaluated afresh (it may
+    snap, merge or drop a point)."""
+    kept = design.points_array().tobytes() == np.array(points, dtype=float).tobytes()
+    return V if kept else basis_matrix(system, design.points_array())
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
 def _power_probe(k: int) -> Callable:
     """x -> x^k, which augments the monomials 1, ..., x^(k-1), by k - 1
     in-place products: on the LP grid numpy's ``x ** k`` takes an order
-    of magnitude longer."""
+    of magnitude longer.  Built once per k, so its LP grid is memoised."""
 
     def probe(x):
         x = np.asarray(x, dtype=float)
@@ -293,12 +343,12 @@ def _shape_to_structure(
     return list(zip(pts, ws))
 
 
-def _gated_residual(system: ChebyshevSystem, c0: MomentPoint, points, weights) -> Optional[float]:
-    """max_i |V w - c|_i, or None when a coordinate misses the gate
-    |V w - c|_i <= 1e-9 * max(1, |c_i|) that every returned
-    representation meets."""
+def _gated_residual(V: np.ndarray, weights, c0: MomentPoint) -> Optional[float]:
+    """max_i |V w - c|_i, V the basis at the support, or None when a
+    coordinate misses the gate |V w - c|_i <= 1e-9 * max(1, |c_i|) that
+    every returned representation meets."""
     c = c0.array()
-    gap = np.abs(basis_matrix(system, np.asarray(points, float)) @ np.asarray(weights, float) - c)
+    gap = np.abs(V @ np.asarray(weights, float) - c)
     if np.all(gap <= 1e-9 * np.maximum(1.0, np.abs(c))):
         return float(gap.max())
     return None
@@ -327,14 +377,14 @@ def _principal(
         # most 1e-9 is LP round-off, not a support point; c0[0] = 1 leaves
         # a heavier one.
         points, weights = zip(*[(p, w) for p, w in merged if w > 1e-9])
-        resid = _gated_residual(system, c0, points, weights)
+        V = basis_matrix(system, np.asarray(points, float))
+        resid = _gated_residual(V, weights, c0)
         if resid is not None:
             design = Design(points=points, weights=weights, interval=interval)
-            return PrincipalResult(design, resid, 0, structure)
+            return PrincipalResult(design, resid, 0, structure, _basis_at(system, design, points, V))
     shaped = _shape_to_structure(merged, structure, cluster_tol, interval, which)
     result = refine_newton(system, c0, structure, shaped)
-    out = result.design
-    if _gated_residual(system, c0, out.points, out.weights) is None:
+    if _gated_residual(result.basis, result.design.weights, c0) is None:
         raise ConvergenceError(
             "refined design drifted off the moment point", residual=result.residual_norm
         )

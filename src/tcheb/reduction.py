@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,9 +43,10 @@ from .models import (
     information_matrix,
     psi_system,
 )
-from .moments import Design, MomentPoint, design_index, moment_point
+from .moments import Design, MomentPoint, design_index, fsum_moments, moment_point
 from .principal import (
     RepresentationStructure,
+    _cached_call,
     check_structure,
     lower_principal,
     upper_principal,
@@ -91,13 +92,18 @@ def gate_checks(psi: PsiSystem, direction: str, seed: int):
 
 
 @functools.lru_cache(maxsize=GATE_CACHE_SIZE)
-def _gated_psi(model: RegressionModel, theta_bytes: bytes, direction: str, seed: int) -> PsiSystem:
-    """The psi system at theta, once it passed the gate of the direction.
+def _gated_psi(
+    model: RegressionModel, theta_bytes: bytes, direction: str, seed: int
+) -> Tuple[PsiSystem, Callable]:
+    """The psi system at theta, once it passed the gate of the direction,
+    and the probe of that direction's principal representation.
 
     A base refusal raises PreconditionError before an augmented one.  The
     gate does not depend on the design, so a passing verdict is memoised
-    per key; a refusal is never cached.  theta is keyed by its bytes,
-    which tell 0.0 from -0.0 where floats do not.
+    per key; a refusal is never cached.  The probe is built once per key
+    too, so the moment LP's grid is memoised with it (see
+    ``grid_lp_extremum``).  theta is keyed by its bytes, which tell 0.0
+    from -0.0 where floats do not; the seed must be checked before keying.
     """
     psi = psi_system(model, np.frombuffer(theta_bytes))
     base, rep, Q = gate_checks(psi, direction, seed)
@@ -113,7 +119,15 @@ def _gated_psi(model: RegressionModel, theta_bytes: bytes, direction: str, seed:
             witness=rep.witness,
             q_vector=Q,
         )
-    return psi
+
+    # The representation maximizing the Q gains is the upper principal
+    # one when every +psi_k^Q augments to a Chebyshev system, and the
+    # lower one when every -psi_k^Q does (minimizing -psi_k^Q maximizes
+    # the gain).  tr C22 = |h_tail|^2, a sum of such psi_k^Q, probes it.
+    def trace_c22(xs):
+        return (psi.h_tail(xs) ** 2).sum(axis=0)
+
+    return psi, trace_c22 if direction == "upper" else lambda x: -trace_c22(x)
 
 
 def _c22(psi: PsiSystem, design: Design) -> np.ndarray:
@@ -150,18 +164,14 @@ def reduce_design(
     runs the gate and raises afresh.  The model is keyed by its fields,
     which compare plain functions by identity, so a model whose callables
     change behaviour must be rebuilt as a new object with new callables,
-    as ``make_model`` does.
+    as ``make_model`` does.  A model with an unhashable field runs
+    uncached.  ``seed`` must be a nonnegative integer, and is checked
+    before the lookup.
     """
     if direction not in ("upper", "lower"):
         raise ConfigurationError(f"direction must be 'upper' or 'lower', got {direction!r}")
     theta = _check_theta(model, theta)
-    key = (model, theta.tobytes(), direction, seed)
-    try:
-        hash(key)
-    except TypeError:  # a model field or the seed is unhashable
-        psi = _gated_psi.__wrapped__(*key)
-    else:
-        psi = _gated_psi(*key)
+    psi, probe = _cached_call(_gated_psi, model, theta.tobytes(), direction, check_seed(seed))
     system = psi.system
     k = system.k
 
@@ -182,22 +192,12 @@ def reduce_design(
             difference_spectrum=tuple([0.0] * p),
         )
 
-    # The representation maximizing the Q gains is the upper principal
-    # one when every +psi_k^Q augments to a Chebyshev system, and the
-    # lower one when every -psi_k^Q does (minimizing -psi_k^Q maximizes
-    # the gain).  tr C22 = |h_tail|^2, a sum of such psi_k^Q, probes it.
-    def trace_c22(xs):
-        return (psi.h_tail(xs) ** 2).sum(axis=0)
-
-    if direction == "upper":
-        principal, probe = upper_principal, trace_c22
-    else:
-        principal, probe = lower_principal, lambda x: -trace_c22(x)
+    principal = upper_principal if direction == "upper" else lower_principal
     result = principal(system, c0, probe=probe)
     out = result.design
     check_structure(out.points, out.interval, result.structure, direction)
 
-    moments_out = moment_point(system, out)
+    moments_out = fsum_moments(system, result.basis, out.weights)
     gains = np.linalg.eigvalsh(_c22(psi, out) - _c22(psi, xi))
     diff = information_matrix(model, theta, out) - information_matrix(model, theta, xi)
     spectrum = np.linalg.eigvalsh(diff)

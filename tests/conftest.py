@@ -1,10 +1,12 @@
 import pytest
 
-from tcheb import reduction
+from tcheb import principal, reduction
 
 
 @pytest.fixture(autouse=True)
-def _empty_gate_cache():
-    """Each test starts with no memoised gate verdicts, so test order
-    never decides whether a determinant gate runs."""
+def _empty_caches():
+    """Each test starts with no memoised gate verdicts and no memoised LP
+    grids, so test order never decides whether a gate or a grid
+    evaluation runs."""
     reduction._gated_psi.cache_clear()
+    principal._lp_grid.cache_clear()

@@ -361,3 +361,19 @@ def test_numpy_integer_seed_hits_the_memo():
 def test_seed_must_be_a_nonnegative_integer(seed):
     with pytest.raises(ConfigurationError):
         check_chebyshev(polynomial_system(3, Interval(-1.0, 1.0)), seed=seed)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 4)], ids=["0d", "1d", "2d"])
+def test_monomials_match_vander(shape):
+    """In-place row products give np.vander's values and its layout (the
+    rows point by point), so matrix products downstream are unchanged."""
+    x = np.random.default_rng(2).uniform(-2.0, 2.0, shape)
+    for k in range(1, 10):
+        want = np.vander(x.ravel(), k, increasing=True).T.reshape((k,) + x.shape)
+        got = chebyshev.monomials(x, k)
+        assert np.array_equal(got, want)
+        assert got.strides == want.strides
+        scale = np.arange(1.0, k).reshape((-1,) + (1,) * x.ndim)
+        np.testing.assert_array_equal(
+            chebyshev.monomial_derivatives(x, k), np.concatenate([np.zeros_like(want[:1]), scale * want[:-1]])
+        )

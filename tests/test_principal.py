@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import tcheb.principal
 from tcheb import (
+    ChebyshevSystem,
     Design,
     Interval,
     RepresentationStructure,
@@ -14,6 +16,7 @@ from tcheb import (
     moment_point,
     polynomial_system,
     psi_system,
+    reduce_design,
     refine_newton,
     upper_principal,
 )
@@ -149,6 +152,23 @@ class TestNewton:
                 assert names == ["basis_matrix"] + ["derivative_matrix", "basis_matrix"] * steps
             else:
                 assert len(values) > 1 + steps
+
+    @pytest.mark.parametrize("moved", [(1e-12, 0.5, 1.0), (-0.0, 0.5, 1.0)], ids=["snapped", "signed_zero"])
+    def test_result_basis_follows_a_point_the_design_moved(self, moved):
+        """Newton's basis values serve the result only when the Design kept
+        every point's bits; a snapped point, even -0.0 to 0.0, is evaluated
+        afresh."""
+        sys3 = polynomial_system(3, UNIT)
+        weights = (0.25, 0.5, 0.25)
+        basis_at = tcheb.principal._basis_at
+        kept = (0.25, 0.5, 1.0)
+        V = tcheb.principal.basis_matrix(sys3, np.array(kept))
+        assert basis_at(sys3, Design(points=kept, weights=weights, interval=UNIT), kept, V) is V
+        design = Design(points=moved, weights=weights, interval=UNIT)
+        stale = tcheb.principal.basis_matrix(sys3, np.array(moved))
+        fresh = basis_at(sys3, design, moved, stale)
+        assert fresh is not stale
+        np.testing.assert_array_equal(fresh, tcheb.principal.basis_matrix(sys3, design.points_array()))
 
     def test_rejects_wrong_point_count(self):
         sys3 = polynomial_system(3, UNIT)
@@ -327,3 +347,115 @@ def test_zeroth_moment_off_one_is_refused_before_the_lp(monkeypatch, build, coor
     monkeypatch.setattr(tcheb.principal, "grid_lp_extremum", None)
     with pytest.raises(ConfigurationError, match=r"^zeroth moment c0\[0\] = 1e-10 is not 1"):
         build(system, MomentPoint(coordinates=coords, system=system))
+
+
+class TestGridCache:
+    """The moment LP's grid, basis and objective row are memoised per
+    (system, objective) key; the grid basis is evaluated on a miss only."""
+
+    @staticmethod
+    def grid_evaluations(monkeypatch):
+        """Records the points of every grid-sized basis evaluation."""
+        calls = []
+        real = tcheb.principal.basis_matrix
+
+        def record(system, xs):
+            if np.size(xs) == tcheb.principal.DEFAULT_GRID:
+                calls.append(np.array(xs))
+            return real(system, xs)
+
+        monkeypatch.setattr(tcheb.principal, "basis_matrix", record)
+        return calls
+
+    def test_repeat_key_makes_no_grid_evaluation(self, monkeypatch):
+        calls = self.grid_evaluations(monkeypatch)
+        sys5, c0 = uniform_c0(5)
+        upper_principal(sys5, c0)
+        assert len(calls) == 1
+        # The default probe x^k is built once per k, so the key repeats.
+        c1 = moment_point(sys5, Design(points=(-0.9, -0.2, 0.3, 0.8), weights=(0.25,) * 4, interval=SYM))
+        upper_principal(sys5, c1)
+        lower_principal(sys5, c1)
+        assert len(calls) == 1
+
+        model = make_model("michaelis_menten", (1.0, 1.0), (0.0, 10.0))
+        for points in ((1.0, 3.0, 5.0, 7.0, 9.0), (0.5, 2.0, 4.5, 8.0)):
+            n = len(points)
+            xi = Design(points=points, weights=(1.0 / n,) * n, interval=Interval(0.0, 10.0))
+            reduce_design(model, (1.0, 1.0), xi, "upper")
+        assert len(calls) == 2
+
+    def test_hit_equals_a_cold_call(self):
+        sys6, c0 = uniform_c0(6)
+        upper_principal(sys6, c0)
+        for build in (upper_principal, lower_principal):
+            hit = build(sys6, c0)
+            tcheb.principal._lp_grid.cache_clear()
+            cold = build(sys6, c0)
+            assert hit.design == cold.design
+            assert (hit.residual_norm, hit.newton_iterations) == (cold.residual_norm, cold.newton_iterations)
+            np.testing.assert_array_equal(hit.basis, cold.basis)
+
+    def test_unhashable_evaluator_runs_uncached(self, monkeypatch):
+        calls = self.grid_evaluations(monkeypatch)
+        sys4, c0 = uniform_c0(4)
+
+        class Evaluator:
+            """Compares by value and so, lacking __hash__, is unhashable."""
+
+            def __call__(self, xs):
+                return sys4.evaluator(xs)
+
+            def __eq__(self, other):
+                return isinstance(other, Evaluator)
+
+        unhashable = dataclasses.replace(sys4, evaluator=Evaluator())
+        reps = [upper_principal(unhashable, c0) for _ in range(2)]
+        assert len(calls) == 2
+        assert tcheb.principal._lp_grid.cache_info().currsize == 0
+        want = upper_principal(sys4, c0)
+        assert all(r.design == want.design for r in reps)
+
+    def test_a_raising_probe_raises_again(self):
+        sys3 = polynomial_system(3, UNIT)
+        c0 = moment_point(sys3, Design(points=(0.15, 0.55, 0.85), weights=(0.25, 0.5, 0.25), interval=UNIT))
+        seen = []
+
+        def probe(x):
+            seen.append(1)
+            return 1.0 / x
+
+        for _ in range(2):
+            with pytest.raises(EvaluationError, match="^objective evaluation: divide by zero"):
+                upper_principal(sys3, c0, probe)
+        assert len(seen) == 2
+        assert tcheb.principal._lp_grid.cache_info().currsize == 0
+
+    def test_cached_arrays_are_read_only(self):
+        sys4, c0 = uniform_c0(4)
+        probe = tcheb.principal._power_probe(4)
+        grid_lp_extremum(sys4, c0, probe)
+        bounds = np.array([-1.0, 1.0]).tobytes()
+        arrays = tcheb.principal._lp_grid(sys4, probe, bounds)
+        assert tcheb.principal._lp_grid.cache_info().hits == 1
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_signed_zero_endpoints_are_different_keys(self):
+        """Systems over [0, 1] and [-0.0, 1] compare equal, but their
+        grids start at 0.0 and -0.0."""
+        ev = polynomial_system(2, UNIT).evaluator
+        for lower in (0.0, -0.0):
+            system = ChebyshevSystem(Interval(lower, 1.0), 2, ev)
+            grid_lp_extremum(system, MomentPoint((1.0, 0.5), system), lambda x: x**2)
+        assert tcheb.principal._lp_grid.cache_info().misses == 2
+
+    def test_classify_point_evaluates_the_grid_basis_once(self, monkeypatch):
+        calls = self.grid_evaluations(monkeypatch)
+        sys4, c0 = uniform_c0(4)
+        for _ in range(2):
+            calls.clear()
+            assert classify_point(sys4, c0, lambda x: np.asarray(x) ** 4).classification == "Interior"
+            assert len(calls) == 1

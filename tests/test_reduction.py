@@ -18,6 +18,7 @@ from tcheb import (
     criterion_value,
     information_matrix,
     make_model,
+    moment_point,
     optimize_in_class,
     psi_k_Q,
     psi_system,
@@ -72,6 +73,27 @@ class TestReduce:
         norm = float(np.max(np.abs(eigvalsh(M))))
         assert rep.loewner_min_eigenvalue >= -1e-8 * max(1.0, norm)
         assert all(g >= -1e-9 for g in rep.gain_spectrum)
+
+    def test_one_basis_evaluation_at_the_returned_support(self, monkeypatch):
+        """Newton's last accepted basis values serve the 1e-9 moment gate and
+        moments_out: with the gate cached, the returned support is evaluated
+        once, and moments_out equals a fresh moment_point bit for bit."""
+        model, xi = mm(), uniform(range(1, 9), MM_IV)
+        reduce_design(model, [1.0, 1.0], xi, "upper")
+        calls = []
+        for module in (tcheb.principal, tcheb.moments):
+            real = module.basis_matrix
+
+            def record(system, xs, real=real):
+                calls.append(np.array(xs, dtype=float))
+                return real(system, xs)
+
+            monkeypatch.setattr(module, "basis_matrix", record)
+        rep = reduce_design(model, [1.0, 1.0], xi, "upper")
+        support = rep.output.points_array()
+        assert sum(np.array_equal(xs, support) for xs in calls) == 1
+        monkeypatch.undo()
+        assert rep.moments_out.coordinates == moment_point(rep.moments_out.system, rep.output).coordinates
 
     def test_mm_lower_refused(self):
         # the negated last function breaks the determinant condition here
@@ -380,6 +402,17 @@ class TestGateCache:
         assert errors[0].witness is not None
         assert all(e.witness == errors[0].witness for e in errors)
         assert len({id(e) for e in errors}) == 3
+
+    @pytest.mark.parametrize("seed,warm", [(1.0, 1), (0.0, 0)], ids=["one", "zero"])
+    def test_float_seed_is_refused_cold_and_warm(self, checks, seed, warm):
+        """1.0 == 1 hash alike, so the seed is checked before the lookup:
+        a float is refused whether or not its integer warmed the cache."""
+        model, xi = mm(), uniform([1.0, 4.0, 6.0, 9.0], MM_IV)
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="^seed must be an integer, got float$"):
+                reduce_design(model, [1.0, 1.0], xi, "upper", seed=seed)
+            reduce_design(model, [1.0, 1.0], xi, "upper", seed=warm)
+        assert len(checks) == 1
 
     def test_unhashable_model_still_reduces(self, checks):
         base = mm()
