@@ -200,24 +200,24 @@ def _memo_tuples(bounds: bytes, k: int, grid_size: int, num_random_tuples: int, 
     return tuples
 
 
-def check_seed(seed) -> int:
-    """The seed as a nonnegative ``int``, or ConfigurationError."""
+def check_count(value, name: str, minimum: int) -> int:
+    """The value as an ``int`` of at least ``minimum``, numpy integers
+    included, or ConfigurationError."""
     try:
-        seed = operator.index(seed)
+        value = operator.index(value)
     except TypeError:
-        raise ConfigurationError(f"seed must be an integer, got {type(seed).__name__}") from None
-    if seed < 0:
-        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
-    return seed
+        raise ConfigurationError(f"{name} must be an integer, got {type(value).__name__}") from None
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be at least {minimum}, got {value}")
+    return value
 
 
 def _sample(interval: Interval, k: int, grid_size: int, num_random_tuples: int, seed) -> np.ndarray:
-    if grid_size < k:
-        raise ConfigurationError(f"grid_size must be at least k={k}")
-    if num_random_tuples < 0:
-        raise ConfigurationError("num_random_tuples must be nonnegative")
     bounds = np.array([interval.lower, interval.upper]).tobytes()
-    return _memo_tuples(bounds, k, grid_size, num_random_tuples, check_seed(seed))
+    return _memo_tuples(
+        bounds, k, check_count(grid_size, "grid_size", k),
+        check_count(num_random_tuples, "num_random_tuples", 0), check_count(seed, "seed", 0),
+    )
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:

@@ -174,10 +174,15 @@ class Design:
 
 @dataclass(frozen=True)
 class MomentPoint:
-    """Vector of generalized moments together with its generating system."""
+    """Vector of finite generalized moments together with its generating system."""
 
     coordinates: Tuple[float, ...]
     system: ChebyshevSystem
+
+    def __post_init__(self):
+        for i, c in enumerate(self.coordinates):
+            if not math.isfinite(c):
+                raise ConfigurationError(f"moment coordinate c0[{i}] = {c!r} is not finite")
 
     @property
     def k(self) -> int:
@@ -242,14 +247,15 @@ def classify_point(
     that is the caller's obligation.
     """
     # Imported here: principal builds on this module.
-    from .principal import grid_lp_extremum
+    from .principal import _lp_arrays, _solve_grid_lp
 
     # Boundary moment points sit within O(grid spacing^2) of the grid
     # moment body, so classification runs the LPs with a relaxed
-    # feasibility acceptance.
+    # feasibility acceptance.  Both senses share one grid evaluation.
     slack = 1e-6 * max(1.0, float(np.max(np.abs(c0.array()))))
-    gamma_upper, _ = grid_lp_extremum(system, c0, probe, sense="max", feas_tol=slack)
-    gamma_lower, _ = grid_lp_extremum(system, c0, probe, sense="min", feas_tol=slack)
+    lp = _lp_arrays(system, probe)
+    gamma_upper, _ = _solve_grid_lp(lp, c0, "max", slack)
+    gamma_lower, _ = _solve_grid_lp(lp, c0, "min", slack)
     gap = gamma_upper - gamma_lower
     boundary = gap <= CLASSIFY_TOL * max(1.0, abs(gamma_upper))
     return BoundaryReport(

@@ -14,28 +14,28 @@ The solver is one path with one attempt.  A finite linear program on
 the fixed ``DEFAULT_GRID``-point equispaced grid, with the caller's
 probe as objective (x -> x^k when none is given, the augmentation of
 the monomials), locates the support approximately (an optimal basic
-solution of a moment LP carries at most k atoms); the grid, the basis
-on it and the probe row do not depend on the moment point, so they are
-memoised per (system, probe) key.  The LP's atoms, plain (point, weight)
-pairs, merge where discretization split one support point, take the
-shape the structure fixed by k and the direction prescribes, and seed a
-damped Newton iteration on the exact moment-matching equations, which
-removes the grid bias.  Only the returned representation becomes a
-``Design``, and it must match every moment to 1e-9 relative; there is
-no unrefined fallback and no retry: the first failure is raised.  A boundary moment point, whose merged LP
-atoms are fewer than the structure wants, is returned unrefined only
-when its atoms of weight above 1e-9 meet that same gate.
+solution of a moment LP carries at most k atoms).  The LP's atoms, plain
+(point, weight) pairs, merge where discretization split one support
+point, take the shape the structure fixed by k and the direction
+prescribes, and seed a damped Newton iteration on the exact
+moment-matching equations, which removes the grid bias.  Only the
+returned representation becomes a ``Design``, and it must match every
+moment to 1e-9 relative; there is no retry: the first failure is
+raised.  A boundary moment point, whose merged LP atoms are fewer than
+the structure wants, is returned without Newton only when its atoms of
+weight above 1e-9 meet that same gate.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .chebyshev import ChebyshevSystem, Interval, _evaluate, _stacked, basis_matrix, derivative_matrix
+from .chebyshev import (
+    ChebyshevSystem, Interval, _evaluate, _stacked, basis_matrix, derivative_matrix, monomials
+)
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -53,10 +53,6 @@ DEFAULT_GRID = 2001
 # Grid atoms closer than this many grid spacings are one true support
 # point split by discretization.
 CLUSTER_SPACINGS = 3.0
-# LP grids kept per (system, objective) key: the grid, the basis on it
-# and the objective row, (k + 2) * DEFAULT_GRID floats, so about 160 kB
-# an entry at k = 8.
-GRID_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -100,28 +96,30 @@ class PrincipalResult:
     basis: np.ndarray = field(compare=False, repr=False)
 
 
-def _cached_call(cached: Callable, *key):
-    """cached(*key), or the function it memoises when a part of the key is
-    unhashable."""
-    try:
-        hash(key)
-    except TypeError:
-        return cached.__wrapped__(*key)
-    return cached(*key)
-
-
-@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
-def _lp_grid(system: ChebyshevSystem, objective: Callable, bounds: bytes):
+def _lp_arrays(system: ChebyshevSystem, objective: Optional[Callable] = None):
     """The ``DEFAULT_GRID``-point grid of the interval, the basis V on it
-    and the objective row, memoised per key and read-only; an evaluation
-    error is never cached.  The endpoints are keyed by their bytes, which
-    tell 0.0 from -0.0 where the system's interval does not."""
-    grid = np.linspace(*np.frombuffer(bounds).tolist(), DEFAULT_GRID)
-    V = basis_matrix(system, grid)
-    arrays = grid, V, _evaluate(_stacked((objective,)), 1, grid, "objective")[0]
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+    and the objective row; x -> x^k, the last row of ``monomials``' in-place
+    products, when no objective is given."""
+    grid = np.linspace(system.interval.lower, system.interval.upper, DEFAULT_GRID)
+    k = system.k
+    row = _stacked((objective,)) if objective is not None else lambda x: monomials(x, k + 1)[k:]
+    return grid, basis_matrix(system, grid), _evaluate(row, 1, grid, "objective")[0]
+
+
+def _solve_grid_lp(lp, c0: MomentPoint, sense: str, feas_tol: Optional[float] = None):
+    """``grid_lp_extremum`` on the (grid, V, objective row) triple ``lp``."""
+    grid, V, obj = lp
+    if c0.k != V.shape[0]:
+        raise ConfigurationError("moment point dimension does not match the system")
+    try:
+        result = solve_lp(V, c0.array(), obj, sense=sense, feas_tol=feas_tol)
+    except UnboundedError as err:  # psi_0 = 1 and w >= 0 bound the LP: this is round-off
+        rows = np.abs(V).max(axis=1)
+        raise ConvergenceError(
+            f"round-off made the moment LP unbounded: its rows span {rows.min():.1e} to {rows.max():.1e}"
+        ) from err
+    pos = result.x > 1e-14
+    return float(result.value), list(zip(grid[pos].tolist(), result.x[pos].tolist()))
 
 
 def grid_lp_extremum(
@@ -140,12 +138,8 @@ def grid_lp_extremum(
         s.t.     sum_g w_g * psi_i(x_g) = c_i   for i = 0..k-1,
                  w >= 0
 
-    on the ``DEFAULT_GRID``-point equispaced grid of the interval.  The
-    grid, V = [psi_i(x_g)] and the objective row do not depend on c0, so
-    they are built once per (system, objective) key and kept for the last
-    ``GRID_CACHE_SIZE`` keys; the system and the objective are keyed like
-    ``reduce_design``'s model, by their fields and by identity, so they
-    must be pure functions of the points.  An unhashable key runs uncached.
+    on the ``DEFAULT_GRID``-point equispaced grid of the interval, whose
+    basis values and objective row are evaluated afresh on every call.
     Returns the optimal value and the atoms: the (point, weight) pairs of
     the grid points whose weight is above 1e-14, in increasing order, at
     most k of them.  The atoms are a warm start, not a validated design;
@@ -153,19 +147,7 @@ def grid_lp_extremum(
     moments or has a weight below -feas_tol raises ConvergenceError (see
     ``solve_lp``), and so does a simplex that reports the LP unbounded.
     """
-    if c0.k != system.k:
-        raise ConfigurationError("moment point dimension does not match the system")
-    bounds = np.array([system.interval.lower, system.interval.upper]).tobytes()
-    grid, V, obj = _cached_call(_lp_grid, system, objective, bounds)
-    try:
-        result = solve_lp(V, c0.array(), obj, sense=sense, feas_tol=feas_tol)
-    except UnboundedError as err:  # psi_0 = 1 and w >= 0 bound the LP: this is round-off
-        rows = np.abs(V).max(axis=1)
-        raise ConvergenceError(
-            f"round-off made the moment LP unbounded: its rows span {rows.min():.1e} to {rows.max():.1e}"
-        ) from err
-    pos = result.x > 1e-14
-    return float(result.value), list(zip(grid[pos].tolist(), result.x[pos].tolist()))
+    return _solve_grid_lp(_lp_arrays(system, objective), c0, sense, feas_tol)
 
 
 def refine_newton(
@@ -194,6 +176,8 @@ def refine_newton(
     """
     k = system.k
     a, b = system.interval.lower, system.interval.upper
+    if c0.k != k:
+        raise ConfigurationError("moment point dimension does not match the system")
     if structure.free_unknowns != k:
         raise ConfigurationError("structure unknowns do not match the system dimension")
     if len(initial) != structure.num_points:
@@ -279,22 +263,6 @@ def _basis_at(system: ChebyshevSystem, design: Design, points, V: np.ndarray) ->
     return V if kept else basis_matrix(system, design.points_array())
 
 
-@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
-def _power_probe(k: int) -> Callable:
-    """x -> x^k, which augments the monomials 1, ..., x^(k-1), by k - 1
-    in-place products: on the LP grid numpy's ``x ** k`` takes an order
-    of magnitude longer.  Built once per k, so its LP grid is memoised."""
-
-    def probe(x):
-        x = np.asarray(x, dtype=float)
-        out = x.copy()
-        for _ in range(k - 1):
-            out *= x
-        return out
-
-    return probe
-
-
 def check_structure(
     points: Sequence[float], interval: Interval, structure: RepresentationStructure, which: str
 ) -> None:
@@ -355,8 +323,10 @@ def _gated_residual(V: np.ndarray, weights, c0: MomentPoint) -> Optional[float]:
 
 
 def _principal(
-    system: ChebyshevSystem, c0: MomentPoint, which: str, probe: Optional[Callable]
+    system: ChebyshevSystem, c0: MomentPoint, which: str, probe: Optional[Callable] = None, lp=None
 ) -> PrincipalResult:
+    """The principal representation of the direction ``which``, its LP run
+    on ``lp``, a (grid, V, objective row) triple, or on ``probe``'s."""
     k = system.k
     interval = system.interval
     a, b = interval.lower, interval.upper
@@ -367,7 +337,7 @@ def _principal(
         RepresentationStructure.upper(k) if which == "upper" else RepresentationStructure.lower(k)
     )
     sense = "max" if which == "upper" else "min"
-    _, atoms = grid_lp_extremum(system, c0, _power_probe(k) if probe is None else probe, sense=sense)
+    _, atoms = _solve_grid_lp(_lp_arrays(system, probe) if lp is None else lp, c0, sense)
     cluster_tol = CLUSTER_SPACINGS * interval.length / (DEFAULT_GRID - 1)
     merged = merge_runs(atoms, cluster_tol, a, b)
     if len(merged) < structure.num_points:

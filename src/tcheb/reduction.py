@@ -34,7 +34,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .chebyshev import check_gate, check_seed
+from .chebyshev import _evaluate, check_count, check_gate
 from .errors import ConfigurationError, DegeneracyError, PreconditionError
 from .models import (
     PsiSystem,
@@ -44,17 +44,13 @@ from .models import (
     psi_system,
 )
 from .moments import Design, MomentPoint, design_index, fsum_moments, moment_point
-from .principal import (
-    RepresentationStructure,
-    _cached_call,
-    check_structure,
-    lower_principal,
-    upper_principal,
-)
+from .principal import DEFAULT_GRID, RepresentationStructure, _principal, check_structure
 
 PSD_TOL = 1e-8
-# Passing gate verdicts kept per (model, theta, direction, seed) key.
-GATE_CACHE_SIZE = 64
+# Passing gate verdicts kept per (model, theta, direction, seed) key, each
+# with its LP arrays: (k + p1 + 2) * DEFAULT_GRID floats, so about 144 kB
+# an entry at k = 6.
+GATE_CACHE_SIZE = 8
 # Nelder-Mead iterations per restart of optimize_in_class.
 OPTIMIZE_MAX_ITER = 500
 
@@ -91,18 +87,27 @@ def gate_checks(psi: PsiSystem, direction: str, seed: int):
     return check_gate(psi.system, psi.with_tail, psi.p1, 1.0 if direction == "upper" else -1.0, seed)
 
 
+def _cached_call(cached: Callable, *key):
+    """cached(*key), or the function it memoises when a part of the key is
+    unhashable."""
+    try:
+        hash(key)
+    except TypeError:
+        return cached.__wrapped__(*key)
+    return cached(*key)
+
+
 @functools.lru_cache(maxsize=GATE_CACHE_SIZE)
-def _gated_psi(
-    model: RegressionModel, theta_bytes: bytes, direction: str, seed: int
-) -> Tuple[PsiSystem, Callable]:
+def _gated_psi(model: RegressionModel, theta_bytes: bytes, direction: str, seed: int):
     """The psi system at theta, once it passed the gate of the direction,
-    and the probe of that direction's principal representation.
+    and the arrays of that direction's moment LP: the ``DEFAULT_GRID``-point
+    grid, the basis V on it and the objective row +-tr C22.
 
     A base refusal raises PreconditionError before an augmented one.  The
-    gate does not depend on the design, so a passing verdict is memoised
-    per key; a refusal is never cached.  The probe is built once per key
-    too, so the moment LP's grid is memoised with it (see
-    ``grid_lp_extremum``).  theta is keyed by its bytes, which tell 0.0
+    gate and the LP arrays do not depend on the design, so they are
+    memoised per key, the arrays read-only; a refusal is never cached.
+    The grid is evaluated once, psi over h_tail in one ``with_tail`` call,
+    like the gate's sample.  theta is keyed by its bytes, which tell 0.0
     from -0.0 where floats do not; the seed must be checked before keying.
     """
     psi = psi_system(model, np.frombuffer(theta_bytes))
@@ -124,10 +129,14 @@ def _gated_psi(
     # one when every +psi_k^Q augments to a Chebyshev system, and the
     # lower one when every -psi_k^Q does (minimizing -psi_k^Q maximizes
     # the gain).  tr C22 = |h_tail|^2, a sum of such psi_k^Q, probes it.
-    def trace_c22(xs):
-        return (psi.h_tail(xs) ** 2).sum(axis=0)
-
-    return psi, trace_c22 if direction == "upper" else lambda x: -trace_c22(x)
+    interval = psi.system.interval
+    grid = np.linspace(interval.lower, interval.upper, DEFAULT_GRID)
+    W = _evaluate(psi.with_tail, psi.k + psi.p1, grid, "basis")
+    trace_c22 = (W[psi.k :] ** 2).sum(axis=0)
+    lp = grid, W[: psi.k], trace_c22 if direction == "upper" else -trace_c22
+    for array in lp:
+        array.flags.writeable = False
+    return psi, lp
 
 
 def _c22(psi: PsiSystem, design: Design) -> np.ndarray:
@@ -166,12 +175,13 @@ def reduce_design(
     change behaviour must be rebuilt as a new object with new callables,
     as ``make_model`` does.  A model with an unhashable field runs
     uncached.  ``seed`` must be a nonnegative integer, and is checked
-    before the lookup.
+    before the lookup.  Each entry also holds the moment LP's grid, its
+    basis and the +-tr C22 row, so a repeated key evaluates no grid.
     """
     if direction not in ("upper", "lower"):
         raise ConfigurationError(f"direction must be 'upper' or 'lower', got {direction!r}")
     theta = _check_theta(model, theta)
-    psi, probe = _cached_call(_gated_psi, model, theta.tobytes(), direction, check_seed(seed))
+    psi, lp = _cached_call(_gated_psi, model, theta.tobytes(), direction, check_count(seed, "seed", 0))
     system = psi.system
     k = system.k
 
@@ -192,8 +202,7 @@ def reduce_design(
             difference_spectrum=tuple([0.0] * p),
         )
 
-    principal = upper_principal if direction == "upper" else lower_principal
-    result = principal(system, c0, probe=probe)
+    result = _principal(system, c0, direction, lp=lp)
     out = result.design
     check_structure(out.points, out.interval, result.structure, direction)
 
@@ -282,12 +291,12 @@ def optimize_in_class(
     Designs are parametrized by the principal-representation structure
     of the chosen direction: endpoint membership is fixed, free points
     map through a logistic squashing (kept sorted) and weights through a
-    softmax.  Each restart runs Nelder-Mead from a seeded
-    low-discrepancy initial simplex, for at most ``OPTIMIZE_MAX_ITER``
-    iterations; the best design over all restarts is returned, with
-    exact ties broken lexicographically on the support points and
-    weights.  The determinant hypothesis of the chosen direction is the
-    caller's responsibility.
+    softmax.  Each of the ``restarts`` (an integer, at least 1) runs
+    Nelder-Mead from a seeded low-discrepancy initial simplex, for at
+    most ``OPTIMIZE_MAX_ITER`` iterations; the best design over all
+    restarts is returned, with exact ties broken lexicographically on the
+    support points and weights.  The determinant hypothesis of the chosen
+    direction is the caller's responsibility.
     """
     from scipy.optimize import minimize
     from scipy.stats import qmc
@@ -296,7 +305,7 @@ def optimize_in_class(
         raise ConfigurationError(f"direction must be 'upper' or 'lower', got {direction!r}")
     if criterion not in ("d", "a"):
         raise ConfigurationError(f"criterion must be 'd' or 'a', got {criterion!r}")
-    seed = check_seed(seed)
+    seed, restarts = check_count(seed, "seed", 0), check_count(restarts, "restarts", 1)
     psi = psi_system(model, theta)
     k = psi.k
     structure = (

@@ -353,6 +353,13 @@ def test_numpy_integer_seed_hits_the_memo():
     assert (info.hits, info.misses) == (2, 1)
 
 
+@pytest.mark.parametrize("count", ["num_random_tuples", "grid_size"])
+@pytest.mark.parametrize("value", [1.5, 10.0, "10"], ids=["fraction", "integral_float", "str"])
+def test_sample_sizes_must_be_integers(count, value):
+    with pytest.raises(ConfigurationError, match=f"^{count} must be an integer, got "):
+        check_chebyshev(polynomial_system(3, Interval(-1.0, 1.0)), **{count: value})
+
+
 @pytest.mark.parametrize(
     "seed",
     [-1, np.int64(-2), 1.0, "0", [1, 2], None, np.random.default_rng(3)],

@@ -129,6 +129,18 @@ def test_moment_point_interval_mismatch():
         moment_point(sys3, other)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_moment_point_is_refused(bad):
+    """A non-finite coordinate is refused at construction, by name, so
+    classify_point and the principal solvers never see one."""
+    sys4 = polynomial_system(4, UNIT)
+    coords = (1.0, bad, 0.3, 0.0)
+    with pytest.raises(ConfigurationError, match=rf"^moment coordinate c0\[1\] = {bad!r} is not finite$"):
+        MomentPoint(coordinates=coords, system=sys4)
+    with pytest.raises(ConfigurationError, match="is not finite"):
+        classify_point(sys4, MomentPoint(coordinates=coords, system=sys4), lambda x: x**4)
+
+
 def test_moment_point_linearity():
     sys3 = polynomial_system(3, UNIT)
     d1 = mk([0.1, 0.6], [0.5, 0.5])

@@ -6,15 +6,16 @@ import pytest
 
 import tcheb.principal
 from tcheb import (
-    ChebyshevSystem,
     Design,
     Interval,
     RepresentationStructure,
+    basis_matrix,
     grid_lp_extremum,
     lower_principal,
     make_model,
     moment_point,
     polynomial_system,
+    psi_k_Q,
     psi_system,
     reduce_design,
     refine_newton,
@@ -284,13 +285,13 @@ class TestPrincipal:
             points=tuple((i + 0.5) * 3 / 8 for i in range(8)), weights=(0.125,) * 8, interval=Interval(0.0, 3.0)
         )
         calls = []
-        real = tcheb.principal.grid_lp_extremum
+        real = tcheb.principal._solve_grid_lp
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(tcheb.principal, "grid_lp_extremum", spy)
+        monkeypatch.setattr(tcheb.principal, "_solve_grid_lp", spy)
         lo = lower_principal(system, moment_point(system, xi))
         assert len(calls) == 1
         assert lo.design.points == (0.0, 1.3300912578617015)
@@ -344,14 +345,16 @@ def test_zeroth_moment_off_one_is_refused_before_the_lp(monkeypatch, build, coor
     measure; one farther than 1e-9 from 1 is refused by name, not after
     the LP and Newton as a weight sum the caller never gave."""
     system = polynomial_system(2, Interval(0.0, 1.0))
-    monkeypatch.setattr(tcheb.principal, "grid_lp_extremum", None)
+    monkeypatch.setattr(tcheb.principal, "_lp_arrays", None)
+    monkeypatch.setattr(tcheb.principal, "_solve_grid_lp", None)
     with pytest.raises(ConfigurationError, match=r"^zeroth moment c0\[0\] = 1e-10 is not 1"):
         build(system, MomentPoint(coordinates=coords, system=system))
 
 
 class TestGridCache:
-    """The moment LP's grid, basis and objective row are memoised per
-    (system, objective) key; the grid basis is evaluated on a miss only."""
+    """The moment LP's grid, basis and objective row: ``reduce_design``
+    takes them from its gate entry, which evaluates psi over h_tail on the
+    grid once per key; every other call evaluates its grid afresh."""
 
     @staticmethod
     def grid_evaluations(monkeypatch):
@@ -367,34 +370,59 @@ class TestGridCache:
         monkeypatch.setattr(tcheb.principal, "basis_matrix", record)
         return calls
 
+    @staticmethod
+    def counting_model(name, theta, iv):
+        """The catalog model, and the list of the sizes of its gradient's
+        point sets: h is evaluated wherever the gradient is."""
+        model = make_model(name, theta, iv)
+        sizes = []
+        gradient = model.gradient
+
+        def counting(xs, th):
+            sizes.append(np.size(xs))
+            return gradient(xs, th)
+
+        return dataclasses.replace(model, gradient=counting), sizes
+
     def test_repeat_key_makes_no_grid_evaluation(self, monkeypatch):
         calls = self.grid_evaluations(monkeypatch)
-        sys5, c0 = uniform_c0(5)
-        upper_principal(sys5, c0)
-        assert len(calls) == 1
-        # The default probe x^k is built once per k, so the key repeats.
-        c1 = moment_point(sys5, Design(points=(-0.9, -0.2, 0.3, 0.8), weights=(0.25,) * 4, interval=SYM))
-        upper_principal(sys5, c1)
-        lower_principal(sys5, c1)
-        assert len(calls) == 1
-
-        model = make_model("michaelis_menten", (1.0, 1.0), (0.0, 10.0))
+        model, sizes = self.counting_model("michaelis_menten", (1.0, 1.0), (0.0, 10.0))
         for points in ((1.0, 3.0, 5.0, 7.0, 9.0), (0.5, 2.0, 4.5, 8.0)):
             n = len(points)
             xi = Design(points=points, weights=(1.0 / n,) * n, interval=Interval(0.0, 10.0))
-            reduce_design(model, (1.0, 1.0), xi, "upper")
-        assert len(calls) == 2
+            assert reduce_design(model, (1.0, 1.0), xi, "upper").branch == "OddCase"
+        assert sizes.count(tcheb.principal.DEFAULT_GRID) == 1
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "name,theta,iv,direction",
+        [("michaelis_menten", (1.0, 1.0), (0.0, 10.0), "upper"), ("exponential", (1.0, -1.0), (0.0, 3.0), "lower")],
+    )
+    def test_gate_entry_arrays_equal_a_fresh_evaluation(self, name, theta, iv, direction):
+        """V and the objective row are basis_matrix's and +-psi_k^Q's at
+        Q = (1,), p1 = 1, bit for bit."""
+        model = make_model(name, theta, iv)
+        psi, (grid, V, row) = tcheb.reduction._gated_psi(model, np.array(theta).tobytes(), direction, 0)
+        assert grid.tobytes() == np.linspace(*iv, tcheb.principal.DEFAULT_GRID).tobytes()
+        assert V.tobytes() == basis_matrix(psi.system, grid).tobytes()
+        probe = psi_k_Q(psi, (1.0,))(grid)
+        assert row.tobytes() == (probe if direction == "upper" else -probe).tobytes()
 
     def test_hit_equals_a_cold_call(self):
-        sys6, c0 = uniform_c0(6)
-        upper_principal(sys6, c0)
-        for build in (upper_principal, lower_principal):
-            hit = build(sys6, c0)
-            tcheb.principal._lp_grid.cache_clear()
-            cold = build(sys6, c0)
-            assert hit.design == cold.design
-            assert (hit.residual_norm, hit.newton_iterations) == (cold.residual_norm, cold.newton_iterations)
-            np.testing.assert_array_equal(hit.basis, cold.basis)
+        model = make_model("exponential3", (1.0, 1.0, -1.0), (0.0, 3.0))
+        xi = Design(points=tuple(np.linspace(0.1, 2.9, 8)), weights=(0.125,) * 8, interval=Interval(0.0, 3.0))
+        cold = reduce_design(model, (1.0, 1.0, -1.0), xi, "lower")
+        warm = reduce_design(model, (1.0, 1.0, -1.0), xi, "lower")
+        assert tcheb.reduction._gated_psi.cache_info().hits == 1
+        tcheb.reduction._gated_psi.cache_clear()
+        again = reduce_design(model, (1.0, 1.0, -1.0), xi, "lower")
+        assert cold.branch == "OddCase"
+
+        def payload(r):
+            # A cold entry's psi system holds new function objects.
+            return r.output, r.moments_out.coordinates, r.gain_spectrum, r.difference_spectrum
+
+        assert payload(warm) == payload(cold) == payload(again)
 
     def test_unhashable_evaluator_runs_uncached(self, monkeypatch):
         calls = self.grid_evaluations(monkeypatch)
@@ -412,7 +440,6 @@ class TestGridCache:
         unhashable = dataclasses.replace(sys4, evaluator=Evaluator())
         reps = [upper_principal(unhashable, c0) for _ in range(2)]
         assert len(calls) == 2
-        assert tcheb.principal._lp_grid.cache_info().currsize == 0
         want = upper_principal(sys4, c0)
         assert all(r.design == want.design for r in reps)
 
@@ -429,33 +456,54 @@ class TestGridCache:
             with pytest.raises(EvaluationError, match="^objective evaluation: divide by zero"):
                 upper_principal(sys3, c0, probe)
         assert len(seen) == 2
-        assert tcheb.principal._lp_grid.cache_info().currsize == 0
 
     def test_cached_arrays_are_read_only(self):
-        sys4, c0 = uniform_c0(4)
-        probe = tcheb.principal._power_probe(4)
-        grid_lp_extremum(sys4, c0, probe)
-        bounds = np.array([-1.0, 1.0]).tobytes()
-        arrays = tcheb.principal._lp_grid(sys4, probe, bounds)
-        assert tcheb.principal._lp_grid.cache_info().hits == 1
+        model = make_model("michaelis_menten", (1.0, 1.0), (0.0, 10.0))
+        xi = Design(points=(1.0, 4.0, 9.0), weights=(0.25, 0.5, 0.25), interval=Interval(0.0, 10.0))
+        reduce_design(model, (1.0, 1.0), xi, "upper")
+        _, arrays = tcheb.reduction._gated_psi(model, np.array([1.0, 1.0]).tobytes(), "upper", 0)
+        assert tcheb.reduction._gated_psi.cache_info().hits == 1
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
-    def test_signed_zero_endpoints_are_different_keys(self):
-        """Systems over [0, 1] and [-0.0, 1] compare equal, but their
-        grids start at 0.0 and -0.0."""
-        ev = polynomial_system(2, UNIT).evaluator
-        for lower in (0.0, -0.0):
-            system = ChebyshevSystem(Interval(lower, 1.0), 2, ev)
-            grid_lp_extremum(system, MomentPoint((1.0, 0.5), system), lambda x: x**2)
-        assert tcheb.principal._lp_grid.cache_info().misses == 2
-
     def test_classify_point_evaluates_the_grid_basis_once(self, monkeypatch):
         calls = self.grid_evaluations(monkeypatch)
         sys4, c0 = uniform_c0(4)
+        probed = []
+
+        def probe(x):
+            probed.append(np.size(x))
+            return np.asarray(x) ** 4
+
         for _ in range(2):
             calls.clear()
-            assert classify_point(sys4, c0, lambda x: np.asarray(x) ** 4).classification == "Interior"
+            probed.clear()
+            assert classify_point(sys4, c0, probe).classification == "Interior"
             assert len(calls) == 1
+            assert probed == [tcheb.principal.DEFAULT_GRID]
+
+
+K5 = (1.0, 0.0, 1.0 / 3.0, 0.0, 0.2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda system, c0: grid_lp_extremum(system, c0, lambda x: x**4),
+        upper_principal,
+        lower_principal,
+        lambda system, c0: classify_point(system, c0, lambda x: x**4),
+        lambda system, c0: refine_newton(
+            system, c0, RepresentationStructure.lower(4), [(-0.5, 0.5), (0.5, 0.5)]
+        ),
+    ],
+    ids=["grid_lp_extremum", "upper_principal", "lower_principal", "classify_point", "refine_newton"],
+)
+def test_moment_point_of_the_wrong_dimension_is_refused(call):
+    """A k = 5 moment point on a k = 4 system is a ConfigurationError at
+    every entry point, never a numpy shape error."""
+    sys4 = polynomial_system(4, SYM)
+    with pytest.raises(ConfigurationError, match="^moment point dimension does not match the system$"):
+        call(sys4, MomentPoint(coordinates=K5, system=polynomial_system(5, SYM)))

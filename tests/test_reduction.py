@@ -578,6 +578,14 @@ class TestOptimize:
         with pytest.raises(ConfigurationError):
             optimize_in_class(mm(), [1.0, 1.0], restarts=1, seed=seed)
 
+    @pytest.mark.parametrize(
+        "restarts,message",
+        [(0, "at least 1, got 0"), (-2, "at least 1, got -2"), (1.5, "an integer, got float")],
+    )
+    def test_restarts_must_be_a_positive_integer(self, restarts, message):
+        with pytest.raises(ConfigurationError, match=f"^restarts must be {message}$"):
+            optimize_in_class(mm(), [1.0, 1.0], restarts=restarts)
+
     def test_optimum_not_improvable_by_reduction(self):
         best = optimize_in_class(mm(), [1.0, 1.0], criterion="d", direction="upper")
         rep = reduce_design(mm(), [1.0, 1.0], best, "upper")
