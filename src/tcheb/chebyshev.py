@@ -96,11 +96,16 @@ class ChebyshevSystem:
             derivatives = tuple(derivatives)
             if len(derivatives) != len(basis):
                 raise ConfigurationError("derivatives must match the basis in length")
-            derivatives = _stacked(derivatives)
-        return cls(interval, len(basis), _stacked(basis), derivatives, name)
+            derivatives = _stacked(derivatives, "derivatives")
+        return cls(interval, len(basis), _stacked(basis, "basis"), derivatives, name)
 
 
-def _stacked(fs: Tuple[Callable, ...]) -> Callable:
+def _stacked(fs: Tuple[Callable, ...], name: str) -> Callable:
+    """The evaluator of the rows f(xs), f in fs: the one place where a
+    function argument, here ``name``, is checked to be callable."""
+    for f in fs:
+        if not callable(f):
+            raise ConfigurationError(f"{name} must be callable, got {type(f).__name__}")
     return lambda xs: np.stack([_call_on_array(f, xs) for f in fs])
 
 
@@ -322,9 +327,9 @@ def augment(system: ChebyshevSystem, omega: Callable) -> ChebyshevSystem:
     result when they need the property.
     """
     name = f"{system.name}+omega" if system.name else "+omega"
+    row = _stacked((omega,), "omega")
     return ChebyshevSystem(
-        system.interval, system.k + 1,
-        lambda xs: np.vstack([system.evaluator(xs), _call_on_array(omega, xs)]), name=name,
+        system.interval, system.k + 1, lambda xs: np.vstack([system.evaluator(xs), row(xs)]), name=name
     )
 
 

@@ -38,8 +38,8 @@ class InfeasibleError(TchebError):
 class UnboundedError(TchebError):
     """A linear program is unbounded.
 
-    Moment LPs are bounded, so ``grid_lp_extremum`` reports this as the
-    round-off it is there, a ConvergenceError.
+    Moment LPs are bounded, so ``principal._solve_grid_lp``, the one
+    moment LP solver, reports this as the round-off it is, a ConvergenceError.
     """
 
     code = "unbounded"

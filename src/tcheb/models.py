@@ -71,14 +71,14 @@ class PsiSystem:
     """The induced moment system of a model at a parameter value.
 
     ``system`` holds 1, psi_1, ..., psi_{k-1} in catalog order.  ``h``
-    maps points to h = P^{-1} g, shape (p, n), and ``rows`` maps that to
-    the (k, n) psi values, so the psi values and h_tail share one h.
+    maps points to h = P^{-1} g, shape (p, n), and ``with_tail`` to the
+    (k + p1, n) psi values over h_tail, whose leading k rows are the system's.
     """
 
     system: ChebyshevSystem
     p1: int
     h: Callable
-    rows: Callable
+    with_tail: Callable
 
     @property
     def k(self) -> int:
@@ -87,11 +87,6 @@ class PsiSystem:
     def h_tail(self, xs) -> np.ndarray:
         """The (p1, n) trailing block of h, the factor of C22 = h_tail h_tail^T."""
         return self.h(xs)[-self.p1 :]
-
-    def with_tail(self, xs) -> np.ndarray:
-        """The (k + p1, n) psi values over h_tail, from one evaluation of h."""
-        H = self.h(xs)
-        return np.vstack([self.rows(H), H[-self.p1 :]])
 
 
 def _grad_values(model: RegressionModel, theta, xs) -> np.ndarray:
@@ -104,6 +99,8 @@ def _check_theta(model: RegressionModel, theta) -> np.ndarray:
         raise ConfigurationError(
             f"model {model.name} needs {model.p} parameters, got {theta.shape}"
         )
+    if not np.all(np.isfinite(theta)):
+        raise ConfigurationError(f"model {model.name} needs finite parameters, got {theta.tolist()}")
     return theta
 
 
@@ -189,8 +186,14 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
 
     I, J = np.array([reps[scan][1] for scan in order], dtype=int).reshape(-1, 2).T
 
-    def rows(H):
-        return np.vstack([np.ones((1, H.shape[1])), H[I] * H[J]])
+    def with_tail(xs):
+        H = h(xs)
+        W = np.empty((k + p1, H.shape[1]))
+        W[0] = 1.0
+        for row, (i, j) in enumerate(zip(I, J), 1):
+            np.multiply(H[i], H[j], out=W[row])
+        W[k:] = H[r:]
+        return W
 
     def derivative_rows(xs):
         H = h(xs)
@@ -198,16 +201,18 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
         return np.vstack([np.zeros((1, H.shape[1])), dH[I] * H[J] + H[I] * dH[J]])
 
     system = ChebyshevSystem(
-        model.design_interval, k, lambda xs: rows(h(xs)),
+        model.design_interval, k, lambda xs: with_tail(xs)[:k],
         None if model.gradient_dx is None else derivative_rows, name=f"{model.name}_psi"
     )
-    return PsiSystem(system=system, p1=p1, h=h, rows=rows)
+    return PsiSystem(system=system, p1=p1, h=h, with_tail=with_tail)
 
 
 def _q_vector(psi: PsiSystem, Q) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
     if Q.shape != (psi.p1,):
         raise DomainError(f"Q must have length p1={psi.p1}")
+    if not np.all(np.isfinite(Q)):
+        raise DomainError(f"Q must be finite, got {Q.tolist()}")
     if float(np.linalg.norm(Q)) == 0.0:
         raise DomainError("Q must be nonzero")
     return Q

@@ -10,20 +10,20 @@ function Omega that augments the system to a Chebyshev system, the
 upper one maximizing and the lower one minimizing, and the measures do
 not depend on which valid Omega is used.
 
-The solver is one path with one attempt.  A finite linear program on
-the fixed ``DEFAULT_GRID``-point equispaced grid, with the caller's
-probe as objective (x -> x^k when none is given, the augmentation of
-the monomials), locates the support approximately (an optimal basic
-solution of a moment LP carries at most k atoms).  The LP's atoms, plain
-(point, weight) pairs, merge where discretization split one support
-point, take the shape the structure fixed by k and the direction
-prescribes, and seed a damped Newton iteration on the exact
-moment-matching equations, which removes the grid bias.  Only the
-returned representation becomes a ``Design``, and it must match every
-moment to 1e-9 relative; there is no retry: the first failure is
-raised.  A boundary moment point, whose merged LP atoms are fewer than
-the structure wants, is returned without Newton only when its atoms of
-weight above 1e-9 meet that same gate.
+The solver is one path with one attempt, entered with a finite linear
+program built on the fixed ``lp_grid``, with the caller's probe as
+objective (x -> x^k when none is given, the augmentation of the
+monomials) or, from ``reduce_design``, +-tr C22.  It locates the support
+approximately (an optimal basic solution of a moment LP carries at most
+k atoms).  The LP's atoms, plain (point, weight) pairs, merge where
+discretization split one support point, take the shape the structure
+fixed by k and the direction prescribes, and seed a damped Newton
+iteration on the exact moment-matching equations, which removes the grid
+bias.  Only the returned representation becomes a ``Design``, and it
+must match every moment to 1e-9 relative; there is no retry: the first
+failure is raised.  A boundary moment point, whose merged LP atoms are
+fewer than the structure wants, is returned without Newton only when its
+atoms of weight above 1e-9 meet that same gate.
 """
 
 from __future__ import annotations
@@ -84,6 +84,10 @@ class RepresentationStructure:
         return self.interior_points + self.num_points
 
 
+# The structure of each direction's principal representation, by k.
+STRUCTURES = {"upper": RepresentationStructure.upper, "lower": RepresentationStructure.lower}
+
+
 @dataclass(frozen=True)
 class PrincipalResult:
     """A principal representation, with ``basis``, the (k, n) basis values
@@ -96,13 +100,18 @@ class PrincipalResult:
     basis: np.ndarray = field(compare=False, repr=False)
 
 
+def lp_grid(interval: Interval) -> np.ndarray:
+    """The ``DEFAULT_GRID``-point equispaced grid of every moment LP."""
+    return np.linspace(interval.lower, interval.upper, DEFAULT_GRID)
+
+
 def _lp_arrays(system: ChebyshevSystem, objective: Optional[Callable] = None):
-    """The ``DEFAULT_GRID``-point grid of the interval, the basis V on it
-    and the objective row; x -> x^k, the last row of ``monomials``' in-place
-    products, when no objective is given."""
-    grid = np.linspace(system.interval.lower, system.interval.upper, DEFAULT_GRID)
+    """The grid of the interval, the basis V on it and the objective row;
+    x -> x^k, the last row of ``monomials``' in-place products, when no
+    objective is given."""
+    grid = lp_grid(system.interval)
     k = system.k
-    row = _stacked((objective,)) if objective is not None else lambda x: monomials(x, k + 1)[k:]
+    row = _stacked((objective,), "probe") if objective is not None else lambda x: monomials(x, k + 1)[k:]
     return grid, basis_matrix(system, grid), _evaluate(row, 1, grid, "objective")[0]
 
 
@@ -127,7 +136,6 @@ def grid_lp_extremum(
     c0: MomentPoint,
     objective: Callable,
     sense: str = "max",
-    feas_tol: Optional[float] = None,
 ):
     """Extremize the objective moment over grid measures matching c0.
 
@@ -144,10 +152,18 @@ def grid_lp_extremum(
     the grid points whose weight is above 1e-14, in increasing order, at
     most k of them.  The atoms are a warm start, not a validated design;
     their weights need not sum to 1 exactly.  A vertex that misses the
-    moments or has a weight below -feas_tol raises ConvergenceError (see
-    ``solve_lp``), and so does a simplex that reports the LP unbounded.
+    moments or has a weight below ``solve_lp``'s default -feas_tol raises
+    ConvergenceError, and so does a simplex that reports the LP unbounded.
     """
-    return _solve_grid_lp(_lp_arrays(system, objective), c0, sense, feas_tol)
+    return _solve_grid_lp(_lp_arrays(system, objective), c0, sense)
+
+
+def _check_total_weight(c0: MomentPoint) -> None:
+    """With psi_0 = 1, c0[0] is the total weight of every representing
+    measure: one farther than ``INGEST_WEIGHT_TOL`` from 1 is refused."""
+    c00 = c0.coordinates[0]
+    if not abs(c00 - 1.0) <= INGEST_WEIGHT_TOL:
+        raise ConfigurationError(f"zeroth moment c0[0] = {c00!r} is not 1, so no design represents c0")
 
 
 def refine_newton(
@@ -172,10 +188,11 @@ def refine_newton(
     ||c0||_inf) within ``NEWTON_MAX_ITER`` steps.  The basis is evaluated
     once per iterate: the accepted trial's values serve the next Jacobian,
     and the last ones the result's ``basis`` unless building the ``Design``
-    moved a point.
+    moved a point.  c0[0] must be 1, as for ``upper_principal``.
     """
     k = system.k
     a, b = system.interval.lower, system.interval.upper
+    _check_total_weight(c0)
     if c0.k != k:
         raise ConfigurationError("moment point dimension does not match the system")
     if structure.free_unknowns != k:
@@ -241,26 +258,21 @@ def refine_newton(
             f"newton did not reach tolerance, residual {res:.3e}", residual=res
         )
 
+    return _result(system, structure, points, w, V, res, iterations)
+
+
+def _result(system: ChebyshevSystem, structure, points, weights, V: np.ndarray, residual, iterations):
+    """The PrincipalResult of a support.  Its ``basis`` is V, the basis at
+    ``points``, unless building the ``Design`` moved a point (it may snap,
+    merge or drop one); then the basis is evaluated afresh."""
     design = Design(
         points=tuple(float(x) for x in points),
-        weights=tuple(float(v) for v in w),
+        weights=tuple(float(v) for v in weights),
         interval=system.interval,
     )
-    return PrincipalResult(
-        design=design,
-        residual_norm=res,
-        newton_iterations=iterations,
-        structure=structure,
-        basis=_basis_at(system, design, points, V),
-    )
-
-
-def _basis_at(system: ChebyshevSystem, design: Design, points, V: np.ndarray) -> np.ndarray:
-    """The basis at the design's points: V, the basis at ``points``, when
-    building the design kept their bits, else evaluated afresh (it may
-    snap, merge or drop a point)."""
     kept = design.points_array().tobytes() == np.array(points, dtype=float).tobytes()
-    return V if kept else basis_matrix(system, design.points_array())
+    basis = V if kept else basis_matrix(system, design.points_array())
+    return PrincipalResult(design, residual, iterations, structure, basis)
 
 
 def check_structure(
@@ -322,22 +334,13 @@ def _gated_residual(V: np.ndarray, weights, c0: MomentPoint) -> Optional[float]:
     return None
 
 
-def _principal(
-    system: ChebyshevSystem, c0: MomentPoint, which: str, probe: Optional[Callable] = None, lp=None
-) -> PrincipalResult:
-    """The principal representation of the direction ``which``, its LP run
-    on ``lp``, a (grid, V, objective row) triple, or on ``probe``'s."""
-    k = system.k
+def _principal(system: ChebyshevSystem, c0: MomentPoint, which: str, lp) -> PrincipalResult:
+    """The principal representation of the direction ``which``, its moment
+    LP run on ``lp``, the (grid, V, objective row) arrays."""
     interval = system.interval
     a, b = interval.lower, interval.upper
-    c00 = c0.coordinates[0]
-    if not abs(c00 - 1.0) <= INGEST_WEIGHT_TOL:  # psi_0 = 1: c0[0] is a total weight
-        raise ConfigurationError(f"zeroth moment c0[0] = {c00!r} is not 1, so no design represents c0")
-    structure = (
-        RepresentationStructure.upper(k) if which == "upper" else RepresentationStructure.lower(k)
-    )
-    sense = "max" if which == "upper" else "min"
-    _, atoms = _solve_grid_lp(_lp_arrays(system, probe) if lp is None else lp, c0, sense)
+    structure = STRUCTURES[which](system.k)
+    _, atoms = _solve_grid_lp(lp, c0, "max" if which == "upper" else "min")
     cluster_tol = CLUSTER_SPACINGS * interval.length / (DEFAULT_GRID - 1)
     merged = merge_runs(atoms, cluster_tol, a, b)
     if len(merged) < structure.num_points:
@@ -350,8 +353,7 @@ def _principal(
         V = basis_matrix(system, np.asarray(points, float))
         resid = _gated_residual(V, weights, c0)
         if resid is not None:
-            design = Design(points=points, weights=weights, interval=interval)
-            return PrincipalResult(design, resid, 0, structure, _basis_at(system, design, points, V))
+            return _result(system, structure, points, weights, V, resid, 0)
     shaped = _shape_to_structure(merged, structure, cluster_tol, interval, which)
     result = refine_newton(system, c0, structure, shaped)
     if _gated_residual(result.basis, result.design.weights, c0) is None:
@@ -371,9 +373,10 @@ def upper_principal(
     Chebyshev system; the default x -> x^k does so for the monomials
     and, by measurement only, for the catalog psi systems.  With psi_0 = 1,
     c0[0] is the total weight: one farther than ``INGEST_WEIGHT_TOL``
-    from 1 raises ConfigurationError before the LP runs.
+    from 1 raises ConfigurationError before the LP is built.
     """
-    return _principal(system, c0, "upper", probe)
+    _check_total_weight(c0)
+    return _principal(system, c0, "upper", _lp_arrays(system, probe))
 
 
 def lower_principal(
@@ -382,6 +385,7 @@ def lower_principal(
     """The representing measure minimizing every valid probe moment.
 
     Avoids B; contains A when k is odd and avoids both endpoints when k
-    is even.  ``probe`` is as for ``upper_principal``.
+    is even.  ``probe`` and c0[0] are as for ``upper_principal``.
     """
-    return _principal(system, c0, "lower", probe)
+    _check_total_weight(c0)
+    return _principal(system, c0, "lower", _lp_arrays(system, probe))

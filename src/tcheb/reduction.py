@@ -10,7 +10,7 @@ the improving design is the upper principal representation of the
 input's moment point (it contains B, and A too when k is even); for the
 lower direction it is the lower one.  Designs whose index is already
 below k/2 have a unique representing measure, so they are returned
-unchanged.
+unchanged; their gain and information difference are exact zeros.
 
 Both hypotheses are determinant conditions: the psi system, and the psi
 system augmented by +psi_k^Q (upper) or -psi_k^Q (lower) for every
@@ -44,12 +44,12 @@ from .models import (
     psi_system,
 )
 from .moments import Design, MomentPoint, design_index, fsum_moments, moment_point
-from .principal import DEFAULT_GRID, RepresentationStructure, _principal, check_structure
+from .principal import STRUCTURES, _principal, check_structure, lp_grid
 
 PSD_TOL = 1e-8
 # Passing gate verdicts kept per (model, theta, direction, seed) key, each
-# with its LP arrays: (k + p1 + 2) * DEFAULT_GRID floats, so about 144 kB
-# an entry at k = 6.
+# with its LP arrays: (k + p1 + 2) * principal.DEFAULT_GRID floats, so
+# about 144 kB an entry at k = 6.
 GATE_CACHE_SIZE = 8
 # Nelder-Mead iterations per restart of optimize_in_class.
 OPTIMIZE_MAX_ITER = 500
@@ -100,8 +100,8 @@ def _cached_call(cached: Callable, *key):
 @functools.lru_cache(maxsize=GATE_CACHE_SIZE)
 def _gated_psi(model: RegressionModel, theta_bytes: bytes, direction: str, seed: int):
     """The psi system at theta, once it passed the gate of the direction,
-    and the arrays of that direction's moment LP: the ``DEFAULT_GRID``-point
-    grid, the basis V on it and the objective row +-tr C22.
+    and the arrays of that direction's moment LP: the grid of
+    ``principal.lp_grid``, the basis V on it and the objective row +-tr C22.
 
     A base refusal raises PreconditionError before an augmented one.  The
     gate and the LP arrays do not depend on the design, so they are
@@ -129,8 +129,7 @@ def _gated_psi(model: RegressionModel, theta_bytes: bytes, direction: str, seed:
     # one when every +psi_k^Q augments to a Chebyshev system, and the
     # lower one when every -psi_k^Q does (minimizing -psi_k^Q maximizes
     # the gain).  tr C22 = |h_tail|^2, a sum of such psi_k^Q, probes it.
-    interval = psi.system.interval
-    grid = np.linspace(interval.lower, interval.upper, DEFAULT_GRID)
+    grid = lp_grid(psi.system.interval)
     W = _evaluate(psi.with_tail, psi.k + psi.p1, grid, "basis")
     trace_c22 = (W[psi.k :] ** 2).sum(axis=0)
     lp = grid, W[: psi.k], trace_c22 if direction == "upper" else -trace_c22
@@ -161,11 +160,11 @@ def reduce_design(
     (``gate_checks``, the gate ``tcheb check`` reports), computes the
     moment point, and returns either the design itself
     (branch Identity, when its index is below k/2) or the principal
-    representation matching all k moments.  The report records
-    ``gain_spectrum``, the eigenvalues of Delta C22 = C22(output) -
-    C22(input), whose quadratic form in Q is the gain in the Q^T C22 Q
-    moment, and the spectrum of the information difference
-    M(output) - M(input).
+    representation matching all k moments.  Both branches build one
+    report, which records ``gain_spectrum``, the eigenvalues of Delta C22
+    = C22(output) - C22(input), whose quadratic form in Q is the gain in
+    the Q^T C22 Q moment, and the spectrum of the information difference
+    M(output) - M(input); for Identity both are exact zeros.
 
     The gate depends on the model, theta, the direction and ``seed``, not
     on the design.  Passing verdicts are memoised per such key, up to
@@ -187,26 +186,14 @@ def reduce_design(
 
     c0 = moment_point(system, xi)
     idx = design_index(xi)
-    p = model.p
     if idx < k / 2.0:
-        return ReductionReport(
-            input=xi,
-            output=xi,
-            direction=direction,
-            branch="Identity",
-            input_index=idx,
-            moments_in=c0,
-            moments_out=c0,
-            loewner_min_eigenvalue=0.0,
-            gain_spectrum=(0.0,) * psi.p1,
-            difference_spectrum=tuple([0.0] * p),
-        )
-
-    result = _principal(system, c0, direction, lp=lp)
-    out = result.design
-    check_structure(out.points, out.interval, result.structure, direction)
-
-    moments_out = fsum_moments(system, result.basis, out.weights)
+        out, moments_out, branch = xi, c0, "Identity"
+    else:
+        result = _principal(system, c0, direction, lp)
+        out = result.design
+        check_structure(out.points, out.interval, result.structure, direction)
+        moments_out = fsum_moments(system, result.basis, out.weights)
+        branch = "OddCase" if k % 2 else "EvenCase"
     gains = np.linalg.eigvalsh(_c22(psi, out) - _c22(psi, xi))
     diff = information_matrix(model, theta, out) - information_matrix(model, theta, xi)
     spectrum = np.linalg.eigvalsh(diff)
@@ -214,7 +201,7 @@ def reduce_design(
         input=xi,
         output=out,
         direction=direction,
-        branch="OddCase" if k % 2 else "EvenCase",
+        branch=branch,
         input_index=idx,
         moments_in=c0,
         moments_out=moments_out,
@@ -308,9 +295,7 @@ def optimize_in_class(
     seed, restarts = check_count(seed, "seed", 0), check_count(restarts, "restarts", 1)
     psi = psi_system(model, theta)
     k = psi.k
-    structure = (
-        RepresentationStructure.upper(k) if direction == "upper" else RepresentationStructure.lower(k)
-    )
+    structure = STRUCTURES[direction](k)
     a, b = model.design_interval.lower, model.design_interval.upper
     n_pts = structure.num_points
     n_free = structure.interior_points

@@ -7,11 +7,14 @@ import pytest
 from tcheb import (
     ChebyshevSystem,
     Interval,
+    MomentPoint,
     augment,
     basis_matrix,
     check_chebyshev,
+    classify_point,
     evaluate_basis,
     polynomial_system,
+    upper_principal,
 )
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -206,6 +209,25 @@ def test_from_functions_refuses_inconsistent_sizes():
         ChebyshevSystem(iv, 0, lambda xs: np.ones((0, xs.size)))
     with pytest.raises(ConfigurationError, match="derivatives must match"):
         ChebyshevSystem.from_functions(iv, (np.ones_like, np.exp), derivatives=(np.exp,))
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda system, c0: upper_principal(system, c0, 3.0), "probe"),
+        (lambda system, c0: classify_point(system, c0, "x"), "probe"),
+        (lambda system, c0: ChebyshevSystem.from_functions(system.interval, (1.0, np.exp)), "basis"),
+        (lambda system, c0: augment(system, 2.0), "omega"),
+    ],
+    ids=["upper_principal", "classify_point", "from_functions", "augment"],
+)
+def test_a_non_callable_function_is_a_configuration_error(call, name):
+    """Every function argument is checked for callability when it is
+    taken, not when it is first called, as a raw TypeError."""
+    system = polynomial_system(3, Interval(0.0, 1.0))
+    c0 = MomentPoint(coordinates=(1.0, 0.5, 0.3), system=system)
+    with pytest.raises(ConfigurationError, match=f"^{name} must be callable, got "):
+        call(system, c0)
 
 
 @pytest.mark.parametrize(

@@ -242,6 +242,29 @@ def test_non_finite_psd_tolerance_is_a_configuration_error(workdir, value):
     assert json.loads(out.read_text())["error"]["code"] == "configuration"
 
 
+@pytest.mark.parametrize("command", ["reduce", "check"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"model": "polynomial", "theta": [float("nan"), 0.5, -0.5, 0.25], "interval": [0.0, 10.0]},
+        {"model": "michaelis_menten", "theta": [1.0, float("inf")], "interval": [0.0, 10.0]},
+        {"model": "michaelis_menten", "theta": [float("nan"), 1.0], "interval": [0.0, 10.0]},
+    ],
+    ids=["polynomial_nan", "mm_infinity", "mm_nan"],
+)
+def test_non_finite_theta_is_a_configuration_error(workdir, command, spec):
+    """The JSON literals NaN and Infinity parse as floats; a theta holding
+    one exits 1 with code configuration, before any gate or reduction."""
+    model = workdir / "bad.json"
+    model.write_text(json.dumps(spec))
+    out = workdir / "out.json"
+    design = ["--design", workdir / "design8.json"] if command == "reduce" else []
+    assert run(workdir, command, "--model", model, *design, "--out", out) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error["code"] == "configuration"
+    assert "needs finite parameters" in error["message"]
+
+
 @pytest.mark.parametrize(
     "command,flags",
     [

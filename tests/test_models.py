@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import zlib
 
 import numpy as np
@@ -20,7 +21,7 @@ from tcheb import (
 from tcheb.chebyshev import derivative_matrix
 from tcheb.errors import ConfigurationError, DomainError, EvaluationError
 from tcheb.moments import moment_point
-from tcheb.reduction import gate_checks, reduce_design, verify_domination
+from tcheb.reduction import gate_checks, optimize_in_class, reduce_design, verify_domination
 
 MM_IV = (0.0, 10.0)
 
@@ -167,6 +168,9 @@ def test_psi_k_q_rejects_bad_q():
         psi_k_Q(psi, (0.0,))
     with pytest.raises(DomainError):
         psi_k_Q(psi, (1.0, 2.0))
+    for q in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="^Q must be finite"):
+            psi_k_Q(psi, (q,))
 
 
 def test_polynomial_psi_is_monomials():
@@ -191,6 +195,37 @@ def test_theta_validation():
         make_model("exponential3", [1.0, 1.0, 0.0], (0.0, 1.0))
     with pytest.raises(ConfigurationError):
         make_model("polynomial", [1.0], (-1.0, 1.0))  # degree >= 1
+    with pytest.raises(ConfigurationError, match="^model michaelis_menten needs finite parameters"):
+        make_model("michaelis_menten", [1.0, math.inf], MM_IV)
+
+
+# (model, interval, a finite theta, the theta refused).
+NON_FINITE_THETAS = {
+    "mm_nan": ("michaelis_menten", MM_IV, (1.0, 1.0), (1.0, math.nan)),
+    "mm_inf": ("michaelis_menten", MM_IV, (1.0, 1.0), (math.inf, 1.0)),
+    "polynomial_nan": ("polynomial", (-1.0, 1.0), (1.0, 0.5, -0.5, 0.25), (math.nan, 0.5, -0.5, 0.25)),
+    "polynomial_-inf": ("polynomial", (-1.0, 1.0), (1.0, 0.5, -0.5, 0.25), (1.0, 0.5, -math.inf, 0.25)),
+}
+
+
+@pytest.mark.parametrize("call", ["psi_system", "information_matrix", "reduce_design", "optimize_in_class"])
+@pytest.mark.parametrize("case", NON_FINITE_THETAS)
+def test_non_finite_theta_is_refused(case, call):
+    """A NaN or infinite parameter is refused by name.  The polynomial
+    reductions and searches, whose psi system does not read theta, used to
+    return on it; michaelis_menten failed as a deduplication, a singular
+    P matrix or a non-finite gradient."""
+    name, iv, finite, theta = NON_FINITE_THETAS[case]
+    model = make_model(name, finite, iv)
+    xi = Design(points=tuple(np.linspace(*iv, 6)[1:-1]), weights=(0.25,) * 4, interval=Interval(*iv))
+    run = {
+        "psi_system": lambda: psi_system(model, theta),
+        "information_matrix": lambda: information_matrix(model, theta, xi),
+        "reduce_design": lambda: reduce_design(model, theta, xi, "upper"),
+        "optimize_in_class": lambda: optimize_in_class(model, theta, restarts=1),
+    }
+    with pytest.raises(ConfigurationError, match=f"^model {name} needs finite parameters, got "):
+        run[call]()
 
 
 def test_unknown_model_lists_catalog():

@@ -161,15 +161,16 @@ class TestNewton:
         afresh."""
         sys3 = polynomial_system(3, UNIT)
         weights = (0.25, 0.5, 0.25)
-        basis_at = tcheb.principal._basis_at
+        structure = RepresentationStructure.upper(3)
+        result = tcheb.principal._result
         kept = (0.25, 0.5, 1.0)
         V = tcheb.principal.basis_matrix(sys3, np.array(kept))
-        assert basis_at(sys3, Design(points=kept, weights=weights, interval=UNIT), kept, V) is V
-        design = Design(points=moved, weights=weights, interval=UNIT)
+        assert result(sys3, structure, kept, weights, V, 0.0, 0).basis is V
         stale = tcheb.principal.basis_matrix(sys3, np.array(moved))
-        fresh = basis_at(sys3, design, moved, stale)
-        assert fresh is not stale
-        np.testing.assert_array_equal(fresh, tcheb.principal.basis_matrix(sys3, design.points_array()))
+        fresh = result(sys3, structure, moved, weights, stale, 0.0, 0)
+        assert fresh.basis is not stale
+        assert fresh.design.points == (0.0, 0.5, 1.0)
+        np.testing.assert_array_equal(fresh.basis, tcheb.principal.basis_matrix(sys3, fresh.design.points_array()))
 
     def test_rejects_wrong_point_count(self):
         sys3 = polynomial_system(3, UNIT)
@@ -338,8 +339,14 @@ def test_a_failing_probe_is_an_evaluation_error(call, name):
         run[call](sys3, c0, probe)
 
 
-@pytest.mark.parametrize("coords", [(1e-10, 0.0), (1e-10, 5e-11)])
-@pytest.mark.parametrize("build", [upper_principal, lower_principal])
+def refine_newton_from_the_ends(system, c0):
+    """Newton from the upper structure's two endpoint atoms."""
+    a, b = system.interval.lower, system.interval.upper
+    return refine_newton(system, c0, RepresentationStructure.upper(2), [(a, 0.5), (b, 0.5)])
+
+
+@pytest.mark.parametrize("coords", [(1e-10, 0.0), (1e-10, 5e-11), (2.0, 1.0)])
+@pytest.mark.parametrize("build", [upper_principal, lower_principal, refine_newton_from_the_ends])
 def test_zeroth_moment_off_one_is_refused_before_the_lp(monkeypatch, build, coords):
     """psi_0 = 1 makes c0[0] the total weight of every representing
     measure; one farther than 1e-9 from 1 is refused by name, not after
@@ -347,7 +354,7 @@ def test_zeroth_moment_off_one_is_refused_before_the_lp(monkeypatch, build, coor
     system = polynomial_system(2, Interval(0.0, 1.0))
     monkeypatch.setattr(tcheb.principal, "_lp_arrays", None)
     monkeypatch.setattr(tcheb.principal, "_solve_grid_lp", None)
-    with pytest.raises(ConfigurationError, match=r"^zeroth moment c0\[0\] = 1e-10 is not 1"):
+    with pytest.raises(ConfigurationError, match=rf"^zeroth moment c0\[0\] = {coords[0]!r} is not 1"):
         build(system, MomentPoint(coordinates=coords, system=system))
 
 
