@@ -378,24 +378,18 @@ def make_model(name: str, theta, interval, p1: int = 1) -> RegressionModel:
         interval = Interval(interval[0], interval[1])
     theta = np.asarray(theta, dtype=float)
     if name == "michaelis_menten":
-        model = _michaelis_menten(interval, p1)
-        _check_theta(model, theta)
-        _theta_nonzero(name, theta, 0)
-        _theta_positive(name, theta, 1)
+        model, rules = _michaelis_menten(interval, p1), ((_theta_nonzero, 0), (_theta_positive, 1))
     elif name == "exponential":
-        model = _exponential(interval, p1)
-        _check_theta(model, theta)
-        _theta_nonzero(name, theta, 0)
-        _theta_nonzero(name, theta, 1)
+        model, rules = _exponential(interval, p1), ((_theta_nonzero, 0), (_theta_nonzero, 1))
     elif name == "exponential3":
-        model = _exponential3(interval, p1)
-        _check_theta(model, theta)
-        _theta_nonzero(name, theta, 1)
-        _theta_nonzero(name, theta, 2)
+        model, rules = _exponential3(interval, p1), ((_theta_nonzero, 1), (_theta_nonzero, 2))
     elif name == "polynomial":
-        model = _polynomial(interval, p1, degree=len(theta) - 1)
+        model, rules = _polynomial(interval, p1, degree=len(theta) - 1), ()
     else:
         raise ConfigurationError(
             f"unknown model {name!r}; catalog: {', '.join(CATALOG_NAMES)}"
         )
+    _check_theta(model, theta)
+    for rule, index in rules:  # the per-model rules, in order
+        rule(name, theta, index)
     return model

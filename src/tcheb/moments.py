@@ -180,6 +180,8 @@ class MomentPoint:
     system: ChebyshevSystem
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ConfigurationError("a moment point needs at least one coordinate")
         for i, c in enumerate(self.coordinates):
             if not math.isfinite(c):
                 raise ConfigurationError(f"moment coordinate c0[{i}] = {c!r} is not finite")

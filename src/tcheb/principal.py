@@ -19,11 +19,11 @@ k atoms).  The LP's atoms, plain (point, weight) pairs, merge where
 discretization split one support point, take the shape the structure
 fixed by k and the direction prescribes, and seed a damped Newton
 iteration on the exact moment-matching equations, which removes the grid
-bias.  Only the returned representation becomes a ``Design``, and it
-must match every moment to 1e-9 relative; there is no retry: the first
-failure is raised.  A boundary moment point, whose merged LP atoms are
-fewer than the structure wants, is returned without Newton only when its
-atoms of weight above 1e-9 meet that same gate.
+bias and stays on supports that ``Design`` keeps unchanged.  Only the
+result becomes a ``Design``, matching every moment to 1e-9 relative; the
+first failure is raised, with no retry.  A boundary moment point, whose
+merged LP atoms are fewer than the structure wants, is returned without
+Newton only when its atoms of weight above 1e-9 meet that same gate.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import (
     SingularityError,
     UnboundedError,
 )
-from .moments import INGEST_WEIGHT_TOL, Atom, Design, MomentPoint, merge_pair, merge_runs
+from .moments import INGEST_WEIGHT_TOL, SNAP_REL, Atom, Design, MomentPoint, merge_pair, merge_runs
 from .simplex import solve_lp
 
 NEWTON_TOL = 1e-11
@@ -91,7 +91,7 @@ STRUCTURES = {"upper": RepresentationStructure.upper, "lower": RepresentationStr
 @dataclass(frozen=True)
 class PrincipalResult:
     """A principal representation, with ``basis``, the (k, n) basis values
-    at its n support points."""
+    at its n support points, which its ``Design`` keeps as the solver found them."""
 
     design: Design
     residual_norm: float
@@ -102,7 +102,9 @@ class PrincipalResult:
 
 def lp_grid(interval: Interval) -> np.ndarray:
     """The ``DEFAULT_GRID``-point equispaced grid of every moment LP."""
-    return np.linspace(interval.lower, interval.upper, DEFAULT_GRID)
+    grid = np.linspace(interval.lower, interval.upper, DEFAULT_GRID)
+    grid[0] = interval.lower  # A's own float: linspace starts a lower -0.0 at 0.0
+    return grid
 
 
 def _lp_arrays(system: ChebyshevSystem, objective: Optional[Callable] = None):
@@ -182,13 +184,16 @@ def refine_newton(
 
         F(t, w)_i = sum_j w_j psi_i(t_j) - c_i .
 
-    Steps are damped to keep the points strictly ordered inside the
-    interval and the weights positive, and must not increase the
-    residual norm.  Success means ||F||_inf <= NEWTON_TOL * max(1,
-    ||c0||_inf) within ``NEWTON_MAX_ITER`` steps.  The basis is evaluated
-    once per iterate: the accepted trial's values serve the next Jacobian,
-    and the last ones the result's ``basis`` unless building the ``Design``
-    moved a point.  c0[0] must be 1, as for ``upper_principal``.
+    Each iterate, the initial one included, is a support that ``Design``
+    keeps unchanged: positive weights, the structure's endpoints bit for
+    bit and every other gap of [A, points, B] wider than ``SNAP_REL`` *
+    (B - A).  An initial support outside that set raises
+    ConfigurationError; steps are damped to stay in it and must not
+    increase the residual norm.  Success means ||F||_inf <= NEWTON_TOL *
+    max(1, ||c0||_inf) within ``NEWTON_MAX_ITER`` steps, then the moment
+    gate of ``_gated_residual`` (else ConvergenceError).  The basis is
+    evaluated once per iterate: the accepted trial's values serve the
+    next Jacobian, the last ones the result's ``basis``.  c0[0] must be 1.
     """
     k = system.k
     a, b = system.interval.lower, system.interval.upper
@@ -202,19 +207,22 @@ def refine_newton(
             f"initial support has {len(initial)} atoms, structure wants {structure.num_points}"
         )
     points, w = (np.array(v, dtype=float) for v in zip(*initial))
-    if structure.includes_A != (points[0] == a) or structure.includes_B != (points[-1] == b):
+    ends = [structure.includes_A, structure.includes_B]
+    if ends != [points[0] == a, points[-1] == b]:
         raise ConfigurationError("initial support endpoint membership violates the structure")
 
     free = slice(int(structure.includes_A), points.size - int(structure.includes_B))
     ni = structure.interior_points
     c = c0.array()
     tol = NEWTON_TOL * max(1.0, float(np.abs(c).max()))
-    gap_min = 1e-13 * system.interval.length
+    snap = SNAP_REL * system.interval.length
+    gaps = slice(free.start, free.stop + 1)  # of [a, *points, b], less the structure's zero end gaps
 
     def feasible(pts: np.ndarray, ws: np.ndarray) -> bool:
-        if np.any(ws <= 0.0) or pts[0] < a or pts[-1] > b:
-            return False
-        return bool(np.all(np.diff(pts) > gap_min))
+        return bool(ws.min() > 0.0 and np.diff([a, *pts.tolist(), b])[gaps].min() > snap)
+
+    if not feasible(points, w) or points[[0, -1]][ends].tobytes() != np.array([a, b])[ends].tobytes():
+        raise ConfigurationError(f"initial support {points.tolist()} would move as a Design")
 
     V = basis_matrix(system, points)
     F = V @ w - c
@@ -250,29 +258,26 @@ def refine_newton(
                     break
             alpha *= 0.5
         else:
-            raise ConvergenceError(
-                f"newton step stalled at residual {res:.3e}", residual=res
-            )
+            raise ConvergenceError(f"newton step stalled at residual {res:.3e}", residual=res)
     if res > tol:
-        raise ConvergenceError(
-            f"newton did not reach tolerance, residual {res:.3e}", residual=res
-        )
+        raise ConvergenceError(f"newton did not reach tolerance, residual {res:.3e}", residual=res)
 
-    return _result(system, structure, points, w, V, res, iterations)
+    result = _result(system, structure, points, w, V, res, iterations)
+    if _gated_residual(V, result.design.weights, c0) is None:
+        raise ConvergenceError("refined design drifted off the moment point", residual=res)
+    return result
 
 
 def _result(system: ChebyshevSystem, structure, points, weights, V: np.ndarray, residual, iterations):
-    """The PrincipalResult of a support.  Its ``basis`` is V, the basis at
-    ``points``, unless building the ``Design`` moved a point (it may snap,
-    merge or drop one); then the basis is evaluated afresh."""
+    """The PrincipalResult of a support that ``Design`` keeps unchanged, a
+    Newton iterate or a boundary return's merged grid atoms, so V, the
+    basis at ``points``, is its ``basis``."""
     design = Design(
         points=tuple(float(x) for x in points),
         weights=tuple(float(v) for v in weights),
         interval=system.interval,
     )
-    kept = design.points_array().tobytes() == np.array(points, dtype=float).tobytes()
-    basis = V if kept else basis_matrix(system, design.points_array())
-    return PrincipalResult(design, residual, iterations, structure, basis)
+    return PrincipalResult(design, residual, iterations, structure, V)
 
 
 def check_structure(
@@ -355,12 +360,7 @@ def _principal(system: ChebyshevSystem, c0: MomentPoint, which: str, lp) -> Prin
         if resid is not None:
             return _result(system, structure, points, weights, V, resid, 0)
     shaped = _shape_to_structure(merged, structure, cluster_tol, interval, which)
-    result = refine_newton(system, c0, structure, shaped)
-    if _gated_residual(result.basis, result.design.weights, c0) is None:
-        raise ConvergenceError(
-            "refined design drifted off the moment point", residual=result.residual_norm
-        )
-    return result
+    return refine_newton(system, c0, structure, shaped)
 
 
 def upper_principal(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -337,6 +338,47 @@ def test_wrong_typed_json_is_a_configuration_error(workdir, spec, design):
     xi.write_text(json.dumps({**POLY_DESIGN, **design}))
     assert run(workdir, "moments", "--model", model, "--design", xi, "--out", out) == 1
     assert json.loads(out.read_text())["error"]["code"] == "configuration"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ([POLY_SPEC], "^model spec must be a JSON object$"),
+        ({"model": "polynomial", "interval": [-1.0, 1.0]}, r"^model spec missing fields: \['theta'\]$"),
+        ({**POLY_SPEC, "interval": [-1.0, 0.0, 1.0]}, r"^model interval must be a pair \[A, B\]$"),
+    ],
+    ids=["not_an_object", "missing_theta", "interval_triple"],
+)
+def test_a_malformed_model_spec_is_a_configuration_error(workdir, spec, message):
+    model, xi, out = workdir / "spec.json", workdir / "xi.json", workdir / "x.json"
+    model.write_text(json.dumps(spec))
+    xi.write_text(json.dumps(POLY_DESIGN))
+    assert run(workdir, "moments", "--model", model, "--design", xi, "--out", out) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error["code"] == "configuration"
+    assert re.match(message, error["message"])
+
+
+def test_an_unwritable_out_sends_the_error_to_stdout(workdir, capsys):
+    """When --out names a file in a missing directory, the report cannot be
+    written, and neither can the error, which goes to standard output."""
+    out = workdir / "missing" / "x.json"
+    assert run(workdir, "moments", "--model", workdir / "mm.json", "--design", workdir / "design8.json", "--out", out) == 1
+    assert not out.parent.exists()
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "io"
+    assert "missing" in error["message"]
+
+
+def test_a_bad_theta_is_refused_before_the_design_is_read(workdir):
+    """make_model checks every catalog theta, so a polynomial NaN is a
+    configuration error even when the design file does not exist."""
+    model, out = workdir / "nan.json", workdir / "x.json"
+    model.write_text(json.dumps({"model": "polynomial", "theta": [float("nan"), 1.0], "interval": [-1.0, 1.0]}))
+    assert run(workdir, "reduce", "--model", model, "--design", workdir / "nope.json", "--out", out) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error["code"] == "configuration"
+    assert error["message"] == "model polynomial needs finite parameters, got [nan, 1.0]"
 
 
 # The benchmark's four reduce cases and the direction of each that the

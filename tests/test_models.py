@@ -228,6 +228,15 @@ def test_non_finite_theta_is_refused(case, call):
         run[call]()
 
 
+@pytest.mark.parametrize("case", NON_FINITE_THETAS)
+def test_make_model_refuses_a_non_finite_theta(case):
+    """Every catalog entry checks its theta at construction, the
+    polynomial, which reads only the length of theta, included."""
+    name, iv, _, theta = NON_FINITE_THETAS[case]
+    with pytest.raises(ConfigurationError, match=f"^model {name} needs finite parameters, got "):
+        make_model(name, theta, iv)
+
+
 def test_unknown_model_lists_catalog():
     with pytest.raises(ConfigurationError) as exc:
         make_model("logistic", [1.0, 1.0], (0.0, 1.0))

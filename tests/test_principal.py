@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tcheb.principal
 from tcheb import (
@@ -21,7 +23,7 @@ from tcheb import (
     refine_newton,
     upper_principal,
 )
-from tcheb.errors import ConfigurationError, EvaluationError, InfeasibleError
+from tcheb.errors import ConfigurationError, ConvergenceError, EvaluationError, InfeasibleError, TchebError
 from tcheb.moments import MomentPoint, classify_point
 
 UNIT = Interval(0.0, 1.0)
@@ -154,23 +156,64 @@ class TestNewton:
             else:
                 assert len(values) > 1 + steps
 
-    @pytest.mark.parametrize("moved", [(1e-12, 0.5, 1.0), (-0.0, 0.5, 1.0)], ids=["snapped", "signed_zero"])
-    def test_result_basis_follows_a_point_the_design_moved(self, moved):
-        """Newton's basis values serve the result only when the Design kept
-        every point's bits; a snapped point, even -0.0 to 0.0, is evaluated
-        afresh."""
+    @pytest.mark.parametrize("near", [1e-11, 0.0], ids=["exact", "snapped"])
+    def test_newton_does_not_stop_inside_the_snap_distance(self, near):
+        """The upper representation at k = 3 avoids A.  On the moments of
+        {1e-11: 1/2, 1: 1/2}, exact or as the Design snaps them to
+        {0: 1/2, 1: 1/2}, Newton would end within 1e-10 of A, where the
+        Design snaps the point onto A: the call is refused, not returned
+        with A."""
         sys3 = polynomial_system(3, UNIT)
-        weights = (0.25, 0.5, 0.25)
-        structure = RepresentationStructure.upper(3)
-        result = tcheb.principal._result
-        kept = (0.25, 0.5, 1.0)
-        V = tcheb.principal.basis_matrix(sys3, np.array(kept))
-        assert result(sys3, structure, kept, weights, V, 0.0, 0).basis is V
-        stale = tcheb.principal.basis_matrix(sys3, np.array(moved))
-        fresh = result(sys3, structure, moved, weights, stale, 0.0, 0)
-        assert fresh.basis is not stale
-        assert fresh.design.points == (0.0, 0.5, 1.0)
-        np.testing.assert_array_equal(fresh.basis, tcheb.principal.basis_matrix(sys3, fresh.design.points_array()))
+        coords = (1.0, 0.5 * (1.0 + near), 0.5 * (1.0 + near * near))
+        with pytest.raises(TchebError):
+            upper_principal(sys3, MomentPoint(coordinates=coords, system=sys3))
+
+    @pytest.mark.parametrize(
+        "k, structure, initial",
+        [
+            (4, RepresentationStructure.upper(4), [(-0.0, 0.25), (0.5, 0.5), (1.0, 0.25)]),
+            (3, RepresentationStructure.lower(3), [(-0.0, 0.5), (0.6, 0.5)]),
+            (3, RepresentationStructure.upper(3), [(1e-12, 0.5), (1.0, 0.5)]),
+            (3, RepresentationStructure.upper(3), [(1e-10, 0.5), (1.0, 0.5)]),
+            (3, RepresentationStructure.lower(3), [(0.0, 0.5), (1.0 - 1e-11, 0.5)]),
+            (5, RepresentationStructure.upper(5), [(0.3, 0.3), (0.3 + 5e-11, 0.3), (1.0, 0.4)]),
+            (3, RepresentationStructure.upper(3), [(0.4, 0.0), (1.0, 1.0)]),
+            (3, RepresentationStructure.upper(3), [(0.4, 1.1), (1.0, -0.1)]),
+        ],
+        ids=["signed_zero", "signed_zero_lower", "snapped", "at_snap", "snapped_b", "merged", "zero_weight", "negative"],
+    )
+    def test_refuses_an_initial_support_the_design_would_move(self, k, structure, initial):
+        """Newton's feasible set is the supports that Design keeps: a start
+        with an endpoint of the wrong sign, a point within SNAP_REL * L of
+        an excluded endpoint or of its neighbour, or a weight that is not
+        positive is refused before any step."""
+        system = polynomial_system(k, UNIT)
+        c0 = MomentPoint(coordinates=tuple(1.0 / (i + 1) for i in range(k)), system=system)
+        with pytest.raises(ConfigurationError, match="would move as a Design$"):
+            refine_newton(system, c0, structure, initial)
+
+    def test_accepts_a_start_just_outside_the_snap_distance(self):
+        """2e-7 from an excluded A on [0, 1000] is twice SNAP_REL * L: a start."""
+        sys3 = polynomial_system(3, Interval(0.0, 1000.0))
+        c0 = MomentPoint(coordinates=(1.0, 500.0, 1e6 / 3.0), system=sys3)
+        res = refine_newton(sys3, c0, RepresentationStructure.upper(3), [(2e-7, 0.7), (1000.0, 0.3)])
+        assert res.design.points == pytest.approx((1000.0 / 3.0, 1000.0))
+
+    def test_result_must_meet_the_moment_gate(self, monkeypatch):
+        """refine_newton gates its own result: with the Newton tolerance
+        loosened, a start 7.5e-5 off the moments passes Newton's test at
+        once and is still not returned."""
+        monkeypatch.setattr(tcheb.principal, "NEWTON_TOL", 1e-3)
+        sys3 = polynomial_system(3, UNIT)
+        c0 = MomentPoint(coordinates=(1.0, 0.5, 1.0 / 3.0), system=sys3)
+        with pytest.raises(ConvergenceError, match="^refined design drifted off the moment point$"):
+            refine_newton(sys3, c0, RepresentationStructure.upper(3), [(1.0 / 3.0 + 1e-4, 0.75), (1.0, 0.25)])
+
+    def test_structure_unknowns_must_be_k(self):
+        sys3 = polynomial_system(3, UNIT)
+        c0 = MomentPoint(coordinates=(1.0, 0.5, 1.0 / 3.0), system=sys3)
+        with pytest.raises(ConfigurationError, match="^structure unknowns do not match the system dimension$"):
+            refine_newton(sys3, c0, RepresentationStructure(2, True, True), [(0.0, 0.5), (1.0, 0.5)])
 
     def test_rejects_wrong_point_count(self):
         sys3 = polynomial_system(3, UNIT)
@@ -185,6 +228,60 @@ class TestNewton:
         bad = [(0.2, 0.5), (0.5, 0.5)]
         with pytest.raises(ConfigurationError):
             refine_newton(sys3, c0, RepresentationStructure.upper(3), bad)
+
+
+@st.composite
+def near_endpoint_calls(draw):
+    """A call on monomials, k = 3..6, at the moments of a principal
+    structure whose support has a point 1e-12 * L to 1e-8 * L from an
+    endpoint the structure excludes: ``upper_principal``,
+    ``lower_principal``, or ``refine_newton`` from that support with the
+    point 0.05 * L from the endpoint."""
+    k = draw(st.integers(3, 6))
+    a, b = draw(st.sampled_from([(0.0, 1.0), (-1.0, 1.0), (2.0, 1002.0)]))
+    length = b - a
+    structure, at_a = draw(
+        st.sampled_from(
+            [
+                (s, at_a)
+                for s in (RepresentationStructure.upper(k), RepresentationStructure.lower(k))
+                for at_a in (True, False)
+                if not (s.includes_A if at_a else s.includes_B)
+            ]
+        )
+    )
+    offset = length * 10.0 ** draw(st.floats(-12.0, -8.0))
+    raw = draw(st.lists(st.floats(0.1, 1.0), min_size=structure.num_points, max_size=structure.num_points))
+    weights = np.array(raw) / sum(raw)
+    call = draw(st.sampled_from([upper_principal, lower_principal, refine_newton]))
+
+    def support(gap):
+        m = structure.interior_points
+        interior = a + length * (np.arange(m) + 0.5) / m
+        interior[0 if at_a else -1] = a + gap if at_a else b - gap
+        return np.array([a] * structure.includes_A + interior.tolist() + [b] * structure.includes_B)
+
+    system = polynomial_system(k, Interval(a, b))
+    c0 = MomentPoint(coordinates=tuple(basis_matrix(system, support(offset)) @ weights), system=system)
+    if call is refine_newton:
+        return system, lambda: refine_newton(system, c0, structure, list(zip(support(0.05 * length), weights)))
+    return system, lambda: call(system, c0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(near_endpoint_calls())
+def test_every_result_keeps_its_structure_and_basis(case):
+    """Near an endpoint, every call ends in a typed error or in a result
+    whose support has its structure and whose basis is the basis at its
+    Design's points, bit for bit."""
+    system, call = case
+    try:
+        result = call()
+    except TchebError:
+        return
+    design = result.design
+    tcheb.principal.check_structure(design.points, design.interval, result.structure, "returned")
+    assert result.basis.tobytes() == basis_matrix(system, design.points_array()).tobytes()
 
 
 class TestPrincipal:
@@ -276,6 +373,15 @@ class TestPrincipal:
         up = upper_principal(system, moment_point(system, xi))
         assert up.design.points == pytest.approx((-1.0, 0.5), abs=1e-12)
         assert up.design.weights == pytest.approx((6 / 7, 1 / 7), abs=1e-12)
+
+    def test_boundary_return_on_a_signed_zero_end(self):
+        """On [-0.0, 1] the grid starts at A's own -0.0, so a boundary
+        return's atom on A is the Design's point and its basis column."""
+        sys4 = polynomial_system(4, Interval(-0.0, 1.0))
+        res = upper_principal(sys4, MomentPoint(coordinates=(1.0, 0.25, 0.125, 0.0625), system=sys4))
+        assert res.newton_iterations == 0
+        assert math.copysign(1.0, res.design.points[0]) == -1.0
+        assert res.basis.tobytes() == basis_matrix(sys4, res.design.points_array()).tobytes()
 
     def test_one_lp_per_call(self, monkeypatch):
         """No probe, no retry: a principal call solves one moment LP, and
@@ -495,7 +601,8 @@ class TestGridCache:
 K5 = (1.0, 0.0, 1.0 / 3.0, 0.0, 0.2)
 
 
-@pytest.mark.parametrize(
+# Every entry point that takes a moment point, as call(system, c0).
+ENTRY_POINTS = pytest.mark.parametrize(
     "call",
     [
         lambda system, c0: grid_lp_extremum(system, c0, lambda x: x**4),
@@ -508,9 +615,21 @@ K5 = (1.0, 0.0, 1.0 / 3.0, 0.0, 0.2)
     ],
     ids=["grid_lp_extremum", "upper_principal", "lower_principal", "classify_point", "refine_newton"],
 )
+
+
+@ENTRY_POINTS
 def test_moment_point_of_the_wrong_dimension_is_refused(call):
     """A k = 5 moment point on a k = 4 system is a ConfigurationError at
     every entry point, never a numpy shape error."""
     sys4 = polynomial_system(4, SYM)
     with pytest.raises(ConfigurationError, match="^moment point dimension does not match the system$"):
         call(sys4, MomentPoint(coordinates=K5, system=polynomial_system(5, SYM)))
+
+
+@ENTRY_POINTS
+def test_moment_point_with_no_coordinates_is_refused(call):
+    """An empty moment point is refused at construction, as a system with
+    k = 0 is, so no entry point meets it as an IndexError or numpy error."""
+    sys4 = polynomial_system(4, SYM)
+    with pytest.raises(ConfigurationError, match="^a moment point needs at least one coordinate$"):
+        call(sys4, MomentPoint(coordinates=(), system=sys4))
