@@ -29,7 +29,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .chebyshev import ChebyshevSystem, Interval, _evaluate, monomial_derivatives, monomials
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, EvaluationError
 
 DEDUP_GRID_SIZE = 256
 DEDUP_TOL = 1e-10
@@ -104,15 +104,20 @@ def _check_theta(model: RegressionModel, theta) -> np.ndarray:
     return theta
 
 
+@np.errstate(over="raise")
 def information_matrix(model: RegressionModel, theta, design) -> np.ndarray:
-    """M = sum_j w_j g(x_j) g(x_j)^T, a symmetric PSD p x p matrix."""
+    """M = sum_j w_j g(x_j) g(x_j)^T, a symmetric PSD p x p matrix; one that
+    overflows double precision raises EvaluationError."""
     theta = _check_theta(model, theta)
     if design.interval != model.design_interval:
         raise DomainError("design interval differs from the model design interval")
     G = _grad_values(model, theta, design.points_array())
     W = design.weights_array()
-    M = (G * W) @ G.T
-    return (M + M.T) / 2.0
+    try:
+        M = (G * W) @ G.T
+        return (M + M.T) / 2.0
+    except FloatingPointError as err:
+        raise EvaluationError(f"information matrix of {model.name}: {err}") from err
 
 
 def _p_inverse(model: RegressionModel, theta) -> np.ndarray:
@@ -138,8 +143,9 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
 
     Entries are compared on a 256-point Chebyshev-spaced grid; two
     entries agreeing within 1e-10 (relative to their magnitude) are the
-    same psi, and constants are discarded.  When the model declares an
-    expected k, a mismatch raises a configuration error, which catches
+    same psi, and constants are discarded.  A table of entries that
+    overflows on that grid raises EvaluationError.  When the model declares
+    an expected k, a mismatch raises a configuration error, which catches
     deduplication ambiguities at known parameter values.
     """
     theta = _check_theta(model, theta)
@@ -154,14 +160,16 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     angles = np.pi * (2.0 * np.arange(DEDUP_GRID_SIZE) + 1.0) / (2.0 * DEDUP_GRID_SIZE)
     grid = np.sort(mid + half * np.cos(angles))
-    H = h(grid)  # (p, n)
-
     positions = [(i, j) for i in range(r) for j in range(r)]
     positions += [(i, j) for i in range(r, p) for j in range(r)]
 
+    def products(xs):
+        H = h(xs)
+        return np.array([H[i] * H[j] for i, j in positions]).reshape(-1, xs.size)
+
+    table = _evaluate(products, len(positions), grid, f"psi dedup table of {model.name}")
     reps: list = []  # (values_on_grid, (i, j) of first appearance)
-    for (i, j) in positions:
-        vals = H[i] * H[j]
+    for (i, j), vals in zip(positions, table):
         lo, hi = float(vals.min()), float(vals.max())
         if hi - lo <= DEDUP_TOL * max(1.0, abs(hi), abs(lo)):
             continue
@@ -384,6 +392,8 @@ def make_model(name: str, theta, interval, p1: int = 1) -> RegressionModel:
     elif name == "exponential3":
         model, rules = _exponential3(interval, p1), ((_theta_nonzero, 1), (_theta_nonzero, 2))
     elif name == "polynomial":
+        if theta.ndim != 1:
+            raise ConfigurationError(f"model {name} needs a vector of parameters, got shape {theta.shape}")
         model, rules = _polynomial(interval, p1, degree=len(theta) - 1), ()
     else:
         raise ConfigurationError(

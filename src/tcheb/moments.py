@@ -214,10 +214,10 @@ def moment_point(system: ChebyshevSystem, design: Design) -> MomentPoint:
 
 
 def fsum_moments(system: ChebyshevSystem, V: np.ndarray, w) -> MomentPoint:
-    """The moment point sum_j w_j V[:, j], V the basis at the support."""
-    coords = tuple(
-        math.fsum(V[i, j] * w[j] for j in range(len(w))) for i in range(system.k)
-    )
+    """The moment point sum_j w_j V[:, j], V the basis at the support: each
+    coordinate is math.fsum of its row of products V[i, j] * w[j], so it is
+    the correctly rounded sum of those products, in any order."""
+    coords = tuple(math.fsum(row) for row in (V * np.asarray(w, dtype=float)).tolist())
     return MomentPoint(coordinates=coords, system=system)
 
 

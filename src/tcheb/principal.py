@@ -20,15 +20,16 @@ discretization split one support point, take the shape the structure
 fixed by k and the direction prescribes, and seed a damped Newton
 iteration on the exact moment-matching equations, which removes the grid
 bias and stays on supports that ``Design`` keeps unchanged.  Only the
-result becomes a ``Design``, matching every moment to 1e-9 relative; the
-first failure is raised, with no retry.  A boundary moment point, whose
-merged LP atoms are fewer than the structure wants, is returned without
-Newton only when its atoms of weight above 1e-9 meet that same gate.
-"""
+result becomes a ``Design``, at one exit that gates that ``Design``'s own
+moments to 1e-9 relative; the first failure is raised, with no retry.  A
+boundary moment point, whose merged LP atoms are fewer than the structure
+wants, is returned without Newton only when its atoms of weight above
+1e-9 pass that exit."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -43,7 +44,8 @@ from .errors import (
     SingularityError,
     UnboundedError,
 )
-from .moments import INGEST_WEIGHT_TOL, SNAP_REL, Atom, Design, MomentPoint, merge_pair, merge_runs
+from .moments import INGEST_WEIGHT_TOL, SNAP_REL, Atom, Design, MomentPoint, fsum_moments
+from .moments import merge_pair, merge_runs
 from .simplex import solve_lp
 
 NEWTON_TOL = 1e-11
@@ -90,14 +92,14 @@ STRUCTURES = {"upper": RepresentationStructure.upper, "lower": RepresentationStr
 
 @dataclass(frozen=True)
 class PrincipalResult:
-    """A principal representation, with ``basis``, the (k, n) basis values
-    at its n support points, which its ``Design`` keeps as the solver found them."""
+    """A principal representation: its ``design``, the design's ``moments``, by fsum
+    at its own weights, and their largest gap from c0, ``residual_norm``."""
 
     design: Design
     residual_norm: float
     newton_iterations: int
     structure: RepresentationStructure
-    basis: np.ndarray = field(compare=False, repr=False)
+    moments: MomentPoint
 
 
 def lp_grid(interval: Interval) -> np.ndarray:
@@ -190,10 +192,10 @@ def refine_newton(
     (B - A).  An initial support outside that set raises
     ConfigurationError; steps are damped to stay in it and must not
     increase the residual norm.  Success means ||F||_inf <= NEWTON_TOL *
-    max(1, ||c0||_inf) within ``NEWTON_MAX_ITER`` steps, then the moment
-    gate of ``_gated_residual`` (else ConvergenceError).  The basis is
-    evaluated once per iterate: the accepted trial's values serve the
-    next Jacobian, the last ones the result's ``basis``.  c0[0] must be 1.
+    max(1, ||c0||_inf) within ``NEWTON_MAX_ITER`` steps, then ``_result``'s
+    gate on the returned ``Design`` (else ConvergenceError).  The basis is
+    evaluated once per iterate: the accepted trial's values serve the next
+    Jacobian, the last ones the result's ``moments``.  c0[0] must be 1.
     """
     k = system.k
     a, b = system.interval.lower, system.interval.upper
@@ -262,22 +264,26 @@ def refine_newton(
     if res > tol:
         raise ConvergenceError(f"newton did not reach tolerance, residual {res:.3e}", residual=res)
 
-    result = _result(system, structure, points, w, V, res, iterations)
-    if _gated_residual(V, result.design.weights, c0) is None:
+    result = _result(system, c0, structure, points, w, V, iterations)
+    if result is None:
         raise ConvergenceError("refined design drifted off the moment point", residual=res)
     return result
 
 
-def _result(system: ChebyshevSystem, structure, points, weights, V: np.ndarray, residual, iterations):
-    """The PrincipalResult of a support that ``Design`` keeps unchanged, a
-    Newton iterate or a boundary return's merged grid atoms, so V, the
-    basis at ``points``, is its ``basis``."""
-    design = Design(
-        points=tuple(float(x) for x in points),
-        weights=tuple(float(v) for v in weights),
-        interval=system.interval,
-    )
-    return PrincipalResult(design, residual, iterations, structure, V)
+def _result(system: ChebyshevSystem, c0: MomentPoint, structure, points, weights, V, iterations):
+    """The solver's one exit, for Newton results and boundary returns: the
+    PrincipalResult of a support that ``Design`` keeps, V the basis at its
+    ``points``, or None when a weight sum ``Design`` would refuse or a moment
+    of the design, by fsum at its weights, misses |m_i - c_i| <= 1e-9 max(1, |c_i|)."""
+    if not abs(math.fsum(weights) - 1.0) <= INGEST_WEIGHT_TOL:
+        return None
+    design = Design(tuple(map(float, points)), tuple(map(float, weights)), system.interval)
+    moments = fsum_moments(system, V, design.weights)
+    c = c0.array()
+    gap = np.abs(moments.array() - c)
+    if not np.all(gap <= 1e-9 * np.maximum(1.0, np.abs(c))):
+        return None
+    return PrincipalResult(design, float(gap.max()), iterations, structure, moments)
 
 
 def check_structure(
@@ -328,39 +334,40 @@ def _shape_to_structure(
     return list(zip(pts, ws))
 
 
-def _gated_residual(V: np.ndarray, weights, c0: MomentPoint) -> Optional[float]:
-    """max_i |V w - c|_i, V the basis at the support, or None when a
-    coordinate misses the gate |V w - c|_i <= 1e-9 * max(1, |c_i|) that
-    every returned representation meets."""
-    c = c0.array()
-    gap = np.abs(V @ np.asarray(weights, float) - c)
-    if np.all(gap <= 1e-9 * np.maximum(1.0, np.abs(c))):
-        return float(gap.max())
-    return None
-
-
 def _principal(system: ChebyshevSystem, c0: MomentPoint, which: str, lp) -> PrincipalResult:
     """The principal representation of the direction ``which``, its moment
-    LP run on ``lp``, the (grid, V, objective row) arrays."""
+    LP run on ``lp``, the (grid, V, objective row) arrays.  When Newton fails
+    and the merged LP atoms have index below k/2 with their atoms above 1e-9
+    passing ``_result``, c0 is a boundary point: DegeneracyError says so."""
     interval = system.interval
     a, b = interval.lower, interval.upper
     structure = STRUCTURES[which](system.k)
     _, atoms = _solve_grid_lp(lp, c0, "max" if which == "upper" else "min")
     cluster_tol = CLUSTER_SPACINGS * interval.length / (DEFAULT_GRID - 1)
     merged = merge_runs(atoms, cluster_tol, a, b)
-    if len(merged) < structure.num_points:
-        # Degenerate (boundary) moment point: its representation is
-        # unique with fewer atoms than the interior structure, and the
-        # Newton system below would be singular.  An atom of weight at
-        # most 1e-9 is LP round-off, not a support point; c0[0] = 1 leaves
-        # a heavier one.
-        points, weights = zip(*[(p, w) for p, w in merged if w > 1e-9])
+    # An atom of weight at most 1e-9 is LP round-off, not a support point;
+    # c0[0] = 1 leaves a heavier one.
+    points, weights = zip(*[(p, w) for p, w in merged if w > 1e-9])
+
+    def boundary() -> Optional[PrincipalResult]:
         V = basis_matrix(system, np.asarray(points, float))
-        resid = _gated_residual(V, weights, c0)
-        if resid is not None:
-            return _result(system, structure, points, weights, V, resid, 0)
+        return _result(system, c0, structure, points, weights, V, 0)
+
+    # Degenerate (boundary) moment point: its representation is unique with
+    # fewer atoms than the interior structure, whose Newton system is singular.
+    if len(merged) < structure.num_points and (result := boundary()) is not None:
+        return result
     shaped = _shape_to_structure(merged, structure, cluster_tol, interval, which)
-    return refine_newton(system, c0, structure, shaped)
+    try:
+        return refine_newton(system, c0, structure, shaped)
+    except (ConvergenceError, SingularityError) as err:
+        twice = sum(1 if p == a or p == b else 2 for p, _ in merged)
+        if twice >= system.k or (result := boundary()) is None:
+            raise
+        raise DegeneracyError(
+            f"c0 is a boundary moment point: its LP atoms have index {twice / 2} < k/2 = {system.k / 2} and "
+            f"{list(result.design.points)} represents it, so no representation has the {which} structure"
+        ) from err
 
 
 def upper_principal(

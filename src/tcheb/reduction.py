@@ -43,7 +43,7 @@ from .models import (
     information_matrix,
     psi_system,
 )
-from .moments import Design, MomentPoint, design_index, fsum_moments, moment_point
+from .moments import Design, MomentPoint, design_index, moment_point
 from .principal import STRUCTURES, _principal, check_structure, lp_grid
 
 PSD_TOL = 1e-8
@@ -192,7 +192,7 @@ def reduce_design(
         result = _principal(system, c0, direction, lp)
         out = result.design
         check_structure(out.points, out.interval, result.structure, direction)  # refuses boundary returns
-        moments_out = fsum_moments(system, result.basis, out.weights)
+        moments_out = result.moments
         branch = "OddCase" if k % 2 else "EvenCase"
     gains = np.linalg.eigvalsh(_c22(psi, out) - _c22(psi, xi))
     diff = information_matrix(model, theta, out) - information_matrix(model, theta, xi)

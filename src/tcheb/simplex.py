@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleError, UnboundedError
+from .errors import ConfigurationError, ConvergenceError, InfeasibleError, UnboundedError
 
 PIVOT_TOL = 1e-10
 COST_TOL = 1e-9
@@ -99,18 +99,20 @@ def solve_lp(A, b, c, sense: str = "max", feas_tol: float | None = None) -> LPRe
     ``feas_tol`` (default 1e-8 relative to max|b|) raises InfeasibleError.
     Redundant constraint rows discovered while driving artificials out are
     dropped.  A final vertex that misses A x = b by more than 10 feas_tol,
-    or has a component below -feas_tol, raises ConvergenceError.
+    or has a component below -feas_tol, raises ConvergenceError.  Shapes of
+    A, b and c that do not fit, or a sense other than "max" and "min",
+    raise ConfigurationError.
     """
     A = np.array(A, dtype=float, order="C")
     b = np.array(b, dtype=float)
     c = np.array(c, dtype=float)
+    if A.ndim != 2 or b.shape != A.shape[:1] or c.shape != A.shape[1:]:
+        raise ConfigurationError(f"inconsistent LP dimensions: A {A.shape}, b {b.shape}, c {c.shape}")
+    if sense not in ("max", "min"):
+        raise ConfigurationError(f"sense must be 'max' or 'min', got {sense!r}")
     m, n = A.shape
-    if b.shape != (m,) or c.shape != (n,):
-        raise ValueError("inconsistent LP dimensions")
     if feas_tol is None:
         feas_tol = 1e-8 * max(1.0, float(np.abs(b).max()))
-    if sense not in ("max", "min"):
-        raise ValueError(f"unknown sense {sense!r}")
     cmin = -c if sense == "max" else c.copy()
 
     flip = b < 0

@@ -484,6 +484,30 @@ def test_overflow_is_an_evaluation_error(workdir, command):
     assert json.loads(out.read_text())["error"]["code"] == "evaluation"
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("check", "psi dedup table of exponential evaluation: overflow"),
+        ("moments", "psi dedup table of exponential evaluation: overflow"),
+        ("reduce", "psi dedup table of exponential evaluation: overflow"),
+        ("optimize", "psi dedup table of exponential evaluation: overflow"),
+        ("dominate", "information matrix of exponential: overflow"),
+    ],
+)
+def test_overflow_after_the_gradient_names_the_products(workdir, command, message):
+    """exp(400 x) is finite on [0, 1], but its square is not: the library's
+    EvaluationError, not the CLI's floating-point trap, ends the run."""
+    spec, xi, xi2, out = (workdir / f for f in ("spec.json", "xi.json", "xi2.json", "out.json"))
+    spec.write_text(json.dumps({"model": "exponential", "theta": [1.0, 400.0], "interval": [0.0, 1.0]}))
+    xi.write_text(json.dumps({"points": [0.5, 1.0], "weights": [0.5, 0.5], "interval": [0.0, 1.0]}))
+    xi2.write_text(json.dumps({"points": [0.2, 1.0], "weights": [0.5, 0.5], "interval": [0.0, 1.0]}))
+    designs = {"moments": ["--design", xi], "reduce": ["--design", xi], "dominate": ["--design", xi, "--design2", xi2]}
+    assert run(workdir, command, "--model", spec, *designs.get(command, []), "--out", out) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error["code"] == "evaluation"
+    assert error["message"].startswith(message)
+
+
 # Generated inputs for the robustness property: catalog model specs and
 # designs on their interval, each number finite and at most 1e6 in
 # magnitude.  Most are well formed; a drawn flaw breaks one field.

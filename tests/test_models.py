@@ -21,7 +21,7 @@ from tcheb import (
 from tcheb.chebyshev import derivative_matrix
 from tcheb.errors import ConfigurationError, DomainError, EvaluationError
 from tcheb.moments import moment_point
-from tcheb.reduction import gate_checks, optimize_in_class, reduce_design, verify_domination
+from tcheb.reduction import criterion_value, gate_checks, optimize_in_class, reduce_design, verify_domination
 
 MM_IV = (0.0, 10.0)
 
@@ -345,3 +345,63 @@ def test_overflow_is_an_evaluation_error(call):
     }
     with pytest.raises(EvaluationError, match="overflow"):
         calls[call]()
+
+
+# exp(400 x) at x = 1 is 5.2e173, finite, but its square in the information
+# matrix and in the psi products overflows double precision.
+EXP400 = ("exponential", (1.0, 400.0), (0.0, 1.0))
+EXP400_DESIGNS = (((0.5, 1.0), (0.5, 0.5)), ((0.2, 1.0), (0.5, 0.5)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        ("verify_domination", "information matrix of exponential: overflow"),
+        ("verify_domination_swapped", "information matrix of exponential: overflow"),
+        ("criterion_value", "information matrix of exponential: overflow"),
+        ("information_matrix", "information matrix of exponential: overflow"),
+        ("psi_system", "psi dedup table of exponential evaluation: overflow"),
+    ],
+)
+def test_overflow_after_the_gradient_is_an_evaluation_error(call, message):
+    """Finite gradient values whose products overflow are refused where
+    the products are taken.  The domination verdict read True both ways on
+    a NaN spectrum, the criterion NaN, the matrix inf, and psi_system
+    found k = 1 on a table of infinities."""
+    name, theta, iv = EXP400
+    model = make_model(name, theta, iv)
+    xi1, xi2 = (Design(points=p, weights=w, interval=Interval(*iv)) for p, w in EXP400_DESIGNS)
+    run = {
+        "verify_domination": lambda: verify_domination(model, theta, xi1, xi2),
+        "verify_domination_swapped": lambda: verify_domination(model, theta, xi2, xi1),
+        "criterion_value": lambda: criterion_value(model, theta, xi1),
+        "information_matrix": lambda: information_matrix(model, theta, xi1),
+        "psi_system": lambda: psi_system(model, theta),
+    }
+    with pytest.raises(EvaluationError, match=f"^{message}"):
+        run[call]()
+
+
+@pytest.mark.parametrize("theta, shape", [(5.0, r"\(\)"), ([[1.0, 2.0]], r"\(1, 2\)")], ids=["scalar", "matrix"])
+def test_polynomial_theta_must_be_a_vector(theta, shape):
+    """The polynomial's degree is read off the length of theta, so a theta
+    that is not a vector is refused before its length is read."""
+    with pytest.raises(ConfigurationError, match=f"^model polynomial needs a vector of parameters, got shape {shape}$"):
+        make_model("polynomial", theta, (-1.0, 1.0))
+
+
+def test_theta_of_the_wrong_length_is_refused():
+    with pytest.raises(ConfigurationError, match=r"^model michaelis_menten needs 2 parameters, got \(3,\)$"):
+        psi_system(make_model("michaelis_menten", [1.0, 1.0], MM_IV), [1.0, 1.0, 1.0])
+
+
+def test_p_matrix_of_the_wrong_shape_is_refused():
+    model = dataclasses.replace(make_model("michaelis_menten", [1.0, 1.0], MM_IV), p_matrix=lambda th: np.eye(3))
+    with pytest.raises(ConfigurationError, match=r"^P matrix of michaelis_menten has shape \(3, 3\)$"):
+        psi_system(model, [1.0, 1.0])
+
+
+def test_psi_order_must_be_a_permutation():
+    model = dataclasses.replace(make_model("michaelis_menten", [1.0, 1.0], MM_IV), psi_order=(0, 0))
+    with pytest.raises(ConfigurationError, match=r"^michaelis_menten: psi_order is not a permutation of 0\.\.1$"):
+        psi_system(model, [1.0, 1.0])

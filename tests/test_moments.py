@@ -83,6 +83,15 @@ class TestDesignConstruction:
         with pytest.raises(ConfigurationError):
             Design.from_json_obj([0.5])
 
+    def test_json_interval_must_be_a_pair(self):
+        obj = {"points": [0.5], "weights": [1.0], "interval": [0.0, 1.0, 2.0]}
+        with pytest.raises(ConfigurationError, match=r"^design interval must be a pair \[A, B\]$"):
+            Design.from_json_obj(obj)
+
+    def test_all_zero_weights_rejected(self):
+        with pytest.raises(ConfigurationError, match="^a design needs at least one point of positive weight$"):
+            mk([0.2, 0.5], [0.0, 0.0])
+
 
 def test_moment_point_two_point_sum():
     sys3 = polynomial_system(3, UNIT)

@@ -23,7 +23,15 @@ from tcheb import (
     refine_newton,
     upper_principal,
 )
-from tcheb.errors import ConfigurationError, ConvergenceError, EvaluationError, InfeasibleError, TchebError
+from tcheb.errors import (
+    ConfigurationError,
+    ConvergenceError,
+    DegeneracyError,
+    EvaluationError,
+    InfeasibleError,
+    SingularityError,
+    TchebError,
+)
 from tcheb.moments import MomentPoint, classify_point
 
 UNIT = Interval(0.0, 1.0)
@@ -89,6 +97,12 @@ class TestGridLP:
         c0 = moment_point(sys3, d)
         _, atoms = grid_lp_extremum(sys3, c0, lambda x: x**3, "max")
         assert len(atoms) <= 3
+
+    def test_unknown_sense_is_a_configuration_error(self):
+        sys2 = polynomial_system(2, UNIT)
+        c0 = MomentPoint(coordinates=(1.0, 0.5), system=sys2)
+        with pytest.raises(ConfigurationError, match="^sense must be 'max' or 'min', got 'maximum'$"):
+            grid_lp_extremum(sys2, c0, lambda x: x**2, "maximum")
 
     def test_infeasible_moment_point(self):
         sys2 = polynomial_system(2, UNIT)
@@ -272,8 +286,8 @@ def near_endpoint_calls(draw):
 @given(near_endpoint_calls())
 def test_every_result_keeps_its_structure_and_basis(case):
     """Near an endpoint, every call ends in a typed error or in a result
-    whose support has its structure and whose basis is the basis at its
-    Design's points, bit for bit."""
+    whose support has its structure and whose moments are its Design's
+    moment point, bit for bit."""
     system, call = case
     try:
         result = call()
@@ -281,7 +295,7 @@ def test_every_result_keeps_its_structure_and_basis(case):
         return
     design = result.design
     tcheb.principal.check_structure(design.points, design.interval, result.structure, "returned")
-    assert result.basis.tobytes() == basis_matrix(system, design.points_array()).tobytes()
+    assert result.moments.array().tobytes() == moment_point(system, design).array().tobytes()
 
 
 class TestPrincipal:
@@ -374,14 +388,39 @@ class TestPrincipal:
         assert up.design.points == pytest.approx((-1.0, 0.5), abs=1e-12)
         assert up.design.weights == pytest.approx((6 / 7, 1 / 7), abs=1e-12)
 
+    @pytest.mark.parametrize("build", [upper_principal, lower_principal])
+    def test_boundary_point_without_the_structure_is_named(self, build):
+        """The moments of {0: 1/2, 1: 1/2} on [0, 1] at k = 3: the merged LP
+        atoms are as many as either structure wants, so Newton runs and
+        fails, but they have index 1 < 3/2 and meet the gate, so the call
+        names the boundary rather than Newton's stall."""
+        sys3 = polynomial_system(3, UNIT)
+        with pytest.raises(DegeneracyError, match=r"^c0 is a boundary moment point: its LP atoms have index 1\.0 "
+                           r"< k/2 = 1\.5 and \[0\.0, 1\.0\] represents it") as err:
+            build(sys3, MomentPoint(coordinates=(1.0, 0.5, 0.5), system=sys3))
+        assert isinstance(err.value.__cause__, ConvergenceError)
+
+    def test_boundary_point_with_a_round_off_atom_is_named_in_the_lower_direction(self):
+        """The lower call on the moments of {-1: 6/7, 0.5: 1/7} keeps the
+        round-off atom through the count, so Newton runs on a singular
+        system; the merged atoms' index 2.5 < 3 and the gate on (-1, 0.5)
+        name the boundary instead."""
+        theta = (1.0, 0.5, -0.5, 0.25)
+        system = psi_system(make_model("polynomial", theta, (-1.0, 1.0)), theta).system
+        xi = Design(points=(-1.0, 0.5), weights=(6 / 7, 1 / 7), interval=SYM)
+        with pytest.raises(DegeneracyError, match=r"index 2\.5 < k/2 = 3\.0 and \[-1\.0, 0\.5") as err:
+            lower_principal(system, moment_point(system, xi))
+        assert isinstance(err.value.__cause__, SingularityError)
+
     def test_boundary_return_on_a_signed_zero_end(self):
         """On [-0.0, 1] the grid starts at A's own -0.0, so a boundary
-        return's atom on A is the Design's point and its basis column."""
+        return's atom on A is the Design's point, and its moments are the
+        Design's moment point."""
         sys4 = polynomial_system(4, Interval(-0.0, 1.0))
         res = upper_principal(sys4, MomentPoint(coordinates=(1.0, 0.25, 0.125, 0.0625), system=sys4))
         assert res.newton_iterations == 0
         assert math.copysign(1.0, res.design.points[0]) == -1.0
-        assert res.basis.tobytes() == basis_matrix(sys4, res.design.points_array()).tobytes()
+        assert res.moments.array().tobytes() == moment_point(sys4, res.design).array().tobytes()
 
     def test_one_lp_per_call(self, monkeypatch):
         """No probe, no retry: a principal call solves one moment LP, and

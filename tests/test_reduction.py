@@ -593,6 +593,29 @@ class TestOptimize:
         v1 = criterion_value(mm(), [1.0, 1.0], rep.output, "d")
         assert abs(v1 - v0) <= 1e-6 * max(1.0, abs(v0))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"criterion": "e"}, "criterion must be 'd' or 'a', got 'e'"),
+            ({"direction": "both"}, "direction must be 'upper' or 'lower', got 'both'"),
+        ],
+    )
+    def test_bad_criterion_or_direction_is_refused(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            optimize_in_class(mm(), [1.0, 1.0], restarts=1, **kwargs)
+
+    def test_criterion_value_refuses_a_bad_criterion(self):
+        with pytest.raises(ConfigurationError, match="^criterion must be 'd' or 'a', got 'D'$"):
+            criterion_value(mm(), [1.0, 1.0], uniform(range(1, 9), MM_IV), "D")
+
+    def test_a_one_point_class_is_degenerate(self):
+        """At p1 = p = 2 the psi system is the constant alone, k = 1: the
+        upper class is the one design {B: 1}, with no free coordinate to
+        search, and its rank-one information matrix is singular."""
+        model = make_model("michaelis_menten", [1.0, 1.0], MM_IV, p1=2)
+        with pytest.raises(DegeneracyError, match="^the structure admits no nonsingular design$"):
+            optimize_in_class(model, [1.0, 1.0], restarts=1)
+
     def test_lower_even_class_degenerate(self):
         """The lower class for the quadratic model has k/2 = 2 support
         points for p = 3 parameters; every information matrix in the class

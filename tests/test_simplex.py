@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import linprog
 
 from tcheb import simplex, solve_lp
-from tcheb.errors import InfeasibleError, UnboundedError
+from tcheb.errors import ConfigurationError, InfeasibleError, UnboundedError
 
 
 def test_max_two_variable():
@@ -182,3 +182,22 @@ def test_duplicated_row_is_dropped_at_grid_width():
     assert len(single.basis) == len(doubled.basis) == 5
     assert doubled.value == pytest.approx(single.value, rel=1e-12)
     np.testing.assert_allclose(doubled.x, single.x, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "A, b, c",
+    [
+        ([[1.0, 1.0]], [1.0, 2.0], [1.0, 0.0]),
+        ([[1.0, 1.0]], [1.0], [1.0, 0.0, 0.0]),
+        ([1.0, 1.0], [1.0], [1.0, 0.0]),
+    ],
+    ids=["b_rows", "c_columns", "A_not_a_matrix"],
+)
+def test_inconsistent_dimensions_are_a_configuration_error(A, b, c):
+    with pytest.raises(ConfigurationError, match="^inconsistent LP dimensions: A "):
+        solve_lp(A, b, c)
+
+
+def test_unknown_sense_is_a_configuration_error():
+    with pytest.raises(ConfigurationError, match="^sense must be 'max' or 'min', got 'maximum'$"):
+        solve_lp([[1.0, 1.0]], [1.0], [1.0, 0.0], sense="maximum")
