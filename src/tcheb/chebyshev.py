@@ -43,7 +43,7 @@ _MEMBERSHIP_REL = 1e-12
 
 @dataclass(frozen=True)
 class Interval:
-    """Compact interval [lower, upper] with finite endpoints."""
+    """Compact interval [lower, upper] with finite endpoints and length."""
 
     lower: float
     upper: float
@@ -56,6 +56,10 @@ class Interval:
         if not self.lower < self.upper:
             raise ConfigurationError(
                 f"interval requires lower < upper, got [{self.lower}, {self.upper}]"
+            )
+        if not math.isfinite(self.length):
+            raise ConfigurationError(
+                f"interval length overflows double precision: [{self.lower}, {self.upper}]"
             )
 
     @property

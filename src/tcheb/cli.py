@@ -216,6 +216,7 @@ def _cmd_dominate(args) -> int:
         "difference_spectrum": [_sig15(v) for v in rep.difference_spectrum],
         "dominates": rep.dominates,
         "tolerance": rep.tolerance,
+        "loewner_min_eigenvalue": _sig15(rep.loewner_min_eigenvalue),
     }
     _write_report(args.out, payload)
     return EXIT_OK

@@ -230,13 +230,14 @@ def psi_k_Q(psi: PsiSystem, Q) -> Callable:
     """The direction function x -> Q^T C22(x) Q for a nonzero Q.
 
     Since C22 = h h^T with the trailing block h of length p1, the value
-    is the square of Q . h(x).
+    is the square of Q . h(x), read through ``chebyshev._evaluate``: a
+    square that overflows raises EvaluationError.
     """
     Q = _q_vector(psi, Q)
 
     def f(xs):
         arr = np.asarray(xs, dtype=float)
-        vals = (Q @ psi.h_tail(arr)) ** 2
+        vals = _evaluate(lambda x: (Q @ psi.h_tail(x))[None] ** 2, 1, arr, "psi_k_Q")[0]
         return float(vals[0]) if arr.ndim == 0 else vals
 
     f.__name__ = "psi_k_Q"

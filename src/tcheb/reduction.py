@@ -22,7 +22,9 @@ tuples but exact in Q.  A failed check raises a precondition error
 rather than producing an output whose domination guarantee has no
 backing.  The report gives the gain in every direction at once: the
 spectrum of Delta C22, the integral of h_tail h_tail^T against the
-output minus the input.
+output minus the input.  Whether an output dominates its input in the
+Loewner order is judged in one place, ``verify_domination``; the
+reduction refuses an output that fails it.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ class DominationReport:
     difference_spectrum: Tuple[float, ...]
     dominates: bool
     tolerance: float
+    loewner_min_eigenvalue: float
 
 
 def gate_checks(psi: PsiSystem, direction: str, seed: int):
@@ -163,8 +166,13 @@ def reduce_design(
     representation matching all k moments.  Both branches build one
     report, which records ``gain_spectrum``, the eigenvalues of Delta C22
     = C22(output) - C22(input), whose quadratic form in Q is the gain in
-    the Q^T C22 Q moment, and the spectrum of the information difference
-    M(output) - M(input); for Identity both are exact zeros.
+    the Q^T C22 Q moment, and from ``verify_domination(model, theta,
+    output, input)`` the spectrum of the information difference
+    M(output) - M(input) and ``loewner_min_eigenvalue``, the whitened
+    lambda_min in [-1, 1] that its verdict compares with -``PSD_TOL``;
+    for Identity all are exact zeros.  An output that does not dominate
+    its input at ``PSD_TOL`` raises DegeneracyError naming the direction
+    and the whitened value.
 
     The gate depends on the model, theta, the direction and ``seed``, not
     on the design.  Passing verdicts are memoised per such key, up to
@@ -194,9 +202,13 @@ def reduce_design(
         check_structure(out.points, out.interval, result.structure, direction)  # refuses boundary returns
         moments_out = result.moments
         branch = "OddCase" if k % 2 else "EvenCase"
+    dom = verify_domination(model, theta, out, xi)
+    if not dom.dominates:
+        raise DegeneracyError(
+            f"the {direction} reduction does not dominate its input: whitened lambda_min "
+            f"{dom.loewner_min_eigenvalue!r} < -PSD_TOL = {-PSD_TOL!r}"
+        )
     gains = np.linalg.eigvalsh(_c22(psi, out) - _c22(psi, xi))
-    diff = information_matrix(model, theta, out) - information_matrix(model, theta, xi)
-    spectrum = np.linalg.eigvalsh(diff)
     return ReductionReport(
         input=xi,
         output=out,
@@ -205,24 +217,26 @@ def reduce_design(
         input_index=idx,
         moments_in=c0,
         moments_out=moments_out,
-        loewner_min_eigenvalue=float(spectrum[0]),
+        loewner_min_eigenvalue=dom.loewner_min_eigenvalue,
         gain_spectrum=tuple(float(v) for v in gains),
-        difference_spectrum=tuple(float(v) for v in spectrum),
+        difference_spectrum=dom.difference_spectrum,
     )
 
 
 def verify_domination(
     model: RegressionModel, theta, xi1: Design, xi2: Design, tolerance: float = PSD_TOL
 ) -> DominationReport:
-    """Spectrum of M(xi1) - M(xi2) and the Loewner verdict M(xi1) >= M(xi2).
+    """Spectrum of M(xi1) - M(xi2) and the Loewner verdict M(xi1) >= M(xi2):
+    the one place the library judges that order.
 
     The verdict does not change under a congruence M -> A M A^T.  With
     S = M(xi1) + M(xi2) and R = S^(-1/2) on the range of S (the
-    eigenvalues above numpy's ``matrix_rank`` default tolerance), xi1
-    dominates when lambda_min(R^T (M(xi1) - M(xi2)) R) >= -tolerance.  The
-    whitened difference lies in [-1, 1], so a design that misses a
-    direction the other sees reads -1 there at any scale of theta.  The
-    tolerance must be finite.
+    eigenvalues above numpy's ``matrix_rank`` default tolerance), the
+    report's ``loewner_min_eigenvalue`` is lambda_min(R^T (M(xi1) -
+    M(xi2)) R), 0.0 when that range is empty, and xi1 dominates when it is
+    >= -tolerance.  The whitened difference lies in [-1, 1], so a design
+    that misses a direction the other sees reads -1 there at any scale of
+    theta.  The tolerance must be finite.
     """
     if not math.isfinite(tolerance):
         raise ConfigurationError(f"tolerance must be finite, got {tolerance!r}")
@@ -231,10 +245,13 @@ def verify_domination(
     w, U = np.linalg.eigh(M1 + M2)
     keep = w > w[-1] * w.size * np.finfo(float).eps
     R = U[:, keep] / np.sqrt(w[keep])
+    # An empty range (M(xi1) = M(xi2) = 0) has no direction to lose.
+    low = float(np.linalg.eigvalsh(R.T @ diff @ R)[0]) if keep.any() else 0.0
     return DominationReport(
         difference_spectrum=tuple(float(v) for v in np.linalg.eigvalsh(diff)),
-        dominates=bool(np.all(np.linalg.eigvalsh(R.T @ diff @ R) >= -tolerance)),
+        dominates=bool(low >= -tolerance),
         tolerance=float(tolerance),
+        loewner_min_eigenvalue=low,
     )
 
 

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from tcheb import reduction
+from tcheb import Design, reduction
 
 
 @pytest.fixture(autouse=True)
@@ -9,3 +11,19 @@ def _empty_caches():
     grid), so test order never decides whether a gate or a grid
     evaluation runs."""
     reduction._gated_psi.cache_clear()
+
+
+@pytest.fixture
+def shifted_solver(monkeypatch):
+    """The principal solver, but with the first point of each design it
+    returns moved +1.0; the list collects the designs so returned."""
+    real, shifted = reduction._principal, []
+
+    def shift(*args):
+        result = real(*args)
+        d = result.design
+        shifted.append(Design(points=(d.points[0] + 1.0,) + d.points[1:], weights=d.weights, interval=d.interval))
+        return dataclasses.replace(result, design=shifted[-1])
+
+    monkeypatch.setattr(reduction, "_principal", shift)
+    return shifted

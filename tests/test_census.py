@@ -25,6 +25,8 @@ CASES = {
 FAMILIES = ("cluster", "uniform", "endpoint")
 DESIGNS_PER_CASE = 5
 RTOL = 1e-8
+# Floor on the whitened lambda_min of M(output) - M(input), which lies in [-1, 1].
+WHITENED_TOL = 1e-8
 
 
 def _designs(family, a, b, rng):
@@ -49,6 +51,15 @@ def _gradients(model, theta, points):
 def _information(model, theta, design):
     G = _gradients(model, theta, design.points)
     return (G * np.asarray(design.weights)) @ G.T
+
+
+def _whitened_min(M_out, M_in):
+    """lambda_min(R^T (M_out - M_in) R) with R = S^(-1/2) on the range of
+    S = M_out + M_in, where no direction's scale counts; 0.0 on an empty range."""
+    w, U = np.linalg.eigh(M_out + M_in)
+    keep = w > w[-1] * w.size * np.finfo(float).eps
+    R = U[:, keep] / np.sqrt(w[keep])
+    return np.linalg.eigvalsh(R.T @ (M_out - M_in) @ R)[0] if keep.any() else 0.0
 
 
 def _psi_moments(model, theta, design):
@@ -76,9 +87,10 @@ def _check(model, theta, k, direction, xi, report):
     want = _psi_moments(model, theta, xi)
     gap = np.abs(_psi_moments(model, theta, out) - want).max()
     assert gap <= RTOL * max(1.0, np.abs(want).max())
-    M_in = _information(model, theta, xi)
-    low = np.linalg.eigvalsh(_information(model, theta, out) - M_in)[0]
+    M_in, M_out = _information(model, theta, xi), _information(model, theta, out)
+    low = np.linalg.eigvalsh(M_out - M_in)[0]
     assert low >= -RTOL * np.abs(np.linalg.eigvalsh(M_in)).max()
+    assert _whitened_min(M_out, M_in) >= -WHITENED_TOL
 
 
 @pytest.mark.parametrize("family", FAMILIES)

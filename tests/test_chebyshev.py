@@ -31,6 +31,9 @@ def test_interval_validation():
         Interval(2.0, 0.0)
     with pytest.raises(ConfigurationError):
         Interval(0.0, float("inf"))
+    # Finite endpoints whose distance is not: a snap on L = inf moved points.
+    with pytest.raises(ConfigurationError, match="^interval length overflows double precision"):
+        Interval(-1e308, 1e308)
     iv = Interval(-1.0, 3.0)
     assert iv.length == 4.0
     assert iv.contains(3.0)

@@ -113,6 +113,36 @@ def test_reduce_output_reingests(workdir):
     assert rep["difference_spectrum"] == sorted(rep["difference_spectrum"])
 
 
+def test_dominate_reports_the_whitened_eigenvalue(workdir):
+    """The number the verdict compares with -tol.psd: 0.0 for a design
+    against itself, -1 for one point against two, and the library's own
+    value to 15 digits."""
+    one, two = workdir / "one.json", workdir / "two.json"
+    one.write_text(json.dumps({"points": [5.0], "weights": [1.0], "interval": [0.0, 10.0]}))
+    two.write_text(json.dumps({"points": [2.0, 8.0], "weights": [0.5, 0.5], "interval": [0.0, 10.0]}))
+    out = workdir / "dom.json"
+    model = make_model("michaelis_menten", [1.0, 1.0], (0.0, 10.0))
+    for xi1, xi2 in ((workdir / "design8.json",) * 2, (one, two)):
+        assert run(workdir, "dominate", "--model", workdir / "mm.json", "--design", xi1, "--design2", xi2, "--out", out) == 0
+        rep = json.loads(out.read_text())
+        designs = [Design.from_json_obj(json.loads(path.read_text())) for path in (xi1, xi2)]
+        lib = tcheb.verify_domination(model, [1.0, 1.0], *designs)
+        assert rep["loewner_min_eigenvalue"] == float(f"{lib.loewner_min_eigenvalue:.15g}")
+        assert rep["dominates"] is (rep["loewner_min_eigenvalue"] >= -rep["tolerance"])
+    assert rep["loewner_min_eigenvalue"] == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_a_reduction_that_does_not_dominate_exits_degenerate(workdir, shifted_solver):
+    """An output that fails the Loewner check at PSD_TOL is refused, not
+    written: here the solver's interior point is moved +1.0."""
+    out = workdir / "reduce.json"
+    assert run(workdir, "reduce", "--model", workdir / "mm.json", "--design", workdir / "design8.json", "--out", out) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error["code"] == "degenerate"
+    assert error["message"].startswith("the upper reduction does not dominate its input: whitened lambda_min -0.2555")
+    assert not (workdir / "reduce.csv").exists()
+
+
 def test_byte_identical_reports(workdir):
     a, b = workdir / "a.json", workdir / "b.json"
     for out in (a, b):
@@ -346,8 +376,13 @@ def test_wrong_typed_json_is_a_configuration_error(workdir, spec, design):
         ([POLY_SPEC], "^model spec must be a JSON object$"),
         ({"model": "polynomial", "interval": [-1.0, 1.0]}, r"^model spec missing fields: \['theta'\]$"),
         ({**POLY_SPEC, "interval": [-1.0, 0.0, 1.0]}, r"^model interval must be a pair \[A, B\]$"),
+        # Finite ends, infinite length: the gradient was blamed at x = -inf.
+        (
+            {**POLY_SPEC, "interval": [-1e308, 1e308]},
+            r"^interval length overflows double precision: \[-1e\+308, 1e\+308\]$",
+        ),
     ],
-    ids=["not_an_object", "missing_theta", "interval_triple"],
+    ids=["not_an_object", "missing_theta", "interval_triple", "interval_length_overflows"],
 )
 def test_a_malformed_model_spec_is_a_configuration_error(workdir, spec, message):
     model, xi, out = workdir / "spec.json", workdir / "xi.json", workdir / "x.json"

@@ -161,6 +161,18 @@ def test_psi_k_q_scalar_case():
     assert f1(2.0) == pytest.approx(float(psi.h_tail(2.0)[0, 0] ** 2))
 
 
+def test_psi_k_q_overflow_is_an_evaluation_error():
+    """h_tail is finite on [0, 1] at theta2 = 354.892, and so are the psi
+    system's dedup grid values, which stop short of B; the square of
+    h_tail at B is not, and is refused as the library's own error."""
+    theta = (1.0, 354.892)
+    psi = psi_system(make_model("exponential", theta, (0.0, 1.0)), theta)
+    f = psi_k_Q(psi, (1.0,))
+    assert math.isfinite(f(0.5))
+    with pytest.raises(EvaluationError, match="^psi_k_Q evaluation: overflow encountered in square$"):
+        f(1.0)
+
+
 def test_psi_k_q_rejects_bad_q():
     m = make_model("michaelis_menten", [1.0, 1.0], MM_IV)
     psi = psi_system(m, [1.0, 1.0])

@@ -95,6 +95,19 @@ class TestReduce:
         monkeypatch.undo()
         assert rep.moments_out.coordinates == moment_point(rep.moments_out.system, rep.output).coordinates
 
+    def test_an_output_that_does_not_dominate_is_refused(self, shifted_solver):
+        """A solver that returns the README output with its interior point
+        moved +1.0, to (3.115..., 10.0), keeps the upper structure but not
+        the information: the whitened lambda_min of M(output) - M(input) is
+        -0.256, so the reduction raises rather than returning it."""
+        model, xi = mm(), uniform(range(1, 9), MM_IV)
+        message = r"^the upper reduction does not dominate its input: whitened lambda_min -0\.2555\d* < -PSD_TOL = -1e-08$"
+        with pytest.raises(DegeneracyError, match=message):
+            reduce_design(model, [1.0, 1.0], xi, "upper")
+        assert shifted_solver[0].points == (pytest.approx(3.115255, abs=1e-6), 10.0)
+        dom = verify_domination(model, [1.0, 1.0], shifted_solver[0], xi)
+        assert not dom.dominates and dom.loewner_min_eigenvalue == pytest.approx(-0.2555, abs=1e-4)
+
     def test_mm_lower_refused(self):
         # the negated last function breaks the determinant condition here
         xi = uniform(range(1, 9), MM_IV)
@@ -522,6 +535,20 @@ class TestDomination:
         red = reduce_design(mm(), [1.0, 1.0], xi, "upper")
         rep = verify_domination(mm(), [1.0, 1.0], red.output, xi)
         assert rep.dominates
+        # The reduction reports the very numbers the verdict reads.
+        assert (red.loewner_min_eigenvalue, red.difference_spectrum) == (
+            rep.loewner_min_eigenvalue, rep.difference_spectrum
+        )
+
+    def test_an_empty_range_reads_zero(self):
+        """The Michaelis-Menten gradient vanishes at x = 0, so {0: 1} has
+        M = 0 and S = M1 + M2 has no range: the whitened value is 0.0, and
+        the design, of index 1/2 < k/2, is its own reduction."""
+        xi = Design(points=(0.0,), weights=(1.0,), interval=Interval(*MM_IV))
+        dom = verify_domination(mm(), [1.0, 1.0], xi, xi)
+        assert (dom.dominates, dom.loewner_min_eigenvalue) == (True, 0.0)
+        rep = reduce_design(mm(), [1.0, 1.0], xi, "upper")
+        assert (rep.branch, rep.loewner_min_eigenvalue) == ("Identity", 0.0)
 
     def test_rank_one_cannot_dominate(self):
         # At theta1 = 1e-4 the difference's negative eigenvalue is -1e-10,
@@ -530,7 +557,10 @@ class TestDomination:
         two = uniform([2.0, 8.0], MM_IV)
         for theta in ([1.0, 1.0], [1e-3, 1.0], [1e-4, 1.0]):
             model = make_model("michaelis_menten", theta, MM_IV)
-            assert not verify_domination(model, theta, one, two).dominates, theta
+            rep = verify_domination(model, theta, one, two)
+            # The direction that {5} does not see reads -1 at every scale.
+            assert not rep.dominates, theta
+            assert rep.loewner_min_eigenvalue == pytest.approx(-1.0, abs=1e-9), theta
 
     def test_spectrum_is_sorted(self):
         xi = uniform(range(1, 9), MM_IV)
