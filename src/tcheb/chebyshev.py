@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -49,6 +50,9 @@ class Interval:
     upper: float
 
     def __post_init__(self):
+        for end in (self.lower, self.upper):
+            if isinstance(end, bool) or not isinstance(end, numbers.Real):
+                raise ConfigurationError(f"interval endpoints must be real numbers, got {end!r}")
         object.__setattr__(self, "lower", float(self.lower))
         object.__setattr__(self, "upper", float(self.upper))
         if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
@@ -87,7 +91,8 @@ class ChebyshevSystem:
     name: str = ""
 
     def __post_init__(self):
-        if self.k < 1:
+        check_interval(self.interval, "system interval")
+        if check_count(self.k, "k") < 1:
             raise ConfigurationError("a system needs at least one basis function")
 
     @classmethod
@@ -209,16 +214,22 @@ def _memo_tuples(bounds: bytes, k: int, grid_size: int, num_random_tuples: int, 
     return tuples
 
 
-def check_count(value, name: str, minimum: int) -> int:
-    """The value as an ``int`` of at least ``minimum``, numpy integers
-    included, or ConfigurationError."""
+def check_count(value, name: str, minimum: Optional[int] = None) -> int:
+    """The value as an ``int``, numpy integers included, of at least
+    ``minimum`` when one is given, or ConfigurationError."""
     try:
         value = operator.index(value)
     except TypeError:
         raise ConfigurationError(f"{name} must be an integer, got {type(value).__name__}") from None
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ConfigurationError(f"{name} must be at least {minimum}, got {value}")
     return value
+
+
+def check_interval(value, name: str) -> None:
+    """Refuse a value that is not an ``Interval`` with ConfigurationError."""
+    if not isinstance(value, Interval):
+        raise ConfigurationError(f"{name} must be an Interval, got {type(value).__name__}")
 
 
 def _sample(interval: Interval, k: int, grid_size: int, num_random_tuples: int, seed) -> np.ndarray:

@@ -28,7 +28,9 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .chebyshev import ChebyshevSystem, Interval, _evaluate, monomial_derivatives, monomials
+from .chebyshev import (
+    ChebyshevSystem, Interval, _evaluate, check_count, check_interval, monomial_derivatives, monomials
+)
 from .errors import ConfigurationError, DomainError, EvaluationError
 
 DEDUP_GRID_SIZE = 256
@@ -62,7 +64,8 @@ class RegressionModel:
     expected_k: Optional[int] = None
 
     def __post_init__(self):
-        if not 1 <= self.p1 <= self.p:
+        check_interval(self.design_interval, "design_interval")
+        if not 1 <= check_count(self.p1, "p1") <= self.p:
             raise ConfigurationError(f"p1 must lie in 1..{self.p}, got {self.p1}")
 
 
@@ -378,13 +381,16 @@ CATALOG_NAMES = ("michaelis_menten", "exponential", "exponential3", "polynomial"
 
 
 def make_model(name: str, theta, interval, p1: int = 1) -> RegressionModel:
-    """Build a catalog model bound to a design interval.
+    """Build a catalog model bound to a design interval, an ``Interval`` or
+    a pair (A, B) of numbers.
 
     ``theta`` is used for dimension and admissibility checks only; the
     operations all take the parameter vector explicitly.
     """
-    if isinstance(interval, (tuple, list)):
-        interval = Interval(interval[0], interval[1])
+    if isinstance(interval, (tuple, list)) and len(interval) == 2:
+        interval = Interval(*interval)
+    elif not isinstance(interval, Interval):
+        raise ConfigurationError(f"interval must be an Interval or a pair (A, B) of numbers, got {interval!r}")
     theta = np.asarray(theta, dtype=float)
     if name == "michaelis_menten":
         model, rules = _michaelis_menten(interval, p1), ((_theta_nonzero, 0), (_theta_positive, 1))

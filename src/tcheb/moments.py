@@ -17,7 +17,7 @@ from typing import Callable, Iterable, List, Tuple
 
 import numpy as np
 
-from .chebyshev import ChebyshevSystem, Interval, basis_matrix
+from .chebyshev import ChebyshevSystem, Interval, basis_matrix, check_interval
 from .errors import ConfigurationError, DomainError
 
 # Points within this times (B - A) of an endpoint snap onto it before
@@ -105,6 +105,7 @@ class Design:
     interval: Interval
 
     def __post_init__(self):
+        check_interval(self.interval, "design interval")
         pts = [float(p) for p in self.points]
         ws = [float(w) for w in self.weights]
         if len(pts) != len(ws):
@@ -221,16 +222,17 @@ def fsum_moments(system: ChebyshevSystem, V: np.ndarray, w) -> MomentPoint:
     return MomentPoint(coordinates=coords, system=system)
 
 
-def design_index(design: Design) -> float:
-    """Interior support points count 1, endpoint support points count 1/2.
+def support_index(points: Iterable[float], interval: Interval) -> float:
+    """The half-counted index of a support: interior points count 1,
+    points on an endpoint of the interval 1/2.  Counted in halves, so the
+    float is exact."""
+    a, b = interval.lower, interval.upper
+    return sum(1 if p == a or p == b else 2 for p in points) / 2
 
-    Counted in halves, so the float is exact.
-    """
-    a, b = design.interval.lower, design.interval.upper
-    twice = 0
-    for p in design.points:
-        twice += 1 if (p == a or p == b) else 2
-    return twice / 2
+
+def design_index(design: Design) -> float:
+    """The half-counted index of the design's support."""
+    return support_index(design.points, design.interval)
 
 
 def classify_point(

@@ -22,9 +22,10 @@ iteration on the exact moment-matching equations, which removes the grid
 bias and stays on supports that ``Design`` keeps unchanged.  Only the
 result becomes a ``Design``, at one exit that gates that ``Design``'s own
 moments to 1e-9 relative; the first failure is raised, with no retry.  A
-boundary moment point, whose merged LP atoms are fewer than the structure
-wants, is returned without Newton only when its atoms of weight above
-1e-9 pass that exit."""
+boundary moment point has one representing measure, of index below k/2,
+so no measure has either structure: when shaping or Newton fails on
+merged LP atoms of index below k/2 whose atoms of weight above 1e-9 pass
+that exit, the call raises DegeneracyError naming that measure."""
 
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from .errors import (
     UnboundedError,
 )
 from .moments import INGEST_WEIGHT_TOL, SNAP_REL, Atom, Design, MomentPoint, fsum_moments
-from .moments import merge_pair, merge_runs
+from .moments import merge_pair, merge_runs, support_index
 from .simplex import solve_lp
 
 NEWTON_TOL = 1e-11
@@ -92,8 +93,10 @@ STRUCTURES = {"upper": RepresentationStructure.upper, "lower": RepresentationStr
 
 @dataclass(frozen=True)
 class PrincipalResult:
-    """A principal representation: its ``design``, the design's ``moments``, by fsum
-    at its own weights, and their largest gap from c0, ``residual_norm``."""
+    """A principal representation, as ``refine_newton`` returns it: its
+    ``design``, whose support has the ``structure``, the design's
+    ``moments``, by fsum at its own weights, and their largest gap from c0,
+    ``residual_norm``."""
 
     design: Design
     residual_norm: float
@@ -271,10 +274,11 @@ def refine_newton(
 
 
 def _result(system: ChebyshevSystem, c0: MomentPoint, structure, points, weights, V, iterations):
-    """The solver's one exit, for Newton results and boundary returns: the
-    PrincipalResult of a support that ``Design`` keeps, V the basis at its
-    ``points``, or None when a weight sum ``Design`` would refuse or a moment
-    of the design, by fsum at its weights, misses |m_i - c_i| <= 1e-9 max(1, |c_i|)."""
+    """The solver's one exit, for Newton results, and the test that names a
+    boundary point's representation: the PrincipalResult of a support that
+    ``Design`` keeps, V the basis at its ``points``, or None when a weight
+    sum ``Design`` would refuse or a moment of the design, by fsum at its
+    weights, misses |m_i - c_i| <= 1e-9 max(1, |c_i|)."""
     if not abs(math.fsum(weights) - 1.0) <= INGEST_WEIGHT_TOL:
         return None
     design = Design(tuple(map(float, points)), tuple(map(float, weights)), system.interval)
@@ -336,36 +340,31 @@ def _shape_to_structure(
 
 def _principal(system: ChebyshevSystem, c0: MomentPoint, which: str, lp) -> PrincipalResult:
     """The principal representation of the direction ``which``, its moment
-    LP run on ``lp``, the (grid, V, objective row) arrays.  When Newton fails
-    and the merged LP atoms have index below k/2 with their atoms above 1e-9
-    passing ``_result``, c0 is a boundary point: DegeneracyError says so."""
+    LP run on ``lp``, the (grid, V, objective row) arrays, as ``refine_newton``
+    returns it.  When shaping or Newton fails and the merged LP atoms have
+    index below k/2 with their atoms above 1e-9 passing ``_result``, c0 is a
+    boundary point, which no measure of the structure represents:
+    DegeneracyError names its representation."""
     interval = system.interval
-    a, b = interval.lower, interval.upper
     structure = STRUCTURES[which](system.k)
     _, atoms = _solve_grid_lp(lp, c0, "max" if which == "upper" else "min")
     cluster_tol = CLUSTER_SPACINGS * interval.length / (DEFAULT_GRID - 1)
-    merged = merge_runs(atoms, cluster_tol, a, b)
-    # An atom of weight at most 1e-9 is LP round-off, not a support point;
-    # c0[0] = 1 leaves a heavier one.
-    points, weights = zip(*[(p, w) for p, w in merged if w > 1e-9])
-
-    def boundary() -> Optional[PrincipalResult]:
-        V = basis_matrix(system, np.asarray(points, float))
-        return _result(system, c0, structure, points, weights, V, 0)
-
-    # Degenerate (boundary) moment point: its representation is unique with
-    # fewer atoms than the interior structure, whose Newton system is singular.
-    if len(merged) < structure.num_points and (result := boundary()) is not None:
-        return result
-    shaped = _shape_to_structure(merged, structure, cluster_tol, interval, which)
+    merged = merge_runs(atoms, cluster_tol, interval.lower, interval.upper)
     try:
+        shaped = _shape_to_structure(merged, structure, cluster_tol, interval, which)
         return refine_newton(system, c0, structure, shaped)
-    except (ConvergenceError, SingularityError) as err:
-        twice = sum(1 if p == a or p == b else 2 for p, _ in merged)
-        if twice >= system.k or (result := boundary()) is None:
+    except (DegeneracyError, ConvergenceError, SingularityError) as err:
+        index = support_index([p for p, _ in merged], interval)
+        if index >= system.k / 2:
+            raise
+        # An atom of weight at most 1e-9 is LP round-off, not a support point;
+        # c0[0] = 1 leaves a heavier one.
+        points, weights = zip(*[(p, w) for p, w in merged if w > 1e-9])
+        V = basis_matrix(system, np.asarray(points, float))
+        if (result := _result(system, c0, structure, points, weights, V, 0)) is None:
             raise
         raise DegeneracyError(
-            f"c0 is a boundary moment point: its LP atoms have index {twice / 2} < k/2 = {system.k / 2} and "
+            f"c0 is a boundary moment point: its LP atoms have index {index} < k/2 = {system.k / 2} and "
             f"{list(result.design.points)} represents it, so no representation has the {which} structure"
         ) from err
 
@@ -380,7 +379,9 @@ def upper_principal(
     Chebyshev system; the default x -> x^k does so for the monomials
     and, by measurement only, for the catalog psi systems.  With psi_0 = 1,
     c0[0] is the total weight: one farther than ``INGEST_WEIGHT_TOL``
-    from 1 raises ConfigurationError before the LP is built.
+    from 1 raises ConfigurationError before the LP is built.  c0 must be
+    an interior moment point: a boundary moment point raises
+    DegeneracyError naming its unique representation.
     """
     _check_total_weight(c0)
     return _principal(system, c0, "upper", _lp_arrays(system, probe))
@@ -392,7 +393,8 @@ def lower_principal(
     """The representing measure minimizing every valid probe moment.
 
     Avoids B; contains A when k is odd and avoids both endpoints when k
-    is even.  ``probe`` and c0[0] are as for ``upper_principal``.
+    is even.  ``probe``, c0[0] and a boundary moment point are as for
+    ``upper_principal``.
     """
     _check_total_weight(c0)
     return _principal(system, c0, "lower", _lp_arrays(system, probe))

@@ -46,7 +46,7 @@ from .models import (
     psi_system,
 )
 from .moments import Design, MomentPoint, design_index, moment_point
-from .principal import STRUCTURES, _principal, check_structure, lp_grid
+from .principal import STRUCTURES, _principal, lp_grid
 
 PSD_TOL = 1e-8
 # Passing gate verdicts kept per (model, theta, direction, seed) key, each
@@ -198,9 +198,7 @@ def reduce_design(
         out, moments_out, branch = xi, c0, "Identity"
     else:
         result = _principal(system, c0, direction, lp)
-        out = result.design
-        check_structure(out.points, out.interval, result.structure, direction)  # refuses boundary returns
-        moments_out = result.moments
+        out, moments_out = result.design, result.moments
         branch = "OddCase" if k % 2 else "EvenCase"
     dom = verify_domination(model, theta, out, xi)
     if not dom.dominates:

@@ -28,6 +28,7 @@ from tcheb import (
 )
 from tcheb.chebyshev import ChebyshevSystem
 from tcheb.errors import PreconditionError
+from tcheb.reduction import PSD_TOL
 from tcheb.moments import MomentPoint
 
 SYM = Interval(-1.0, 1.0)
@@ -136,9 +137,13 @@ def test_criterion_05_mm_reduction_structure_and_domination(capsys):
         cin = np.asarray(rep.moments_in.coordinates)
         cout = np.asarray(rep.moments_out.coordinates)
         ok = ok and bool(np.all(np.abs(cout - cin) <= 1e-8 * np.maximum(1.0, np.abs(cin))))
+        # Domination by an oracle outside the reduction, as criterion 06's
+        # loewner_min, and the reduction's own whitened verdict.
         M = information_matrix(model, [1.0, 1.0], xi)
         norm = float(np.max(np.abs(np.linalg.eigvalsh(M))))
-        ok = ok and rep.loewner_min_eigenvalue >= -1e-8 * norm
+        gain = np.linalg.eigvalsh(information_matrix(model, [1.0, 1.0], rep.output) - M)[0]
+        ok = ok and gain >= -1e-8 * norm
+        ok = ok and rep.loewner_min_eigenvalue >= -PSD_TOL
     verdict(capsys, 5, "odd-case reduction structure and domination", ok)
     assert ok
 

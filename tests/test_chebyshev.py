@@ -197,6 +197,17 @@ def test_scalar_only_callables_evaluate_point_by_point():
     assert evaluate_basis(sys2, 0.5) == pytest.approx((1.0, math.exp(0.5)))
 
 
+def test_malformed_system_arguments_are_refused():
+    """A system's interval must be an Interval of real endpoints and its k
+    an integer; each is refused when the system is built."""
+    with pytest.raises(ConfigurationError, match="^system interval must be an Interval, got tuple$"):
+        polynomial_system(3, (0.0, 1.0))
+    with pytest.raises(ConfigurationError, match="^k must be an integer, got float$"):
+        polynomial_system(2.5, Interval(0.0, 1.0))
+    with pytest.raises(ConfigurationError, match="^interval endpoints must be real numbers, got '0'$"):
+        Interval("0", 1.0)
+
+
 def test_evaluator_shape_is_checked():
     iv = Interval(0.0, 1.0)
     sys2 = ChebyshevSystem(iv, 2, lambda xs: np.ones((3, xs.size)))

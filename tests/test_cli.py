@@ -252,6 +252,27 @@ def test_log_env_keeps_report_clean(workdir):
     json.loads(out.read_text())
 
 
+def test_python_dash_m_tcheb_reduce_matches_main(tmp_path):
+    """``python -m tcheb``, the package's __main__, runs the README's
+    Michaelis-Menten reduction in a child process to the report that
+    ``main`` writes in this one."""
+    spec, design = tmp_path / "m.json", tmp_path / "d.json"
+    spec.write_text(json.dumps({"model": "michaelis_menten", "theta": [1.0, 1.0], "interval": [0, 10]}))
+    design.write_text(json.dumps({"points": [1, 2, 3, 4, 5, 6, 7, 8], "weights": [0.125] * 8, "interval": [0, 10]}))
+    args = ["reduce", "--model", str(spec), "--design", str(design), "--direction", "upper", "--out"]
+    env = {
+        "PATH": "/usr/bin:/bin",
+        "PYTHONPATH": str(Path(tcheb.__file__).resolve().parents[1]),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "tcheb", *args, str(tmp_path / "child.json")], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main([*args, str(tmp_path / "main.json")]) == 0
+    assert (tmp_path / "child.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
 def test_psd_tolerance_flag(workdir):
     out = workdir / "dom.json"
     code = run(

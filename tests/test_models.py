@@ -268,6 +268,26 @@ def test_p1_bounds():
         make_model("michaelis_menten", [1.0, 1.0], MM_IV, p1=3)
 
 
+@pytest.mark.parametrize(
+    "interval, p1, message",
+    [
+        ((0.0, 3.0, 5.0), 1, r"^interval must be an Interval or a pair \(A, B\) of numbers, got \(0\.0, 3\.0, 5\.0\)$"),
+        ((0.0,), 1, r"^interval must be an Interval or a pair"),
+        ("ab", 1, r"^interval must be an Interval or a pair"),
+        (("a", "b"), 1, r"^interval endpoints must be real numbers, got 'a'$"),
+        ((0.0, 3.0), 1.5, r"^p1 must be an integer, got float$"),
+        ((0.0, 3.0), 0, r"^p1 must lie in 1\.\.2, got 0$"),
+    ],
+    ids=["three_ends", "one_end", "string", "string_ends", "float_p1", "zero_p1"],
+)
+def test_malformed_model_arguments_are_refused(interval, p1, message):
+    """make_model takes an Interval or a pair of numbers and an integer p1;
+    anything else is a ConfigurationError when the model is built, not a
+    model that fails later."""
+    with pytest.raises(ConfigurationError, match=message):
+        make_model("exponential", [1.0, -1.0], interval, p1=p1)
+
+
 def test_information_matrix_interval_mismatch():
     m = make_model("michaelis_menten", [1.0, 1.0], MM_IV)
     d = dirac(0.5, (0.0, 1.0))

@@ -88,6 +88,10 @@ class TestDesignConstruction:
         with pytest.raises(ConfigurationError, match=r"^design interval must be a pair \[A, B\]$"):
             Design.from_json_obj(obj)
 
+    def test_interval_must_be_an_interval(self):
+        with pytest.raises(ConfigurationError, match="^design interval must be an Interval, got tuple$"):
+            Design((0.5,), (1.0,), (0.0, 1.0))
+
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ConfigurationError, match="^a design needs at least one point of positive weight$"):
             mk([0.2, 0.5], [0.0, 0.0])

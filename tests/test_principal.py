@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tcheb.principal
@@ -298,6 +298,38 @@ def test_every_result_keeps_its_structure_and_basis(case):
     assert result.moments.array().tobytes() == moment_point(system, design).array().tobytes()
 
 
+@st.composite
+def low_index_measures(draw):
+    """k = 3..6 and a measure on [0, 1] of index below k/2, endpoints
+    allowed: its points and weights."""
+    k = draw(st.integers(3, 6))
+    ends = sorted(draw(st.sets(st.sampled_from((0.0, 1.0)), max_size=2)))
+    most = (k - len(ends) + 1) // 2 - 1  # interior points that keep the index below k/2
+    interior = draw(st.lists(st.floats(0.01, 0.99), min_size=0 if ends else 1, max_size=most, unique=True))
+    points = tuple(ends + interior)
+    weights = draw(st.lists(st.floats(0.05, 1.0), min_size=len(points), max_size=len(points)))
+    return k, points, tuple(w / sum(weights) for w in weights)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(low_index_measures())
+@example((3, (0.3,), (1.0,)))
+def test_low_index_moments_get_no_representation_without_its_structure(measure):
+    """At a boundary moment point no measure has a principal structure:
+    each direction raises a typed error or returns a design that has the
+    structure its result carries."""
+    k, points, weights = measure
+    system = polynomial_system(k, UNIT)
+    c0 = moment_point(system, Design(points=points, weights=weights, interval=UNIT))
+    for build in (upper_principal, lower_principal):
+        try:
+            result = build(system, c0)
+        except TchebError:
+            continue
+        design = result.design
+        tcheb.principal.check_structure(design.points, design.interval, result.structure, "returned")
+
+
 class TestPrincipal:
     def test_gauss_rule(self):
         sys4, c0 = uniform_c0(4)
@@ -367,26 +399,26 @@ class TestPrincipal:
             np.testing.assert_allclose(r3.design.weights, r4.design.weights, atol=1e-6)
 
     def test_boundary_point_unique_representation(self):
-        """A Dirac moment point is on the moment-space boundary; both
-        principal representations collapse to the same measure."""
+        """A Dirac moment point is on the moment-space boundary: its one
+        representing measure has index 1 < 3/2, so no measure has either
+        principal structure, and both directions name that measure."""
         sys3 = polynomial_system(3, UNIT)
-        dirac = Design(points=(0.3,), weights=(1.0,), interval=UNIT)
-        c0 = moment_point(sys3, dirac)
-        up = upper_principal(sys3, c0)
-        lo = lower_principal(sys3, c0)
-        assert up.design.points == pytest.approx((0.3,), abs=1e-8)
-        assert lo.design.points == pytest.approx((0.3,), abs=1e-8)
-        assert up.design.points == pytest.approx(lo.design.points, abs=1e-8)
+        c0 = moment_point(sys3, Design(points=(0.3,), weights=(1.0,), interval=UNIT))
+        for build in (upper_principal, lower_principal):
+            with pytest.raises(DegeneracyError, match=r"^c0 is a boundary moment point: its LP atoms have index 1\.0 "
+                               r"< k/2 = 1\.5 and \[0\.3\] represents it"):
+                build(sys3, c0)
 
     def test_boundary_point_drops_a_round_off_atom(self):
         """The merged LP atoms of a boundary point can carry a third atom
-        of weight about 2e-13 (at -0.833 here); it is not a support point."""
+        of weight about 2e-13 (at -0.833 here); it is not a support point,
+        so neither direction names it."""
         theta = (1.0, 0.5, -0.5, 0.25)
         system = psi_system(make_model("polynomial", theta, (-1.0, 1.0)), theta).system
         xi = Design(points=(-1.0, 0.5), weights=(6 / 7, 1 / 7), interval=SYM)
-        up = upper_principal(system, moment_point(system, xi))
-        assert up.design.points == pytest.approx((-1.0, 0.5), abs=1e-12)
-        assert up.design.weights == pytest.approx((6 / 7, 1 / 7), abs=1e-12)
+        for build in (upper_principal, lower_principal):
+            with pytest.raises(DegeneracyError, match=r"index 2\.5 < k/2 = 3\.0 and \[-1\.0, 0\.5[0-9]*\] represents it"):
+                build(system, moment_point(system, xi))
 
     @pytest.mark.parametrize("build", [upper_principal, lower_principal])
     def test_boundary_point_without_the_structure_is_named(self, build):
@@ -412,15 +444,14 @@ class TestPrincipal:
             lower_principal(system, moment_point(system, xi))
         assert isinstance(err.value.__cause__, SingularityError)
 
-    def test_boundary_return_on_a_signed_zero_end(self):
-        """On [-0.0, 1] the grid starts at A's own -0.0, so a boundary
-        return's atom on A is the Design's point, and its moments are the
-        Design's moment point."""
+    def test_boundary_refusal_on_a_signed_zero_end(self):
+        """On [-0.0, 1] the grid starts at A's own -0.0, so the support a
+        boundary refusal names keeps A's -0.0, in both directions."""
         sys4 = polynomial_system(4, Interval(-0.0, 1.0))
-        res = upper_principal(sys4, MomentPoint(coordinates=(1.0, 0.25, 0.125, 0.0625), system=sys4))
-        assert res.newton_iterations == 0
-        assert math.copysign(1.0, res.design.points[0]) == -1.0
-        assert res.moments.array().tobytes() == moment_point(sys4, res.design).array().tobytes()
+        c0 = MomentPoint(coordinates=(1.0, 0.25, 0.125, 0.0625), system=sys4)
+        for build in (upper_principal, lower_principal):
+            with pytest.raises(DegeneracyError, match=r"index 1\.5 < k/2 = 2\.0 and \[-0\.0, 0\.5\] represents it"):
+                build(sys4, c0)
 
     def test_one_lp_per_call(self, monkeypatch):
         """No probe, no retry: a principal call solves one moment LP, and
