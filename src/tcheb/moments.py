@@ -248,18 +248,20 @@ def classify_point(
     gamma_upper - gamma_lower <= CLASSIFY_TOL * max(1, |gamma_upper|), in
     which case its representing measure is unique.  The probe must
     augment the system to a Chebyshev system for the geometry to hold;
-    that is the caller's obligation.
+    that is the caller's obligation.  Both LPs are one ``_solve_grid_lp``
+    call on one grid evaluation and one simplex phase one; each gamma is
+    the value its own one-sense solve gives.
     """
     # Imported here: principal builds on this module.
     from .principal import _lp_arrays, _solve_grid_lp
 
     # Boundary moment points sit within O(grid spacing^2) of the grid
     # moment body, so classification runs the LPs with a relaxed
-    # feasibility acceptance.  Both senses share one grid evaluation.
+    # feasibility acceptance.  Both senses share one grid evaluation and
+    # one simplex phase one, which does not depend on the sense.
     slack = 1e-6 * max(1.0, float(np.max(np.abs(c0.array()))))
     lp = _lp_arrays(system, probe)
-    gamma_upper, _ = _solve_grid_lp(lp, c0, "max", slack)
-    gamma_lower, _ = _solve_grid_lp(lp, c0, "min", slack)
+    (gamma_upper, _), (gamma_lower, _) = _solve_grid_lp(lp, c0, ("max", "min"), slack)
     gap = gamma_upper - gamma_lower
     boundary = gap <= CLASSIFY_TOL * max(1.0, abs(gamma_upper))
     return BoundaryReport(

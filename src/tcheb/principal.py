@@ -47,7 +47,7 @@ from .errors import (
 )
 from .moments import INGEST_WEIGHT_TOL, SNAP_REL, Atom, Design, MomentPoint, fsum_moments
 from .moments import merge_pair, merge_runs, support_index
-from .simplex import solve_lp
+from .simplex import _solve_senses, solve_lp
 
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 50
@@ -122,20 +122,29 @@ def _lp_arrays(system: ChebyshevSystem, objective: Optional[Callable] = None):
     return grid, basis_matrix(system, grid), _evaluate(row, 1, grid, "objective")[0]
 
 
-def _solve_grid_lp(lp, c0: MomentPoint, sense: str, feas_tol: Optional[float] = None):
-    """``grid_lp_extremum`` on the (grid, V, objective row) triple ``lp``."""
+def _solve_grid_lp(lp, c0: MomentPoint, senses: Sequence[str], feas_tol: Optional[float] = None):
+    """``grid_lp_extremum`` on the (grid, V, objective row) triple ``lp``,
+    once per sense in ``senses``: a list of (value, atoms) pairs.  One
+    sense goes through ``solve_lp`` (the name bench/tracing.py wraps);
+    several share one phase one."""
     grid, V, obj = lp
     if c0.k != V.shape[0]:
         raise ConfigurationError("moment point dimension does not match the system")
     try:
-        result = solve_lp(V, c0.array(), obj, sense=sense, feas_tol=feas_tol)
+        if len(senses) == 1:
+            results = [solve_lp(V, c0.array(), obj, sense=senses[0], feas_tol=feas_tol)]
+        else:
+            results = _solve_senses(V, c0.array(), obj, senses, feas_tol)
     except UnboundedError as err:  # psi_0 = 1 and w >= 0 bound the LP: this is round-off
         rows = np.abs(V).max(axis=1)
         raise ConvergenceError(
             f"round-off made the moment LP unbounded: its rows span {rows.min():.1e} to {rows.max():.1e}"
         ) from err
-    pos = result.x > 1e-14
-    return float(result.value), list(zip(grid[pos].tolist(), result.x[pos].tolist()))
+    pairs = []
+    for result in results:
+        pos = result.x > 1e-14
+        pairs.append((float(result.value), list(zip(grid[pos].tolist(), result.x[pos].tolist()))))
+    return pairs
 
 
 def grid_lp_extremum(
@@ -162,7 +171,7 @@ def grid_lp_extremum(
     moments or has a weight below ``solve_lp``'s default -feas_tol raises
     ConvergenceError, and so does a simplex that reports the LP unbounded.
     """
-    return _solve_grid_lp(_lp_arrays(system, objective), c0, sense)
+    return _solve_grid_lp(_lp_arrays(system, objective), c0, (sense,))[0]
 
 
 def _check_total_weight(c0: MomentPoint) -> None:
@@ -347,7 +356,7 @@ def _principal(system: ChebyshevSystem, c0: MomentPoint, which: str, lp) -> Prin
     DegeneracyError names its representation."""
     interval = system.interval
     structure = STRUCTURES[which](system.k)
-    _, atoms = _solve_grid_lp(lp, c0, "max" if which == "upper" else "min")
+    [(_, atoms)] = _solve_grid_lp(lp, c0, ("max" if which == "upper" else "min",))
     cluster_tol = CLUSTER_SPACINGS * interval.length / (DEFAULT_GRID - 1)
     merged = merge_runs(atoms, cluster_tol, interval.lower, interval.upper)
     try:

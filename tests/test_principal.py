@@ -703,3 +703,41 @@ def test_moment_point_with_no_coordinates_is_refused(call):
     sys4 = polynomial_system(4, SYM)
     with pytest.raises(ConfigurationError, match="^a moment point needs at least one coordinate$"):
         call(sys4, MomentPoint(coordinates=(), system=sys4))
+
+
+class TestClassifyLP:
+    """classify_point solves its max and min moment LPs on one phase one."""
+
+    def test_one_phase_one_and_the_one_sense_gammas(self, monkeypatch):
+        sys4, c0 = uniform_c0(4)
+        phases = []
+        real = tcheb.simplex._phase_one
+
+        def spy(*args):
+            phases.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(tcheb.simplex, "_phase_one", spy)
+        rep = classify_point(sys4, c0, lambda x: x**4)
+        assert len(phases) == 1
+        _, V, obj = tcheb.principal._lp_arrays(sys4, lambda x: x**4)
+        slack = 1e-6 * max(1.0, max(abs(v) for v in c0.coordinates))
+        want = [tcheb.simplex.solve_lp(V, c0.array(), obj, sense, slack).value for sense in ("max", "min")]
+        assert len(phases) == 3
+        assert [rep.gamma_upper, rep.gamma_lower] == want
+
+    @pytest.mark.parametrize("sense", ["max", "min"])
+    def test_an_unbounded_sense_is_a_convergence_error(self, monkeypatch, sense):
+        """psi_0 = 1 bounds every moment LP, so a simplex that reports one
+        unbounded, in either sense, met round-off."""
+        real = tcheb.simplex._phase_two
+
+        def phase_two(tableau, A, b, c, which, feas_tol):
+            if which == sense:
+                raise tcheb.errors.UnboundedError("unbounded linear program")
+            return real(tableau, A, b, c, which, feas_tol)
+
+        monkeypatch.setattr(tcheb.simplex, "_phase_two", phase_two)
+        sys4, c0 = uniform_c0(4)
+        with pytest.raises(ConvergenceError, match="^round-off made the moment LP unbounded: its rows span "):
+            classify_point(sys4, c0, lambda x: x**4)
