@@ -5,7 +5,9 @@ model-spec JSON and design JSONs; reports are written as JSON (with
 design tables additionally emitted as CSV next to the report).  Each
 subcommand accepts only the flags it reads: ``--seed`` on check, reduce
 and optimize, ``--tol.psd=`` on dominate.  ``check`` reports every
-determinant check of the gate that ``reduce`` runs at the same seed.
+determinant check of the sampled gate at the seed, and whether the
+model's leading Wronskians certify the gate, in which case ``reduce``
+skips that sample.
 Exit status 0 on success, 2 when a determinant precondition fails, 1 on
 I/O or schema errors.  All other library errors, and
 arithmetic that overflows, divides by zero or is invalid (code
@@ -32,6 +34,7 @@ from .moments import Design, design_index, json_numbers, moment_point
 from .reduction import (
     PSD_TOL,
     criterion_value,
+    gate_certified,
     gate_checks,
     optimize_in_class,
     reduce_design,
@@ -162,6 +165,7 @@ def _cmd_check(args) -> int:
     report = {
         "base": _check_report(base),
         "augmented": augmented,
+        "certified": gate_certified(model, theta, args.direction),
         "direction": args.direction,
         "k": psi.k,
     }

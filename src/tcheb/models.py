@@ -23,6 +23,7 @@ the permutation that makes the base system positively oriented.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -50,6 +51,17 @@ class RegressionModel:
     functions of (x, theta), or of theta alone for ``p_matrix``:
     ``reduce_design`` memoises its determinant gate per model, keyed by
     these fields.
+
+    ``wronskian_signs``, filled only by ``make_model``, maps (model,
+    theta) to the signs +-1 of the leading Wronskians W_1, ..., W_{k+1}
+    of the psi system in its declared order with h_tail^2 appended, each
+    strict on the whole interval, or to None.  It is a closed-form
+    certificate for ``exponential``, ``exponential3`` and ``polynomial``
+    at p1 = 1; it answers None for any model whose ``gradient``,
+    ``p_matrix``, ``psi_order``, ``p1`` or ``expected_k`` is not the one it
+    was derived for, e.g. after ``dataclasses.replace``.
+    ``michaelis_menten`` has none: its declared order's W_2 =
+    x (2 theta2 - x) / (theta2 + x)^4 changes sign at 2 theta2.
     """
 
     name: str
@@ -62,6 +74,7 @@ class RegressionModel:
     gradient_dx: Optional[Callable] = None
     psi_order: Optional[Tuple[int, ...]] = None
     expected_k: Optional[int] = None
+    wronskian_signs: Optional[Callable] = None
 
     def __post_init__(self):
         check_interval(self.design_interval, "design_interval")
@@ -380,6 +393,37 @@ def _polynomial(interval: Interval, p1: int, degree: int) -> RegressionModel:
 CATALOG_NAMES = ("michaelis_menten", "exponential", "exponential3", "polynomial")
 
 
+# Leading Wronskians W_1, ..., W_{k+1} of the catalog psi systems at
+# p1 = 1, in declared order with h_tail^2 appended, for the rate r and
+# e = exp(r x):
+#   exponential   (1, e^2, x e^2; x^2 e^2):  1, 2r e^2, 4r^2 e^4, 16r^3 e^6;
+#   exponential3  (1, e, x e, e^2, x e^2; x^2 e^2):
+#                 1, r e, r^2 e^2, 2r^5 e^4, 4r^8 e^6, 16r^11 e^8;
+#   polynomial    (1, x, ..., x^(2d-1); x^(2d)):  W_j = 0! 1! ... (j-1)!.
+def _alternating_signs(k: int, rate: Optional[int] = None) -> Callable:
+    """theta -> (1, s, 1, s, ...) of length k + 1, s the sign of the rate
+    theta[rate] (1 when there is none); None at a zero rate."""
+
+    def signs(theta):
+        s = 1 if rate is None else int(np.sign(theta[rate]))
+        return None if s == 0 else tuple(s if j % 2 else 1 for j in range(k + 1))
+
+    return signs
+
+
+def _certified(model: RegressionModel, signs: Callable) -> RegressionModel:
+    """The model carrying ``signs`` as its ``wronskian_signs``, bound to the
+    fields that the closed forms were derived for."""
+    gradient, p_matrix, rest = model.gradient, model.p_matrix, (model.psi_order, model.p1, model.expected_k)
+
+    def wronskian_signs(m: RegressionModel, theta) -> Optional[Tuple[int, ...]]:
+        if m.gradient is not gradient or m.p_matrix is not p_matrix or (m.psi_order, m.p1, m.expected_k) != rest:
+            return None
+        return signs(_check_theta(m, theta))
+
+    return dataclasses.replace(model, wronskian_signs=wronskian_signs)
+
+
 def make_model(name: str, theta, interval, p1: int = 1) -> RegressionModel:
     """Build a catalog model bound to a design interval, an ``Interval`` or
     a pair (A, B) of numbers.
@@ -394,14 +438,18 @@ def make_model(name: str, theta, interval, p1: int = 1) -> RegressionModel:
     theta = np.asarray(theta, dtype=float)
     if name == "michaelis_menten":
         model, rules = _michaelis_menten(interval, p1), ((_theta_nonzero, 0), (_theta_positive, 1))
+        signs = None
     elif name == "exponential":
         model, rules = _exponential(interval, p1), ((_theta_nonzero, 0), (_theta_nonzero, 1))
+        signs = _alternating_signs(3, rate=1)
     elif name == "exponential3":
         model, rules = _exponential3(interval, p1), ((_theta_nonzero, 1), (_theta_nonzero, 2))
+        signs = _alternating_signs(5, rate=2)
     elif name == "polynomial":
         if theta.ndim != 1:
             raise ConfigurationError(f"model {name} needs a vector of parameters, got shape {theta.shape}")
         model, rules = _polynomial(interval, p1, degree=len(theta) - 1), ()
+        signs = _alternating_signs(2 * len(theta) - 2)
     else:
         raise ConfigurationError(
             f"unknown model {name!r}; catalog: {', '.join(CATALOG_NAMES)}"
@@ -409,4 +457,4 @@ def make_model(name: str, theta, interval, p1: int = 1) -> RegressionModel:
     _check_theta(model, theta)
     for rule, index in rules:  # the per-model rules, in order
         rule(name, theta, index)
-    return model
+    return model if signs is None or p1 != 1 else _certified(model, signs)

@@ -14,7 +14,11 @@ unchanged; their gain and information difference are exact zeros.
 
 Both hypotheses are determinant conditions: the psi system, and the psi
 system augmented by +psi_k^Q (upper) or -psi_k^Q (lower) for every
-nonzero Q, must be Chebyshev systems.  Both are statements about one
+nonzero Q, must be Chebyshev systems.  A catalog model at p1 = 1 whose
+leading Wronskians prove both (``gate_certified``: ``exponential``,
+``exponential3`` and ``polynomial``, in the direction their signs allow)
+skips the sampled gate.  Every other key, ``michaelis_menten`` and
+p1 >= 2 included, runs it: both hypotheses are statements about one
 (k + 1)-point collocation matrix, whose leading k x k block is the psi
 system's on the first k points, so the gate checks them in one pass over
 one sample of (k + 1)-tuples, before any computation: sampled in the
@@ -90,6 +94,24 @@ def gate_checks(psi: PsiSystem, direction: str, seed: int):
     return check_gate(psi.system, psi.with_tail, psi.p1, 1.0 if direction == "upper" else -1.0, seed)
 
 
+def gate_certified(model: RegressionModel, theta, direction: str) -> bool:
+    """Whether the model's leading Wronskians at theta prove the gate of
+    the direction, so that ``gate_checks`` cannot refuse it.
+
+    ``model.wronskian_signs`` gives the signs s_1, ..., s_{k+1} of the
+    leading Wronskians W_j of (psi_0, ..., psi_{k-1}, h_tail^2), each
+    strict on the whole interval.  Multiplying psi_{j-1} by s_{j-1} s_j
+    (s_0 = 1) makes every W_j positive, an extended complete Chebyshev
+    system (Karlin & Studden, 1966, Ch. XI), so every ordered collocation
+    determinant of the leading j functions has the sign s_j.  Both checks
+    of the gate therefore hold when s_k > 0 and s_{k+1} is +1 (upper) or
+    -1 (lower).  A model without the signs, or whose signs are None at
+    theta, is not certified.
+    """
+    signs = None if model.wronskian_signs is None else model.wronskian_signs(model, theta)
+    return signs is not None and signs[-2] > 0 and signs[-1] == (1 if direction == "upper" else -1)
+
+
 def _cached_call(cached: Callable, *key):
     """cached(*key), or the function it memoises when a part of the key is
     unhashable."""
@@ -106,27 +128,33 @@ def _gated_psi(model: RegressionModel, theta_bytes: bytes, direction: str, seed:
     and the arrays of that direction's moment LP: the grid of
     ``principal.lp_grid``, the basis V on it and the objective row +-tr C22.
 
-    A base refusal raises PreconditionError before an augmented one.  The
-    gate and the LP arrays do not depend on the design, so they are
-    memoised per key, the arrays read-only; a refusal is never cached.
+    A key that ``gate_certified`` proves (``exponential``, ``exponential3``
+    or ``polynomial`` at p1 = 1, in its valid direction) runs no
+    ``gate_checks``; any other, ``michaelis_menten`` always, runs the
+    sampled gate, and a base refusal raises PreconditionError before an
+    augmented one.  The gate and the LP arrays do not depend on the
+    design, so they are memoised per key, the arrays read-only; a refusal
+    is never cached.
     The grid is evaluated once, psi over h_tail in one ``with_tail`` call,
     like the gate's sample.  theta is keyed by its bytes, which tell 0.0
     from -0.0 where floats do not; the seed must be checked before keying.
     """
-    psi = psi_system(model, np.frombuffer(theta_bytes))
-    base, rep, Q = gate_checks(psi, direction, seed)
-    if not base.verified:
-        raise PreconditionError(
-            f"base psi system fails the determinant condition at tuple {base.witness}",
-            witness=base.witness,
-        )
-    if not rep.verified:
-        raise PreconditionError(
-            f"augmented system for direction {direction!r} fails the determinant "
-            f"condition at tuple {rep.witness} (Q = {Q})",
-            witness=rep.witness,
-            q_vector=Q,
-        )
+    theta = np.frombuffer(theta_bytes)
+    psi = psi_system(model, theta)
+    if not gate_certified(model, theta, direction):
+        base, rep, Q = gate_checks(psi, direction, seed)
+        if not base.verified:
+            raise PreconditionError(
+                f"base psi system fails the determinant condition at tuple {base.witness}",
+                witness=base.witness,
+            )
+        if not rep.verified:
+            raise PreconditionError(
+                f"augmented system for direction {direction!r} fails the determinant "
+                f"condition at tuple {rep.witness} (Q = {Q})",
+                witness=rep.witness,
+                q_vector=Q,
+            )
 
     # The representation maximizing the Q gains is the upper principal
     # one when every +psi_k^Q augments to a Chebyshev system, and the
@@ -159,8 +187,11 @@ def reduce_design(
     """Reduce a design to its dominating principal representation.
 
     Verifies the determinant hypotheses for the requested direction, the
-    base system and its augmentation for every nonzero Q in one pass
-    (``gate_checks``, the gate ``tcheb check`` reports), computes the
+    base system and its augmentation for every nonzero Q: by the model's
+    leading Wronskians where ``gate_certified`` holds (``exponential``,
+    ``exponential3`` and ``polynomial`` at p1 = 1, in their valid
+    direction), otherwise in one sampled pass (``gate_checks``, the gate
+    ``tcheb check`` reports; ``michaelis_menten`` always), computes the
     moment point, and returns either the design itself
     (branch Identity, when its index is below k/2) or the principal
     representation matching all k moments.  Both branches build one

@@ -22,6 +22,7 @@ asked for, each but the last on a copy of the phase-one tableau;
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,6 +180,8 @@ def _solve_senses(A, b, c, senses, feas_tol: float | None = None) -> list:
             raise ConfigurationError(f"LP {name} has a non-finite entry")
     if feas_tol is None:
         feas_tol = 1e-8 * max(1.0, float(np.abs(b).max(initial=0.0)))
+    elif isinstance(feas_tol, bool) or not isinstance(feas_tol, numbers.Real):
+        raise ConfigurationError(f"feas_tol must be a real number, got {type(feas_tol).__name__}")
     elif not (math.isfinite(feas_tol) and feas_tol >= 0.0):
         raise ConfigurationError(f"feas_tol must be finite and nonnegative, got {feas_tol!r}")
 
@@ -205,7 +208,7 @@ def solve_lp(A, b, c, sense: str = "max", feas_tol: float | None = None) -> LPRe
     A x = b by more than 10 feas_tol, or has a component below -feas_tol,
     raises ConvergenceError.  ConfigurationError refuses shapes of A, b
     and c that do not fit, an A without columns, a non-finite entry of A,
-    b or c, a non-finite or negative ``feas_tol``, and a sense other than
-    "max" and "min".
+    b or c, a ``feas_tol`` that is not a real number (a bool included) or
+    is non-finite or negative, and a sense other than "max" and "min".
     """
     return _solve_senses(A, b, c, (sense,), feas_tol)[0]

@@ -22,6 +22,7 @@ from tcheb import chebyshev
 from tcheb.chebyshev import CheckReport, derivative_matrix
 from tcheb.errors import ConfigurationError, DomainError, EvaluationError
 from tcheb.models import make_model, psi_k_Q, psi_system
+from tcheb.reduction import gate_certified, gate_checks
 
 
 def test_interval_validation():
@@ -338,6 +339,31 @@ def test_check_matches_reference_on_catalog_systems(name, theta, iv, index, valu
             refused += not want.verified
     if name == "exponential3":
         assert refused > 0
+
+
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+@pytest.mark.parametrize("name,theta,iv,index,values", SWEEPS, ids=[s[0] for s in SWEEPS])
+def test_a_certified_gate_passes_the_sampled_gate(name, theta, iv, index, values, direction):
+    """Where the leading Wronskians certify the gate, the sampled gate that
+    reduce_design then skips passes.  Elsewhere on the sweep the signs
+    prove the direction false for the certified entries, and the sampled
+    gate passes it only when no augmented tuple is decisive: exponential3
+    at theta3 = -0.105 (upper), 0.105 and 0.316 (lower).
+    michaelis_menten is never certified."""
+    model = make_model(name, theta, iv)
+    certified = 0
+    for value in values:
+        th = np.array(theta)
+        th[index] = value
+        base, aug, Q = gate_checks(psi_system(model, th), direction, 0)
+        passed = base.verified and aug.verified and Q is None
+        if gate_certified(model, th, direction):
+            certified += 1
+            assert passed
+        elif name != "michaelis_menten":
+            assert not passed or aug.min_determinant == 0.0
+    want = {"michaelis_menten": 0, "polynomial": 20 if direction == "upper" else 0}
+    assert certified == want.get(name, 10)
 
 
 def test_flipped_system_matches_reference():

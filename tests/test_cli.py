@@ -15,6 +15,7 @@ from tcheb import Design, Interval, make_model, psi_system, reduce_design
 from tcheb.chebyshev import INDETERMINATE_REL, basis_matrix
 from tcheb.cli import main
 from tcheb.errors import PreconditionError
+from tcheb.reduction import gate_certified
 
 MM_SPEC = {"model": "michaelis_menten", "theta": [1.0, 1.0], "interval": [0.0, 10.0]}
 EXP_NEG_SPEC = {"model": "exponential", "theta": [1.0, -1.0], "interval": [0.0, 3.0]}
@@ -452,8 +453,10 @@ GATE_CASES = [
 def test_check_reports_the_gate_reduce_runs(
     workdir, monkeypatch, name, theta, iv, refused_direction, direction
 ):
-    """tcheb check and reduce_design each call check_gate once, with the
-    same arguments, and get the same reports."""
+    """tcheb check calls check_gate once.  reduce_design calls it with the
+    same arguments and gets the same reports, except where check reports
+    "certified": true: then reduce makes no check_gate call, and the
+    sampled verdict check reports passes."""
     calls = []
     xs = np.linspace(iv[0], iv[1], 11)
 
@@ -484,8 +487,12 @@ def test_check_reports_the_gate_reduce_runs(
     assert refused == (direction == refused_direction)
     assert code == (2 if refused else 0)
     assert len(checked) == 1
-    assert calls == checked
     report = json.loads(out.read_text())
+    assert report["certified"] == (calls == [])
+    assert report["certified"] == (name != "michaelis_menten" and direction != refused_direction)
+    assert calls == ([] if report["certified"] else checked)
+    if report["certified"]:
+        assert code == 0
     (_, (base, aug, Q)), = checked
     assert report["augmented"].get("Q") == (None if Q is None else list(Q))
     assert (Q is None) == aug.verified
@@ -513,6 +520,7 @@ def test_base_refusal_names_a_k_tuple(workdir, monkeypatch, name, theta, iv, ord
     model = dataclasses.replace(make_model(name, theta, iv), psi_order=order)
     k = len(order) + 1
     xi = Design(points=tuple(np.linspace(iv[0], iv[1], 9)[1:-1]), weights=(1 / 7,) * 7, interval=Interval(*iv))
+    assert not gate_certified(model, theta, direction)
     with pytest.raises(PreconditionError, match="^base psi system") as err:
         reduce_design(model, theta, xi, direction)
     witness = err.value.witness
@@ -524,7 +532,9 @@ def test_base_refusal_names_a_k_tuple(workdir, monkeypatch, name, theta, iv, ord
     spec, out = workdir / "spec.json", workdir / "check.json"
     spec.write_text(json.dumps({"model": name, "theta": theta, "interval": iv}))
     assert run(workdir, "check", "--model", spec, "--direction", direction, "--out", out) == 2
-    base = json.loads(out.read_text())["base"]
+    report = json.loads(out.read_text())
+    assert report["certified"] is False
+    base = report["base"]
     assert base["verified"] is False
     assert base["witness"] == list(witness)
 

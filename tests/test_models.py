@@ -1,10 +1,16 @@
 import dataclasses
+import functools
 import math
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 
+import tcheb
 from tcheb import (
     CATALOG_NAMES,
     Design,
@@ -437,3 +443,126 @@ def test_psi_order_must_be_a_permutation():
     model = dataclasses.replace(make_model("michaelis_menten", [1.0, 1.0], MM_IV), psi_order=(0, 0))
     with pytest.raises(ConfigurationError, match=r"^michaelis_menten: psi_order is not a permutation of 0\.\.1$"):
         psi_system(model, [1.0, 1.0])
+
+
+# The catalog's gradients and P matrices transcribed into sympy, for the
+# leading-Wronskian certificate: x and the parameters are real symbols.
+_X = sympy.Symbol("x", real=True)
+_T = sympy.symbols("t0:4", real=True)
+
+
+def _symbolic_gradient(name: str, p: int):
+    """(g, P) of a catalog entry as sympy expressions of _X and _T."""
+    if name == "michaelis_menten":
+        d = _T[1] + _X
+        return [_X / d, -_T[0] * _X / d**2], sympy.diag(1, -_T[0])
+    if name == "exponential":
+        e = sympy.exp(_T[1] * _X)
+        return [e, _T[0] * _X * e], sympy.diag(1, _T[0])
+    if name == "exponential3":
+        e = sympy.exp(_T[2] * _X)
+        return [sympy.Integer(1), e, _T[1] * _X * e], sympy.diag(1, 1, _T[1])
+    return [_X**i for i in range(p)], sympy.eye(p)
+
+
+@functools.lru_cache(maxsize=None)
+def _symbolic_wronskians(name: str, p: int, psi_order):
+    """The psi system (1, psi_1, ..., psi_{k-1}, h_tail^2) of a catalog
+    entry at p1 = 1, built as ``psi_system`` builds it (the distinct
+    non-constant entries of C11 and C21 in scan order, then permuted by
+    ``psi_order``), and its leading Wronskians W_1, ..., W_{k+1}."""
+    g, P = _symbolic_gradient(name, p)
+    h = [sympy.simplify(v) for v in P.inv() * sympy.Matrix(g)]
+    r = p - 1
+    positions = [(i, j) for i in range(r) for j in range(r)] + [(r, j) for j in range(r)]
+    distinct = []
+    for i, j in positions:
+        entry = sympy.simplify(h[i] * h[j])
+        if _X in entry.free_symbols and all(sympy.simplify(entry - d) != 0 for d in distinct):
+            distinct.append(entry)
+    order = psi_order if psi_order is not None else range(len(distinct))
+    psi = [sympy.Integer(1)] + [distinct[i] for i in order] + [h[r] ** 2]
+    return psi, [sympy.factor(sympy.simplify(sympy.wronskian(psi[:j], _X))) for j in range(1, len(psi) + 1)]
+
+
+def _sign_on_the_line(expr):
+    """+1 or -1 when sympy proves the sign of expr for every real x, else None."""
+    return 1 if expr.is_positive else -1 if expr.is_negative else None
+
+
+# Each certified catalog entry at rates, or polynomial coefficients, of
+# both signs; the exponential rates are theta[1] and theta[2].
+CERTIFIED_GRID = [
+    ("exponential", [1.0, r], (0.0, 3.0)) for r in (-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0)
+] + [
+    ("exponential3", [1.0, c, r], (0.0, 3.0)) for c in (-1.0, 1.0) for r in (-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0)
+] + [
+    ("polynomial", theta, (-1.0, 1.0)) for theta in ([1.0, -0.5], [1.0, 0.5, -0.5], [-1.0, 0.5, -0.5, 0.25])
+]
+
+
+@pytest.mark.parametrize("name,theta,iv", CERTIFIED_GRID, ids=[f"{c[0]}-{c[1]}" for c in CERTIFIED_GRID])
+def test_wronskian_signs_match_a_sympy_derivation(name, theta, iv):
+    """The certificate is the sign, strict for every real x, of each
+    leading Wronskian of the psi system in declared order with h_tail^2
+    appended, and the sympy psi system is the one psi_system evaluates."""
+    model = make_model(name, theta, iv)
+    psi, wronskians = _symbolic_wronskians(name, model.p, model.psi_order)
+    at = dict(zip(_T, (sympy.nsimplify(v) for v in theta)))
+    signs = tuple(_sign_on_the_line(sympy.simplify(W.subs(at))) for W in wronskians)
+    assert None not in signs
+    assert model.wronskian_signs(model, theta) == signs
+
+    xs = np.linspace(iv[0], iv[1], 9)
+    values = np.array([[float(f.subs(at).subs(_X, x)) for x in xs] for f in psi])
+    rows = psi_system(model, theta).with_tail(xs)
+    k = len(psi) - 1
+    np.testing.assert_allclose(rows[:k], values[:k], rtol=1e-12, atol=1e-300)
+    np.testing.assert_allclose(rows[k] ** 2, values[k], rtol=1e-12, atol=1e-300)
+
+
+def test_michaelis_menten_declared_order_is_not_certifiable():
+    """W_2 of the declared order is x (2 theta2 - x) / (theta2 + x)^4: zero
+    at A = 0 and of both signs on [0, 10] at theta2 = 1, so the entry
+    carries no certificate."""
+    model = make_model("michaelis_menten", [1.0, 1.0], MM_IV)
+    assert model.wronskian_signs is None
+    _, wronskians = _symbolic_wronskians("michaelis_menten", 2, model.psi_order)
+    w2 = wronskians[1]
+    assert sympy.simplify(w2 - _X * (2 * _T[1] - _X) / (_T[1] + _X) ** 4) == 0
+    values = [w2.subs({_T[1]: 1, _X: x}) for x in (0, 1, 3)]
+    assert values[0] == 0 and values[1] > 0 and values[2] < 0
+
+
+@pytest.mark.parametrize("p1", [1, 2])
+@pytest.mark.parametrize("name,theta,iv", CERTIFIED_GRID[:1] + CERTIFIED_GRID[8:9] + CERTIFIED_GRID[-1:])
+def test_only_p1_1_is_certified(name, theta, iv, p1):
+    """make_model fills the signs at p1 = 1 only, and they answer None for
+    the same model with p1 replaced."""
+    model = make_model(name, theta, iv, p1=p1)
+    assert (model.wronskian_signs is not None) == (p1 == 1)
+    if p1 == 1:
+        replaced = dataclasses.replace(model, p1=2)
+        assert replaced.wronskian_signs(replaced, theta) is None
+
+
+def test_a_zero_rate_has_no_signs():
+    model = make_model("exponential", [1.0, 1.0], (0.0, 3.0))
+    for rate in (0.0, -0.0):
+        assert model.wronskian_signs(model, [1.0, rate]) is None
+
+
+def test_importing_tcheb_loads_no_sympy():
+    code = "import sys, tcheb, tcheb.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": str(Path(tcheb.__file__).resolve().parents[1]),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -34,7 +34,7 @@ from tcheb.errors import (
     TchebError,
     UnboundedError,
 )
-from tcheb.reduction import gate_checks
+from tcheb.reduction import gate_certified, gate_checks
 
 MM_IV = (0.0, 10.0)
 
@@ -389,11 +389,13 @@ class TestGateCache:
         assert len(checks) == 1
 
     def test_theta_key_tells_signed_zeros_apart(self, checks):
+        """The polynomial's upper gate is certified, so no check_gate call
+        stands for a miss: the cache counts two."""
         model = make_model("polynomial", [0.0, 1.0, 1.0], (-1.0, 1.0))
         xi = uniform(np.linspace(-1.0, 1.0, 6), (-1.0, 1.0))
         reduce_design(model, [0.0, 1.0, 1.0], xi, "upper")
         reduce_design(model, [-0.0, 1.0, 1.0], xi, "upper")
-        assert len(checks) == 2
+        assert tcheb.reduction._gated_psi.cache_info().misses == 2
 
     @pytest.mark.parametrize(
         "name,theta,iv,direction",
@@ -460,8 +462,43 @@ class TestGateCache:
         xi = uniform(np.linspace(iv[0] + 0.1, iv[1] - 0.1, 7), iv)
         miss = json.dumps(_reduce_payload(reduce_design(model, theta, xi, direction)), sort_keys=True)
         hit = json.dumps(_reduce_payload(reduce_design(model, theta, xi, direction)), sort_keys=True)
-        assert len(checks) == 1
+        # The exponential's lower gate is certified and runs no check_gate.
+        info = tcheb.reduction._gated_psi.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert len(checks) == (0 if name == "exponential" else 1)
         assert hit == miss
+
+
+def _negated_h1_gradient(model):
+    """The exponential's gradient with its x e entry negated."""
+
+    def gradient(x, th):
+        return model.gradient(x, th) * np.array([[1.0], [-1.0]])
+
+    return gradient
+
+
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+@pytest.mark.parametrize("field", ["gradient", "p_matrix"])
+def test_a_replaced_gradient_or_p_matrix_is_not_certified(field, direction):
+    """The exponential's certificate holds for the gradient and P it was
+    derived for.  Negating the x e entry of g, or the second entry of P,
+    makes psi_2 = -x e^2 and W_3 < 0: that model is not certified, and the
+    sampled gate refuses its base system."""
+    theta, iv = [1.0, -1.0], (0.0, 3.0)
+    catalog = make_model("exponential", theta, iv)
+    replacement = {
+        "gradient": _negated_h1_gradient(catalog),
+        "p_matrix": lambda th: np.diag([1.0, -th[0]]),
+    }[field]
+    model = dataclasses.replace(catalog, **{field: replacement})
+    assert gate_certified(catalog, theta, "lower")
+    assert model.wronskian_signs(model, theta) is None
+    assert not gate_certified(model, theta, direction)
+    xi = uniform(np.linspace(0.1, 2.9, 7), iv)
+    with pytest.raises(PreconditionError, match="^base psi system") as err:
+        reduce_design(model, theta, xi, direction)
+    assert len(err.value.witness) == 3
 
 
 def _sampled_q_gate(psi, direction, count=64):

@@ -357,6 +357,23 @@ def test_a_bad_feasibility_tolerance_is_refused(feas_tol, rhs):
         solve_lp([[1.0, 1.0]], [rhs], [1.0, 1.0], sense="min", feas_tol=feas_tol)
 
 
+# math.isfinite raised an untyped TypeError on a string or a list, and
+# read True as 1.0.
+@pytest.mark.parametrize(
+    "feas_tol, kind", [("1e-8", "str"), ([1e-8], "list"), (True, "bool")], ids=["str", "list", "bool"]
+)
+def test_a_feasibility_tolerance_that_is_not_a_real_number_is_refused(feas_tol, kind):
+    with pytest.raises(ConfigurationError, match=f"^feas_tol must be a real number, got {kind}$"):
+        solve_lp([[1.0, 1.0]], [1.0], [1.0, 1.0], sense="min", feas_tol=feas_tol)
+    with pytest.raises(ConfigurationError, match=f"^feas_tol must be a real number, got {kind}$"):
+        simplex._solve_senses([[1.0, 1.0]], [1.0], [1.0, 1.0], ("max", "min"), feas_tol)
+
+
+@pytest.mark.parametrize("feas_tol", [np.float64(1e-8), 0], ids=["float64", "int"])
+def test_a_real_feasibility_tolerance_is_taken(feas_tol):
+    assert solve_lp([[1.0, 1.0]], [1.0], [1.0, 2.0], sense="min", feas_tol=feas_tol).value == 1.0
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("name", ["A", "b", "c"])
 def test_a_non_finite_entry_is_refused(name, value):
