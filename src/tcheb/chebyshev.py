@@ -13,6 +13,7 @@ while a clean pass over many tuples is evidence, not proof.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import numbers
@@ -215,9 +216,11 @@ def _memo_tuples(bounds: bytes, k: int, grid_size: int, num_random_tuples: int, 
 
 
 def check_count(value, name: str, minimum: Optional[int] = None) -> int:
-    """The value as an ``int``, numpy integers included, of at least
-    ``minimum`` when one is given, or ConfigurationError."""
+    """The value as an ``int``, numpy integers included and bools not, of
+    at least ``minimum`` when one is given, or ConfigurationError."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ConfigurationError(f"{name} must be an integer, got {type(value).__name__}") from None
@@ -261,6 +264,16 @@ def _verdict(tuples: np.ndarray, values: np.ndarray, scale: np.ndarray):
     return CheckReport(witness is None, int(tuples.shape[0]), min_det, witness), index
 
 
+@contextlib.contextmanager
+def _typed_overflow(what: str):
+    """Overflow or invalid arithmetic (not underflow) raises EvaluationError naming ``what``."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as err:
+        raise EvaluationError(f"{what}: {err}") from err
+
+
 def _collocation_verdict(tuples: np.ndarray, V: np.ndarray) -> CheckReport:
     """The CheckReport on det V[:, t, :] per tuple t, V[i, t, j] = psi_i(t_j)."""
     return _verdict(tuples, np.linalg.det(np.moveaxis(V, 1, 0)), _row_norms(V).prod(axis=0))[0]
@@ -289,7 +302,8 @@ def check_chebyshev(
     """
     k = system.k
     tuples = _sample(system.interval, k, grid_size, num_random_tuples, seed)
-    return _collocation_verdict(tuples, basis_matrix(system, tuples.ravel()).reshape(k, -1, k))
+    with _typed_overflow("collocation determinants"):
+        return _collocation_verdict(tuples, basis_matrix(system, tuples.ravel()).reshape(k, -1, k))
 
 
 def check_gate(system: ChebyshevSystem, evaluator: Callable, p1: int, sign: float, seed: int):
@@ -318,16 +332,17 @@ def check_gate(system: ChebyshevSystem, evaluator: Callable, p1: int, sign: floa
     n = tuples.shape[0]
     W = _evaluate(evaluator, k + p1, tuples.ravel(), "augmented").reshape(k + p1, n, k + 1)
     psi, g = W[:k], W[k:]
-    base = _collocation_verdict(tuples[:, :k], psi[:, :, :k])
     a, b = np.triu_indices(p1)
     M = np.empty((a.size, k + 1, n, k + 1))  # M[pair, i, t, j], one pair a <= b per last row
     M[:, :k] = psi
-    M[:, k] = g[a] * g[b]
     D = np.empty((n, p1, p1))
-    D[:, a, b] = D[:, b, a] = sign * np.linalg.det(M.transpose(2, 0, 1, 3))
-    lam, vecs = np.linalg.eigh(D)
-    scale = _row_norms(psi).prod(axis=0) * _row_norms((g * g).sum(axis=0)[None])[0]
-    report, index = _verdict(tuples, lam[:, 0], scale)
+    with _typed_overflow("determinant gate"):
+        base = _collocation_verdict(tuples[:, :k], psi[:, :, :k])
+        M[:, k] = g[a] * g[b]
+        D[:, a, b] = D[:, b, a] = sign * np.linalg.det(M.transpose(2, 0, 1, 3))
+        lam, vecs = np.linalg.eigh(D)
+        scale = _row_norms(psi).prod(axis=0) * _row_norms((g * g).sum(axis=0)[None])[0]
+        report, index = _verdict(tuples, lam[:, 0], scale)
     if index is None:
         return base, report, None
     Q = vecs[index, :, 0]

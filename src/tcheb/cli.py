@@ -109,18 +109,9 @@ def _load_model(path: str):
     missing = {"model", "theta", "interval"} - set(obj)
     if missing:
         raise ConfigurationError(f"model spec missing fields: {sorted(missing)}")
-    name = obj["model"]
     theta = json_numbers(obj["theta"], "model theta")
     interval = json_numbers(obj["interval"], "model interval")
-    p1 = obj.get("p1", 1)
-    if not isinstance(name, str):
-        raise ConfigurationError("model name must be a string")
-    if len(interval) != 2:
-        raise ConfigurationError("model interval must be a pair [A, B]")
-    if not isinstance(p1, int) or isinstance(p1, bool):
-        raise ConfigurationError("p1 must be an integer")
-    model = make_model(name, theta, interval, p1)
-    return model, theta
+    return make_model(obj["model"], theta, interval, obj.get("p1", 1)), theta
 
 
 def _load_design(path: str, model) -> Design:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -83,6 +83,13 @@ class DominationReport:
     loewner_min_eigenvalue: float
 
 
+def _direction_sign(direction) -> float:
+    """The sign of the augmenting +-psi_k^Q: +1.0 upper, -1.0 lower."""
+    if direction not in ("upper", "lower"):
+        raise ConfigurationError(f"direction must be 'upper' or 'lower', got {direction!r}")
+    return 1.0 if direction == "upper" else -1.0
+
+
 def gate_checks(psi: PsiSystem, direction: str, seed: int):
     """The determinant gate of a direction: (base, augmented, Q).
 
@@ -91,7 +98,7 @@ def gate_checks(psi: PsiSystem, direction: str, seed: int):
     -psi_k^Q (lower) for every nonzero Q, in one pass over one sample at
     ``seed``.  Q is the augmented witness direction, None on a pass.
     """
-    return check_gate(psi.system, psi.with_tail, psi.p1, 1.0 if direction == "upper" else -1.0, seed)
+    return check_gate(psi.system, psi.with_tail, psi.p1, _direction_sign(direction), seed)
 
 
 def gate_certified(model: RegressionModel, theta, direction: str) -> bool:
@@ -108,8 +115,9 @@ def gate_certified(model: RegressionModel, theta, direction: str) -> bool:
     -1 (lower).  A model without the signs, or whose signs are None at
     theta, is not certified.
     """
+    sign = _direction_sign(direction)
     signs = None if model.wronskian_signs is None else model.wronskian_signs(model, theta)
-    return signs is not None and signs[-2] > 0 and signs[-1] == (1 if direction == "upper" else -1)
+    return signs is not None and signs[-2] > 0 and signs[-1] == sign
 
 
 def _cached_call(cached: Callable, *key):
@@ -163,7 +171,7 @@ def _gated_psi(model: RegressionModel, theta_bytes: bytes, direction: str, seed:
     grid = lp_grid(psi.system.interval)
     W = _evaluate(psi.with_tail, psi.k + psi.p1, grid, "basis")
     trace_c22 = (W[psi.k :] ** 2).sum(axis=0)
-    lp = grid, W[: psi.k], trace_c22 if direction == "upper" else -trace_c22
+    lp = grid, W[: psi.k], _direction_sign(direction) * trace_c22
     for array in lp:
         array.flags.writeable = False
     return psi, lp
@@ -216,8 +224,7 @@ def reduce_design(
     before the lookup.  Each entry also holds the moment LP's grid, its
     basis and the +-tr C22 row, so a repeated key evaluates no grid.
     """
-    if direction not in ("upper", "lower"):
-        raise ConfigurationError(f"direction must be 'upper' or 'lower', got {direction!r}")
+    _direction_sign(direction)
     theta = _check_theta(model, theta)
     psi, lp = _cached_call(_gated_psi, model, theta.tobytes(), direction, check_count(seed, "seed", 0))
     system = psi.system
@@ -302,15 +309,6 @@ def criterion_value(model: RegressionModel, theta, design: Design, criterion: st
     return -float(np.sum(1.0 / eigs))
 
 
-def _expit(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def optimize_in_class(
     model: RegressionModel,
     theta,
@@ -323,23 +321,22 @@ def optimize_in_class(
 
     Designs are parametrized by the principal-representation structure
     of the chosen direction: endpoint membership is fixed, free points
-    map through a logistic squashing (kept sorted) and weights through a
-    softmax.  Each of the ``restarts`` (an integer, at least 1) runs
-    Nelder-Mead from a seeded low-discrepancy initial simplex, for at
-    most ``OPTIMIZE_MAX_ITER`` iterations; the best design over all
-    restarts is returned, with exact ties broken lexicographically on the
-    support points and weights.  The determinant hypothesis of the chosen
-    direction is the caller's responsibility.  A squashed point can land
-    on an endpoint, in floats or by ``Design``'s snap, so the optimum may
-    lie on the closure of the class: ``exponential3`` lower under D at
-    restarts 4, seed 0 returns (0, 0.8428, 3), though its structure
-    excludes B.
+    are coordinates in [A, B] (kept sorted) and weights come from a
+    softmax of logits.  Each of the ``restarts`` (an integer, at least 1)
+    runs Nelder-Mead, bounded to [A, B] in the points, for at most
+    ``OPTIMIZE_MAX_ITER`` iterations, from an initial simplex drawn from
+    ``np.random.default_rng(seed)``: points uniform in [A, B], logits
+    uniform in [-3, 3].  The best design over all restarts is returned,
+    with exact ties broken lexicographically on the support points and
+    weights.  The determinant hypothesis of the chosen direction is the
+    caller's responsibility.  The bounds let a free point reach A or B
+    exactly, so the optimum may lie on the closure of the class:
+    ``exponential3`` lower under D at restarts 4, seed 0 returns
+    (0, 0.8428, 3), though its structure excludes B.
     """
     from scipy.optimize import minimize
-    from scipy.stats import qmc
 
-    if direction not in ("upper", "lower"):
-        raise ConfigurationError(f"direction must be 'upper' or 'lower', got {direction!r}")
+    _direction_sign(direction)
     if criterion not in ("d", "a"):
         raise ConfigurationError(f"criterion must be 'd' or 'a', got {criterion!r}")
     seed, restarts = check_count(seed, "seed", 0), check_count(restarts, "restarts", 1)
@@ -352,13 +349,7 @@ def optimize_in_class(
     dim = n_free + (n_pts - 1)
 
     def assemble(z: np.ndarray) -> Optional[Design]:
-        free = np.sort(_expit(z[:n_free])) * (b - a) + a if n_free else np.empty(0)
-        pts: List[float] = []
-        if structure.includes_A:
-            pts.append(a)
-        pts.extend(float(v) for v in free)
-        if structure.includes_B:
-            pts.append(b)
+        pts = [a] * structure.includes_A + np.sort(z[:n_free]).tolist() + [b] * structure.includes_B
         logits = np.append(z[n_free:], 0.0)
         logits -= logits.max()
         w = np.exp(logits)
@@ -385,14 +376,16 @@ def optimize_in_class(
             raise DegeneracyError("the structure admits no nonsingular design")
         return d
 
-    sampler = qmc.Halton(d=dim, scramble=True, seed=seed)
+    rng = np.random.default_rng(seed)
+    bounds = [(a, b)] * n_free + [(None, None)] * (n_pts - 1)
     candidates = []
     for _ in range(restarts):
-        simplex = 6.0 * sampler.random(dim + 1) - 3.0
+        simplex = np.hstack([rng.uniform(a, b, (dim + 1, n_free)), rng.uniform(-3.0, 3.0, (dim + 1, n_pts - 1))])
         res = minimize(
             objective,
             x0=simplex[0],
             method="Nelder-Mead",
+            bounds=bounds,
             options={
                 "maxiter": OPTIMIZE_MAX_ITER,
                 "initial_simplex": simplex,
@@ -400,12 +393,8 @@ def optimize_in_class(
                 "fatol": 1e-12,
             },
         )
-        d = assemble(res.x)
-        if d is None:
-            continue
-        val = criterion_value(model, theta, d, criterion)
-        if math.isfinite(val):
-            candidates.append((val, d))
+        if res.fun < PENALTY:  # res.fun is the objective at res.x
+            candidates.append((-res.fun, assemble(res.x)))
     if not candidates:
         raise DegeneracyError("every restart ended on a singular information matrix")
     candidates.sort(key=lambda t: (-t[0],) + t[1].points + t[1].weights)

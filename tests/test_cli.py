@@ -397,7 +397,10 @@ def test_wrong_typed_json_is_a_configuration_error(workdir, spec, design):
     [
         ([POLY_SPEC], "^model spec must be a JSON object$"),
         ({"model": "polynomial", "interval": [-1.0, 1.0]}, r"^model spec missing fields: \['theta'\]$"),
-        ({**POLY_SPEC, "interval": [-1.0, 0.0, 1.0]}, r"^model interval must be a pair \[A, B\]$"),
+        (
+            {**POLY_SPEC, "interval": [-1.0, 0.0, 1.0]},
+            r"^interval must be an Interval or a pair \(A, B\) of numbers, got \[-1\.0, 0\.0, 1\.0\]$",
+        ),
         # Finite ends, infinite length: the gradient was blamed at x = -inf.
         (
             {**POLY_SPEC, "interval": [-1e308, 1e308]},
@@ -572,6 +575,16 @@ def test_overflow_after_the_gradient_names_the_products(workdir, command, messag
     error = json.loads(out.read_text())["error"]
     assert error["code"] == "evaluation"
     assert error["message"].startswith(message)
+
+
+def test_an_overflowing_gate_determinant_is_the_librarys_evaluation_error(workdir):
+    """exponential3 at rate 40 is finite on [0, 3], but its gate's
+    determinants are not."""
+    spec, out = workdir / "spec.json", workdir / "out.json"
+    spec.write_text(json.dumps({"model": "exponential3", "theta": [1.0, 1.0, 40.0], "interval": [0.0, 3.0]}))
+    assert run(workdir, "check", "--model", spec, "--direction", "upper", "--out", out) == 1
+    error = json.loads(out.read_text())["error"]
+    assert error == {"code": "evaluation", "message": "determinant gate: overflow encountered in det"}
 
 
 # Generated inputs for the robustness property: catalog model specs and

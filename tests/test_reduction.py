@@ -20,6 +20,7 @@ from tcheb import (
     make_model,
     moment_point,
     optimize_in_class,
+    polynomial_system,
     psi_k_Q,
     psi_system,
     reduce_design,
@@ -30,6 +31,7 @@ from tcheb.errors import (
     ConfigurationError,
     ConvergenceError,
     DegeneracyError,
+    EvaluationError,
     PreconditionError,
     TchebError,
     UnboundedError,
@@ -553,6 +555,50 @@ def test_exact_q_gate_matches_sampled_q_gate_at_p1_2(name, theta, iv, index, val
         assert not check_chebyshev(_augmented(psi, Q, direction)).verified
 
 
+def test_an_overflowing_gate_determinant_is_an_evaluation_error():
+    theta = [1.0, 1.0, 40.0]
+    psi = psi_system(make_model("exponential3", theta, (0.0, 3.0)), theta)
+    with pytest.raises(EvaluationError, match="^determinant gate: overflow encountered in det$"):
+        gate_checks(psi, "upper", 0)
+
+
+@pytest.mark.parametrize("direction", ["sideways", None])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda d: gate_checks(psi_system(mm(), [1.0, 1.0]), d, 0),
+        lambda d: gate_certified(make_model("exponential", [1.0, -1.0], (0.0, 3.0)), [1.0, -1.0], d),
+        lambda d: reduce_design(mm(), [1.0, 1.0], uniform(range(1, 9), MM_IV), d),
+        lambda d: optimize_in_class(mm(), [1.0, 1.0], "d", d, 1),
+    ],
+    ids=["gate_checks", "gate_certified", "reduce_design", "optimize_in_class"],
+)
+def test_an_unknown_direction_is_refused(entry, direction):
+    """No entry that takes a direction reads an unknown one as "lower"."""
+    with pytest.raises(ConfigurationError, match=f"^direction must be 'upper' or 'lower', got {direction!r}$"):
+        entry(direction)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("seed", lambda: reduce_design(mm(), [1.0, 1.0], uniform(range(1, 9), MM_IV), "upper", seed=True)),
+        ("seed", lambda: optimize_in_class(mm(), [1.0, 1.0], restarts=1, seed=True)),
+        ("seed", lambda: check_chebyshev(polynomial_system(3, Interval(-1.0, 1.0)), seed=True)),
+        ("restarts", lambda: optimize_in_class(mm(), [1.0, 1.0], restarts=True)),
+        ("p1", lambda: make_model("michaelis_menten", [1.0, 1.0], MM_IV, p1=True)),
+        ("k", lambda: polynomial_system(True, Interval(-1.0, 1.0))),
+        ("grid_size", lambda: check_chebyshev(polynomial_system(1, Interval(-1.0, 1.0)), grid_size=True)),
+        ("num_random_tuples", lambda: check_chebyshev(polynomial_system(3, Interval(-1.0, 1.0)), True)),
+    ],
+    ids=["reduce_seed", "optimize_seed", "check_seed", "restarts", "p1", "k", "grid_size", "num_random_tuples"],
+)
+def test_a_bool_is_not_a_count(name, call):
+    """True == 1, but a bool is refused wherever an integer count is read."""
+    with pytest.raises(ConfigurationError, match=f"^{name} must be an integer, got bool$"):
+        call()
+
+
 class TestDomination:
     def test_identical_designs(self):
         xi = uniform(range(1, 9), MM_IV)
@@ -625,8 +671,16 @@ class TestOptimize:
         theta = [1.0, -1.0]
         model = make_model("exponential", theta, (0.0, 3.0))
         best = optimize_in_class(model, theta, criterion="d", direction="upper")
-        assert best.size == 2
-        assert best.points[1] == pytest.approx(3.0)
+        assert best.points == pytest.approx((0.0, 3.0))
+
+    def test_optimum_on_the_closure_of_the_class(self):
+        """The README's example: the lower structure of exponential3 at
+        k = 5 is {A, x1, x2}, but the bounded search drives x2 onto B."""
+        theta = (1.0, 1.0, -1.0)
+        model = make_model("exponential3", theta, (0.0, 3.0))
+        best = optimize_in_class(model, theta, "d", "lower", 4, seed=0)
+        assert best.points == pytest.approx((0.0, 0.84281, 3.0), abs=1e-4)
+        assert best.points[-1] == 3.0
 
     def test_a_criterion_runs(self):
         best = optimize_in_class(mm(), [1.0, 1.0], criterion="a", direction="upper", restarts=6)
@@ -691,6 +745,27 @@ class TestOptimize:
         model = make_model("polynomial", theta, (-1.0, 1.0))
         with pytest.raises(DegeneracyError):
             optimize_in_class(model, theta, criterion="d", direction="lower", restarts=3)
+
+
+def test_optimize_does_not_import_scipy_stats():
+    code = (
+        "import sys; from tcheb import make_model, optimize_in_class; "
+        "m = make_model('michaelis_menten', [1.0, 1.0], (0.0, 10.0)); "
+        "optimize_in_class(m, [1.0, 1.0], restarts=1); "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={
+            "PATH": "/usr/bin:/bin",
+            "PYTHONPATH": str(Path(tcheb.__file__).resolve().parents[1]),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_hot_path_does_not_import_scipy():
