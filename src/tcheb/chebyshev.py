@@ -13,7 +13,6 @@ while a clean pass over many tuples is evidence, not proof.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import numbers
@@ -45,19 +44,14 @@ _MEMBERSHIP_REL = 1e-12
 
 @dataclass(frozen=True)
 class Interval:
-    """Compact interval [lower, upper] with finite endpoints and length."""
+    """Compact interval [lower, upper], endpoints by ``check_real``, of finite length."""
 
     lower: float
     upper: float
 
     def __post_init__(self):
-        for end in (self.lower, self.upper):
-            if isinstance(end, bool) or not isinstance(end, numbers.Real):
-                raise ConfigurationError(f"interval endpoints must be real numbers, got {end!r}")
-        object.__setattr__(self, "lower", float(self.lower))
-        object.__setattr__(self, "upper", float(self.upper))
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ConfigurationError("interval endpoints must be finite")
+        object.__setattr__(self, "lower", check_real(self.lower, "interval lower"))
+        object.__setattr__(self, "upper", check_real(self.upper, "interval upper"))
         if not self.lower < self.upper:
             raise ConfigurationError(
                 f"interval requires lower < upper, got [{self.lower}, {self.upper}]"
@@ -185,9 +179,11 @@ def derivative_matrix(system: ChebyshevSystem, xs) -> np.ndarray:
 
 
 def evaluate_basis(system: ChebyshevSystem, x: float) -> np.ndarray:
-    """Return the vector (psi_0(x), ..., psi_{k-1}(x))."""
+    """Return the vector (psi_0(x), ..., psi_{k-1}(x)); x passes
+    ``check_real``, and a point outside the interval raises DomainError."""
+    x = check_real(x, "x")
     slack = _MEMBERSHIP_REL * system.interval.length
-    if not system.interval.contains(float(x), slack):
+    if not system.interval.contains(x, slack):
         raise DomainError(
             f"x={x!r} outside [{system.interval.lower}, {system.interval.upper}]"
         )
@@ -229,6 +225,36 @@ def check_count(value, name: str, minimum: Optional[int] = None) -> int:
     return value
 
 
+def check_real(value, name: str) -> float:
+    """The value as a float: a real number, numpy's included, that is
+    neither a bool nor non-finite, or ConfigurationError ("{name} must be a
+    real number, got str", "{name} must be finite, got nan")."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigurationError(f"{name} must be a real number, got {type(value).__name__}")
+        value = float(value)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def check_reals(values, name: str) -> np.ndarray:
+    """The values, a number or a (nested) sequence or array of them, as a new C-ordered
+    float ndarray of their shape when every entry passes ``check_real``, or its
+    error naming the first bad entry, "{name}[i]" ("{name}[i, j]", ...)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        if np.isfinite(out := values.astype(float, order="C")).all():
+            return out
+    elif type(values) in (tuple, list) and all(isinstance(v, float) and math.isfinite(v) for v in values):
+        return np.array(values, dtype=float)
+    entries = np.array(values, dtype=object)
+    for i, v in enumerate(entries.flat):
+        if not (isinstance(v, float) and math.isfinite(v)):
+            index = ", ".join(map(str, np.unravel_index(i, entries.shape)))
+            check_real(v, f"{name}[{index}]" if entries.ndim else name)
+    return entries.astype(float)
+
+
 def check_interval(value, name: str) -> None:
     """Refuse a value that is not an ``Interval`` with ConfigurationError."""
     if not isinstance(value, Interval):
@@ -264,14 +290,19 @@ def _verdict(tuples: np.ndarray, values: np.ndarray, scale: np.ndarray):
     return CheckReport(witness is None, int(tuples.shape[0]), min_det, witness), index
 
 
-@contextlib.contextmanager
-def _typed_overflow(what: str):
-    """Overflow or invalid arithmetic (not underflow) raises EvaluationError naming ``what``."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as err:
-        raise EvaluationError(f"{what}: {err}") from err
+class _typed_overflow(np.errstate):
+    """A block in which overflow or invalid arithmetic (not underflow) raises
+    EvaluationError naming ``what``.  Every ``information_matrix`` call runs
+    one, so it is a class: a generator-based context manager costs more."""
+
+    def __init__(self, what: str):
+        super().__init__(over="raise", invalid="raise")
+        self.what = what
+
+    def __exit__(self, kind, err, tb):
+        super().__exit__(kind, err, tb)
+        if isinstance(err, FloatingPointError):
+            raise EvaluationError(f"{self.what}: {err}") from err
 
 
 def _collocation_verdict(tuples: np.ndarray, V: np.ndarray) -> CheckReport:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EvaluationError, PreconditionError, TchebError
 from .models import make_model, psi_system
-from .moments import Design, design_index, json_numbers, moment_point
+from .moments import Design, design_index, moment_point
 from .reduction import (
     PSD_TOL,
     criterion_value,
@@ -109,9 +109,7 @@ def _load_model(path: str):
     missing = {"model", "theta", "interval"} - set(obj)
     if missing:
         raise ConfigurationError(f"model spec missing fields: {sorted(missing)}")
-    theta = json_numbers(obj["theta"], "model theta")
-    interval = json_numbers(obj["interval"], "model interval")
-    return make_model(obj["model"], theta, interval, obj.get("p1", 1)), theta
+    return make_model(obj["model"], obj["theta"], obj["interval"], obj.get("p1", 1)), obj["theta"]
 
 
 def _load_design(path: str, model) -> Design:

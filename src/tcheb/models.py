@@ -30,9 +30,10 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .chebyshev import (
-    ChebyshevSystem, Interval, _evaluate, check_count, check_interval, monomial_derivatives, monomials
+    ChebyshevSystem, Interval, _evaluate, _typed_overflow, check_count, check_interval, check_reals,
+    monomial_derivatives, monomials,
 )
-from .errors import ConfigurationError, DomainError, EvaluationError
+from .errors import ConfigurationError, DomainError
 
 DEDUP_GRID_SIZE = 256
 DEDUP_TOL = 1e-10
@@ -59,9 +60,8 @@ class RegressionModel:
     certificate for ``exponential``, ``exponential3`` and ``polynomial``
     at p1 = 1; it answers None for any model whose ``gradient``,
     ``p_matrix``, ``psi_order``, ``p1`` or ``expected_k`` is not the one it
-    was derived for, e.g. after ``dataclasses.replace``.
-    ``michaelis_menten`` has none: its declared order's W_2 =
-    x (2 theta2 - x) / (theta2 + x)^4 changes sign at 2 theta2.
+    was derived for, e.g. after ``dataclasses.replace``, and for every
+    ``michaelis_menten`` model (README "Numerical notes" says why).
     """
 
     name: str
@@ -110,17 +110,15 @@ def _grad_values(model: RegressionModel, theta, xs) -> np.ndarray:
 
 
 def _check_theta(model: RegressionModel, theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
+    """theta as a float p-vector, entries by ``check_reals`` ("model {name} theta")."""
+    theta = check_reals(theta, f"model {model.name} theta")
     if theta.shape != (model.p,):
         raise ConfigurationError(
             f"model {model.name} needs {model.p} parameters, got {theta.shape}"
         )
-    if not np.all(np.isfinite(theta)):
-        raise ConfigurationError(f"model {model.name} needs finite parameters, got {theta.tolist()}")
     return theta
 
 
-@np.errstate(over="raise")
 def information_matrix(model: RegressionModel, theta, design) -> np.ndarray:
     """M = sum_j w_j g(x_j) g(x_j)^T, a symmetric PSD p x p matrix; one that
     overflows double precision raises EvaluationError."""
@@ -129,11 +127,9 @@ def information_matrix(model: RegressionModel, theta, design) -> np.ndarray:
         raise DomainError("design interval differs from the model design interval")
     G = _grad_values(model, theta, design.points_array())
     W = design.weights_array()
-    try:
+    with _typed_overflow(f"information matrix of {model.name}"):
         M = (G * W) @ G.T
         return (M + M.T) / 2.0
-    except FloatingPointError as err:
-        raise EvaluationError(f"information matrix of {model.name}: {err}") from err
 
 
 def _p_inverse(model: RegressionModel, theta) -> np.ndarray:
@@ -176,7 +172,8 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     angles = np.pi * (2.0 * np.arange(DEDUP_GRID_SIZE) + 1.0) / (2.0 * DEDUP_GRID_SIZE)
     grid = np.sort(mid + half * np.cos(angles))
-    positions = [(i, j) for i in range(r) for j in range(r)]
+    # C11's lower triangle repeats its upper one bit for bit: it adds no psi.
+    positions = [(i, j) for i in range(r) for j in range(i, r)]
     positions += [(i, j) for i in range(r, p) for j in range(r)]
 
     def products(xs):
@@ -231,25 +228,22 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
     return PsiSystem(system=system, p1=p1, h=h, with_tail=with_tail)
 
 
-def _q_vector(psi: PsiSystem, Q) -> np.ndarray:
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape != (psi.p1,):
-        raise DomainError(f"Q must have length p1={psi.p1}")
-    if not np.all(np.isfinite(Q)):
-        raise DomainError(f"Q must be finite, got {Q.tolist()}")
-    if float(np.linalg.norm(Q)) == 0.0:
-        raise DomainError("Q must be nonzero")
-    return Q
-
-
 def psi_k_Q(psi: PsiSystem, Q) -> Callable:
     """The direction function x -> Q^T C22(x) Q for a nonzero Q.
 
     Since C22 = h h^T with the trailing block h of length p1, the value
     is the square of Q . h(x), read through ``chebyshev._evaluate``: a
-    square that overflows raises EvaluationError.
+    square that overflows raises EvaluationError.  Q's entries pass
+    ``check_reals``; every refusal of Q is a DomainError.
     """
-    Q = _q_vector(psi, Q)
+    try:
+        Q = check_reals(Q, "Q")
+    except ConfigurationError as err:
+        raise DomainError(str(err)) from None
+    if Q.shape != (psi.p1,):
+        raise DomainError(f"Q must have length p1={psi.p1}")
+    if float(np.linalg.norm(Q)) == 0.0:
+        raise DomainError("Q must be nonzero")
 
     def f(xs):
         arr = np.asarray(xs, dtype=float)
@@ -429,13 +423,18 @@ def make_model(name: str, theta, interval, p1: int = 1) -> RegressionModel:
     a pair (A, B) of numbers.
 
     ``theta`` is used for dimension and admissibility checks only; the
-    operations all take the parameter vector explicitly.
+    operations all take the parameter vector explicitly.  Its entries pass
+    ``check_reals`` ("model {name} theta[i] must be finite, got nan").
     """
+    if name not in CATALOG_NAMES:
+        raise ConfigurationError(
+            f"unknown model {name!r}; catalog: {', '.join(CATALOG_NAMES)}"
+        )
     if isinstance(interval, (tuple, list)) and len(interval) == 2:
         interval = Interval(*interval)
     elif not isinstance(interval, Interval):
         raise ConfigurationError(f"interval must be an Interval or a pair (A, B) of numbers, got {interval!r}")
-    theta = np.asarray(theta, dtype=float)
+    theta = check_reals(theta, f"model {name} theta")
     if name == "michaelis_menten":
         model, rules = _michaelis_menten(interval, p1), ((_theta_nonzero, 0), (_theta_positive, 1))
         signs = None
@@ -445,15 +444,11 @@ def make_model(name: str, theta, interval, p1: int = 1) -> RegressionModel:
     elif name == "exponential3":
         model, rules = _exponential3(interval, p1), ((_theta_nonzero, 1), (_theta_nonzero, 2))
         signs = _alternating_signs(5, rate=2)
-    elif name == "polynomial":
+    else:
         if theta.ndim != 1:
             raise ConfigurationError(f"model {name} needs a vector of parameters, got shape {theta.shape}")
         model, rules = _polynomial(interval, p1, degree=len(theta) - 1), ()
         signs = _alternating_signs(2 * len(theta) - 2)
-    else:
-        raise ConfigurationError(
-            f"unknown model {name!r}; catalog: {', '.join(CATALOG_NAMES)}"
-        )
     _check_theta(model, theta)
     for rule, index in rules:  # the per-model rules, in order
         rule(name, theta, index)

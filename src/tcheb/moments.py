@@ -17,7 +17,7 @@ from typing import Callable, Iterable, List, Tuple
 
 import numpy as np
 
-from .chebyshev import ChebyshevSystem, Interval, basis_matrix, check_interval
+from .chebyshev import ChebyshevSystem, Interval, basis_matrix, check_interval, check_reals
 from .errors import ConfigurationError, DomainError
 
 # Points within this times (B - A) of an endpoint snap onto it before
@@ -50,15 +50,6 @@ def _exact_unit_sum(weights: list) -> list:
 
 
 Atom = Tuple[float, float]  # (point, weight)
-
-
-def json_numbers(value, what: str) -> List[float]:
-    """The floats of a JSON array of numbers, or ConfigurationError."""
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        raise ConfigurationError(f"{what} must be an array of numbers, got {value!r}")
-    return [float(v) for v in value]
 
 
 def merge_pair(left: Atom, right: Atom, a: float, b: float) -> Atom:
@@ -96,8 +87,9 @@ class Design:
     Construction normalizes the support: points snap to nearby
     endpoints, near-coincident points merge with weights summed,
     zero-weight points drop, and weights are renormalized to sum to 1
-    exactly under math.fsum.  Non-finite values, weight sums farther than
-    1e-9 from 1 and negative weights are rejected.
+    exactly under math.fsum.  Points and weights are flat sequences of one
+    length, entries by ``check_reals`` ("design points[i]"); weight sums
+    farther than 1e-9 from 1 and negative weights are rejected.
     """
 
     points: Tuple[float, ...]
@@ -106,12 +98,11 @@ class Design:
 
     def __post_init__(self):
         check_interval(self.interval, "design interval")
-        pts = [float(p) for p in self.points]
-        ws = [float(w) for w in self.weights]
-        if len(pts) != len(ws):
-            raise ConfigurationError("points and weights differ in length")
-        if not all(map(math.isfinite, pts + ws)):
-            raise ConfigurationError("design points and weights must be finite")
+        pts = check_reals(self.points, "design points")
+        ws = check_reals(self.weights, "design weights")
+        if pts.ndim != 1 or pts.shape != ws.shape:
+            raise ConfigurationError("design points and weights must be flat sequences of one length")
+        pts, ws = pts.tolist(), ws.tolist()
         if any(w < 0.0 for w in ws):
             raise ConfigurationError("design weights must be nonnegative")
         pairs = [(p, w) for p, w in zip(pts, ws) if w > 0.0]
@@ -163,29 +154,24 @@ class Design:
         missing = {"points", "weights", "interval"} - set(obj)
         if missing:
             raise ConfigurationError(f"design JSON missing fields: {sorted(missing)}")
-        interval = json_numbers(obj["interval"], "design interval")
-        if len(interval) != 2:
+        interval = obj["interval"]
+        if not isinstance(interval, (list, tuple)) or len(interval) != 2:
             raise ConfigurationError("design interval must be a pair [A, B]")
-        return cls(
-            points=tuple(json_numbers(obj["points"], "design points")),
-            weights=tuple(json_numbers(obj["weights"], "design weights")),
-            interval=Interval(*interval),
-        )
+        return cls(points=obj["points"], weights=obj["weights"], interval=Interval(*interval))
 
 
 @dataclass(frozen=True)
 class MomentPoint:
-    """Vector of finite generalized moments together with its generating system."""
+    """Generalized moments, each by ``check_reals`` ("moment coordinate c0[i]"), and their system."""
 
     coordinates: Tuple[float, ...]
     system: ChebyshevSystem
 
     def __post_init__(self):
+        if check_reals(self.coordinates, "moment coordinate c0").ndim != 1:
+            raise ConfigurationError("moment coordinates must be a flat sequence")
         if self.k < 1:
             raise ConfigurationError("a moment point needs at least one coordinate")
-        for i, c in enumerate(self.coordinates):
-            if not math.isfinite(c):
-                raise ConfigurationError(f"moment coordinate c0[{i}] = {c!r} is not finite")
 
     @property
     def k(self) -> int:

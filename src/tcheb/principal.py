@@ -36,7 +36,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .chebyshev import (
-    ChebyshevSystem, Interval, _evaluate, _stacked, basis_matrix, derivative_matrix, monomials
+    ChebyshevSystem, Interval, _evaluate, _stacked, basis_matrix, check_reals, derivative_matrix, monomials
 )
 from .errors import (
     ConfigurationError,
@@ -191,7 +191,8 @@ def refine_newton(
     """Newton iteration on the moment-matching equations.
 
     ``initial`` holds the starting (point, weight) atoms in increasing
-    order, with the structure's count and endpoint membership.  Unknowns
+    order, with the structure's count and endpoint membership, each number
+    passing ``check_reals`` ("initial atoms[i, j]").  Unknowns
     are the interior support points and all weights, exactly k of them by
     the structure invariant; the structure's endpoints stay fixed.  The
     residual is
@@ -216,11 +217,10 @@ def refine_newton(
         raise ConfigurationError("moment point dimension does not match the system")
     if structure.free_unknowns != k:
         raise ConfigurationError("structure unknowns do not match the system dimension")
-    if len(initial) != structure.num_points:
-        raise ConfigurationError(
-            f"initial support has {len(initial)} atoms, structure wants {structure.num_points}"
-        )
-    points, w = (np.array(v, dtype=float) for v in zip(*initial))
+    atoms = check_reals(initial, "initial atoms")
+    if atoms.shape != (structure.num_points, 2):
+        raise ConfigurationError(f"initial atoms must have shape {(structure.num_points, 2)}, got {atoms.shape}")
+    points, w = atoms.T.copy()
     ends = [structure.includes_A, structure.includes_B]
     if ends != [points[0] == a, points[-1] == b]:
         raise ConfigurationError("initial support endpoint membership violates the structure")

@@ -14,21 +14,13 @@ unchanged; their gain and information difference are exact zeros.
 
 Both hypotheses are determinant conditions: the psi system, and the psi
 system augmented by +psi_k^Q (upper) or -psi_k^Q (lower) for every
-nonzero Q, must be Chebyshev systems.  A catalog model at p1 = 1 whose
-leading Wronskians prove both (``gate_certified``: ``exponential``,
-``exponential3`` and ``polynomial``, in the direction their signs allow)
-skips the sampled gate.  Every other key, ``michaelis_menten`` and
-p1 >= 2 included, runs it: both hypotheses are statements about one
-(k + 1)-point collocation matrix, whose leading k x k block is the psi
-system's on the first k points, so the gate checks them in one pass over
-one sample of (k + 1)-tuples, before any computation: sampled in the
-tuples but exact in Q.  A failed check raises a precondition error
-rather than producing an output whose domination guarantee has no
-backing.  The report gives the gain in every direction at once: the
-spectrum of Delta C22, the integral of h_tail h_tail^T against the
-output minus the input.  Whether an output dominates its input in the
-Loewner order is judged in one place, ``verify_domination``; the
-reduction refuses an output that fails it.
+nonzero Q, must be Chebyshev systems.  ``gate_certified`` proves both
+from a catalog model's leading Wronskians; every other key runs the
+sampled gate, ``gate_checks``, before any computation.  A failed check
+raises a precondition error rather than producing an output whose
+domination guarantee has no backing.  Whether an output dominates its
+input in the Loewner order is judged in one place, ``verify_domination``;
+the reduction refuses an output that fails it.
 """
 
 from __future__ import annotations
@@ -40,7 +32,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .chebyshev import _evaluate, check_count, check_gate
+from .chebyshev import _evaluate, check_count, check_gate, check_real
 from .errors import ConfigurationError, DegeneracyError, PreconditionError
 from .models import (
     PsiSystem,
@@ -136,16 +128,15 @@ def _gated_psi(model: RegressionModel, theta_bytes: bytes, direction: str, seed:
     and the arrays of that direction's moment LP: the grid of
     ``principal.lp_grid``, the basis V on it and the objective row +-tr C22.
 
-    A key that ``gate_certified`` proves (``exponential``, ``exponential3``
-    or ``polynomial`` at p1 = 1, in its valid direction) runs no
-    ``gate_checks``; any other, ``michaelis_menten`` always, runs the
-    sampled gate, and a base refusal raises PreconditionError before an
-    augmented one.  The gate and the LP arrays do not depend on the
-    design, so they are memoised per key, the arrays read-only; a refusal
-    is never cached.
-    The grid is evaluated once, psi over h_tail in one ``with_tail`` call,
-    like the gate's sample.  theta is keyed by its bytes, which tell 0.0
-    from -0.0 where floats do not; the seed must be checked before keying.
+    A key that ``gate_certified`` proves runs no ``gate_checks``; any other
+    runs the sampled gate, whose base refusal raises PreconditionError
+    before an augmented one.  The gate and the LP arrays do not depend on
+    the design, so they are memoised per key, the arrays read-only; a
+    refusal is never cached.  The grid is evaluated once, psi over h_tail
+    in one ``with_tail`` call, like the gate's sample, and the objective
+    row in that evaluation, so its overflow raises EvaluationError.  theta
+    is keyed by its bytes, which tell 0.0 from -0.0 where floats do not;
+    the seed must be checked before keying.
     """
     theta = np.frombuffer(theta_bytes)
     psi = psi_system(model, theta)
@@ -168,10 +159,16 @@ def _gated_psi(model: RegressionModel, theta_bytes: bytes, direction: str, seed:
     # one when every +psi_k^Q augments to a Chebyshev system, and the
     # lower one when every -psi_k^Q does (minimizing -psi_k^Q maximizes
     # the gain).  tr C22 = |h_tail|^2, a sum of such psi_k^Q, probes it.
+    k, sign = psi.k, _direction_sign(direction)
+
+    def lp_rows(xs):
+        W = psi.with_tail(xs)
+        W[k] = sign * (W[k:] ** 2).sum(axis=0)
+        return W[: k + 1]
+
     grid = lp_grid(psi.system.interval)
-    W = _evaluate(psi.with_tail, psi.k + psi.p1, grid, "basis")
-    trace_c22 = (W[psi.k :] ** 2).sum(axis=0)
-    lp = grid, W[: psi.k], _direction_sign(direction) * trace_c22
+    W = _evaluate(lp_rows, k + 1, grid, "basis")
+    lp = grid, W[:k], W[k]
     for array in lp:
         array.flags.writeable = False
     return psi, lp
@@ -196,14 +193,12 @@ def reduce_design(
 
     Verifies the determinant hypotheses for the requested direction, the
     base system and its augmentation for every nonzero Q: by the model's
-    leading Wronskians where ``gate_certified`` holds (``exponential``,
-    ``exponential3`` and ``polynomial`` at p1 = 1, in their valid
-    direction), otherwise in one sampled pass (``gate_checks``, the gate
-    ``tcheb check`` reports; ``michaelis_menten`` always), computes the
-    moment point, and returns either the design itself
+    leading Wronskians where ``gate_certified`` holds, otherwise in one
+    sampled pass (``gate_checks``, the gate ``tcheb check`` reports),
+    computes the moment point, and returns either the design itself
     (branch Identity, when its index is below k/2) or the principal
-    representation matching all k moments.  Both branches build one
-    report, which records ``gain_spectrum``, the eigenvalues of Delta C22
+    representation matching all k moments; theta passes ``check_reals``.
+    Both branches build one report, which records ``gain_spectrum``, the eigenvalues of Delta C22
     = C22(output) - C22(input), whose quadratic form in Q is the gain in
     the Q^T C22 Q moment, and from ``verify_domination(model, theta,
     output, input)`` the spectrum of the information difference
@@ -272,10 +267,10 @@ def verify_domination(
     M(xi2)) R), 0.0 when that range is empty, and xi1 dominates when it is
     >= -tolerance.  The whitened difference lies in [-1, 1], so a design
     that misses a direction the other sees reads -1 there at any scale of
-    theta.  The tolerance must be finite.
+    theta.  The tolerance must pass ``check_real``, and theta, as in
+    ``information_matrix``, ``check_reals``.
     """
-    if not math.isfinite(tolerance):
-        raise ConfigurationError(f"tolerance must be finite, got {tolerance!r}")
+    tolerance = check_real(tolerance, "tolerance")
     M1, M2 = information_matrix(model, theta, xi1), information_matrix(model, theta, xi2)
     diff = M1 - M2
     w, U = np.linalg.eigh(M1 + M2)
@@ -286,7 +281,7 @@ def verify_domination(
     return DominationReport(
         difference_spectrum=tuple(float(v) for v in np.linalg.eigvalsh(diff)),
         dominates=bool(low >= -tolerance),
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         loewner_min_eigenvalue=low,
     )
 
@@ -355,8 +350,8 @@ def optimize_in_class(
         w = np.exp(logits)
         w /= w.sum()
         try:
-            return Design(points=tuple(pts), weights=tuple(w), interval=model.design_interval)
-        except (ConfigurationError, ValueError):
+            return Design(points=pts, weights=w, interval=model.design_interval)
+        except ConfigurationError:
             return None
 
     # Singular matrices map to a large finite penalty; infinities would

@@ -21,12 +21,11 @@ asked for, each but the last on a copy of the phase-one tableau;
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .chebyshev import check_real, check_reals
 from .errors import ConfigurationError, ConvergenceError, InfeasibleError, UnboundedError
 
 PIVOT_TOL = 1e-10
@@ -165,9 +164,7 @@ def _solve_senses(A, b, c, senses, feas_tol: float | None = None) -> list:
     """``solve_lp`` once per sense in ``senses``, in order, on one phase
     one: a list of LPResult, each equal to its own ``solve_lp`` call.  The
     first sense to fail raises its error, as its ``solve_lp`` call would."""
-    A = np.array(A, dtype=float, order="C")
-    b = np.array(b, dtype=float)
-    c = np.array(c, dtype=float)
+    A, b, c = check_reals(A, "LP A"), check_reals(b, "LP b"), check_reals(c, "LP c")
     if A.ndim != 2 or b.shape != A.shape[:1] or c.shape != A.shape[1:]:
         raise ConfigurationError(f"inconsistent LP dimensions: A {A.shape}, b {b.shape}, c {c.shape}")
     for sense in senses:
@@ -175,15 +172,10 @@ def _solve_senses(A, b, c, senses, feas_tol: float | None = None) -> list:
             raise ConfigurationError(f"sense must be 'max' or 'min', got {sense!r}")
     if A.shape[1] == 0:
         raise ConfigurationError(f"an LP needs at least one column, got A {A.shape}")
-    for name, array in (("A", A), ("b", b), ("c", c)):
-        if not np.isfinite(array).all():
-            raise ConfigurationError(f"LP {name} has a non-finite entry")
     if feas_tol is None:
         feas_tol = 1e-8 * max(1.0, float(np.abs(b).max(initial=0.0)))
-    elif isinstance(feas_tol, bool) or not isinstance(feas_tol, numbers.Real):
-        raise ConfigurationError(f"feas_tol must be a real number, got {type(feas_tol).__name__}")
-    elif not (math.isfinite(feas_tol) and feas_tol >= 0.0):
-        raise ConfigurationError(f"feas_tol must be finite and nonnegative, got {feas_tol!r}")
+    if (feas_tol := check_real(feas_tol, "feas_tol")) < 0.0:
+        raise ConfigurationError(f"feas_tol must be nonnegative, got {feas_tol!r}")
 
     flip = b < 0
     A[flip] *= -1.0
@@ -206,9 +198,10 @@ def solve_lp(A, b, c, sense: str = "max", feas_tol: float | None = None) -> LPRe
     row) raises InfeasibleError.  Redundant constraint rows discovered
     while driving artificials out are dropped.  A final vertex that misses
     A x = b by more than 10 feas_tol, or has a component below -feas_tol,
-    raises ConvergenceError.  ConfigurationError refuses shapes of A, b
-    and c that do not fit, an A without columns, a non-finite entry of A,
-    b or c, a ``feas_tol`` that is not a real number (a bool included) or
-    is non-finite or negative, and a sense other than "max" and "min".
+    raises ConvergenceError.  ConfigurationError refuses an entry of A, b
+    or c that fails ``check_reals`` ("LP b[0] must be finite, got nan"),
+    shapes that do not fit, an A without columns, a ``feas_tol`` other than
+    None that fails ``check_real`` or is negative, and a sense other than
+    "max" and "min".
     """
     return _solve_senses(A, b, c, (sense,), feas_tol)[0]

@@ -205,7 +205,7 @@ def test_malformed_system_arguments_are_refused():
         polynomial_system(3, (0.0, 1.0))
     with pytest.raises(ConfigurationError, match="^k must be an integer, got float$"):
         polynomial_system(2.5, Interval(0.0, 1.0))
-    with pytest.raises(ConfigurationError, match="^interval endpoints must be real numbers, got '0'$"):
+    with pytest.raises(ConfigurationError, match="^interval lower must be a real number, got str$"):
         Interval("0", 1.0)
 
 

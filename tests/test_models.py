@@ -187,7 +187,7 @@ def test_psi_k_q_rejects_bad_q():
     with pytest.raises(DomainError):
         psi_k_Q(psi, (1.0, 2.0))
     for q in (math.nan, math.inf, -math.inf):
-        with pytest.raises(DomainError, match="^Q must be finite"):
+        with pytest.raises(DomainError, match=r"^Q\[0\] must be finite, got "):
             psi_k_Q(psi, (q,))
 
 
@@ -213,7 +213,7 @@ def test_theta_validation():
         make_model("exponential3", [1.0, 1.0, 0.0], (0.0, 1.0))
     with pytest.raises(ConfigurationError):
         make_model("polynomial", [1.0], (-1.0, 1.0))  # degree >= 1
-    with pytest.raises(ConfigurationError, match="^model michaelis_menten needs finite parameters"):
+    with pytest.raises(ConfigurationError, match=r"^model michaelis_menten theta\[1\] must be finite, got inf$"):
         make_model("michaelis_menten", [1.0, math.inf], MM_IV)
 
 
@@ -242,7 +242,7 @@ def test_non_finite_theta_is_refused(case, call):
         "reduce_design": lambda: reduce_design(model, theta, xi, "upper"),
         "optimize_in_class": lambda: optimize_in_class(model, theta, restarts=1),
     }
-    with pytest.raises(ConfigurationError, match=f"^model {name} needs finite parameters, got "):
+    with pytest.raises(ConfigurationError, match=rf"^model {name} theta\[\d\] must be finite, got "):
         run[call]()
 
 
@@ -251,7 +251,7 @@ def test_make_model_refuses_a_non_finite_theta(case):
     """Every catalog entry checks its theta at construction, the
     polynomial, which reads only the length of theta, included."""
     name, iv, _, theta = NON_FINITE_THETAS[case]
-    with pytest.raises(ConfigurationError, match=f"^model {name} needs finite parameters, got "):
+    with pytest.raises(ConfigurationError, match=rf"^model {name} theta\[\d\] must be finite, got "):
         make_model(name, theta, iv)
 
 
@@ -280,7 +280,7 @@ def test_p1_bounds():
         ((0.0, 3.0, 5.0), 1, r"^interval must be an Interval or a pair \(A, B\) of numbers, got \(0\.0, 3\.0, 5\.0\)$"),
         ((0.0,), 1, r"^interval must be an Interval or a pair"),
         ("ab", 1, r"^interval must be an Interval or a pair"),
-        (("a", "b"), 1, r"^interval endpoints must be real numbers, got 'a'$"),
+        (("a", "b"), 1, r"^interval lower must be a real number, got str$"),
         ((0.0, 3.0), 1.5, r"^p1 must be an integer, got float$"),
         ((0.0, 3.0), 0, r"^p1 must lie in 1\.\.2, got 0$"),
     ],
@@ -299,6 +299,53 @@ def test_information_matrix_interval_mismatch():
     d = dirac(0.5, (0.0, 1.0))
     with pytest.raises(DomainError):
         information_matrix(m, [1.0, 1.0], d)
+
+
+def _full_scan_with_tail(model, psi, xs):
+    """with_tail as a scan of all of C11 (lower triangle included) and C21
+    would build it, by psi_system's own dedup rule; and its k."""
+    p, p1 = model.p, model.p1
+    r = p - p1
+    a, b = model.design_interval.lower, model.design_interval.upper
+    angles = np.pi * (2.0 * np.arange(256) + 1.0) / 512.0
+    H = psi.h(np.sort((a + b) / 2.0 + (b - a) / 2.0 * np.cos(angles)))
+    reps = []
+    for i, j in [(i, j) for i in range(r) for j in range(r)] + [(i, j) for i in range(r, p) for j in range(r)]:
+        vals = H[i] * H[j]
+        lo, hi = float(vals.min()), float(vals.max())
+        if hi - lo <= 1e-10 * max(1.0, abs(hi), abs(lo)):
+            continue
+        if not any(
+            np.abs(vals - rv).max() <= 1e-10 * max(1.0, float(np.abs(vals).max()), float(np.abs(rv).max()))
+            for rv, _ in reps
+        ):
+            reps.append((vals, (i, j)))
+    order = model.psi_order if model.psi_order is not None else range(len(reps))
+    Hx = psi.h(xs)
+    rows = [np.ones(xs.size)] + [Hx[i] * Hx[j] for i, j in (reps[s][1] for s in order)] + list(Hx[r:])
+    return 1 + len(reps), np.array(rows)
+
+
+@pytest.mark.parametrize("p1", [1, 2])
+@pytest.mark.parametrize(
+    "name,theta,iv",
+    [
+        ("michaelis_menten", [1.3, 0.8], MM_IV),
+        ("exponential", [0.9, -0.7], (0.0, 3.0)),
+        ("exponential3", [1.0, 0.8, -1.2], (0.0, 2.0)),
+        ("polynomial", [1.0, 0.5, -0.3, 0.2], (-1.0, 1.0)),
+    ],
+)
+def test_upper_triangle_scan_matches_the_full_scan(name, theta, iv, p1):
+    """H[j] H[i] equals H[i] H[j] bit for bit and comes later in a full scan
+    of C11, so scanning its upper triangle finds the same psi: the same k,
+    order and with_tail bytes."""
+    model = make_model(name, theta, iv, p1=p1)
+    psi = psi_system(model, theta)
+    xs = np.linspace(*iv, 37)
+    k, want = _full_scan_with_tail(model, psi, xs)
+    assert psi.k == k
+    assert psi.with_tail(xs).tobytes() == want.tobytes()
 
 
 # (i, j) of h_i h_j for psi_1, ..., psi_{k-1} in catalog order, written

@@ -562,6 +562,17 @@ def test_an_overflowing_gate_determinant_is_an_evaluation_error():
         gate_checks(psi, "upper", 0)
 
 
+def test_an_overflowing_lp_objective_is_an_evaluation_error():
+    """h_tail = x^3 is 1e156 at B = 1e52, finite, but tr C22 = x^6 on the LP
+    grid overflows: squared outside the evaluation's errstate it warned and
+    reached the simplex as "LP c has a non-finite entry"."""
+    theta = (1.0, 0.5, -0.5, 0.25)
+    model = make_model("polynomial", theta, (0.0, 1e52))
+    xi = Design(points=tuple((np.arange(8) + 0.5) * 1.25e51), weights=(0.125,) * 8, interval=model.design_interval)
+    with pytest.raises(EvaluationError, match="^basis evaluation: overflow encountered in square$"):
+        reduce_design(model, theta, xi, "upper")
+
+
 @pytest.mark.parametrize("direction", ["sideways", None])
 @pytest.mark.parametrize(
     "entry",

@@ -350,10 +350,12 @@ def test_pivot_restores_the_identity_eta_matrix():
 # A NaN or infinite tolerance accepted the infeasible x1 + x2 = -1 with the
 # vertex (-1, 0); a negative one called the feasible x1 + x2 = 1 infeasible.
 @pytest.mark.parametrize(
-    "feas_tol, rhs", [(math.nan, -1.0), (math.inf, -1.0), (-1e-8, 1.0)], ids=["nan", "inf", "negative"]
+    "feas_tol, rhs, rule",
+    [(math.nan, -1.0, "finite"), (math.inf, -1.0, "finite"), (-1e-8, 1.0, "nonnegative")],
+    ids=["nan", "inf", "negative"],
 )
-def test_a_bad_feasibility_tolerance_is_refused(feas_tol, rhs):
-    with pytest.raises(ConfigurationError, match=rf"^feas_tol must be finite and nonnegative, got {feas_tol!r}$"):
+def test_a_bad_feasibility_tolerance_is_refused(feas_tol, rhs, rule):
+    with pytest.raises(ConfigurationError, match=rf"^feas_tol must be {rule}, got {feas_tol!r}$"):
         solve_lp([[1.0, 1.0]], [rhs], [1.0, 1.0], sense="min", feas_tol=feas_tol)
 
 
@@ -380,7 +382,8 @@ def test_a_non_finite_entry_is_refused(name, value):
     lp = {"A": [[1.0, 1.0]], "b": [1.0], "c": [1.0, 0.0]}
     lp[name] = np.array(lp[name], dtype=float)
     lp[name].flat[0] = value
-    with pytest.raises(ConfigurationError, match=f"^LP {name} has a non-finite entry$"):
+    index = "0, 0" if name == "A" else "0"
+    with pytest.raises(ConfigurationError, match=rf"^LP {name}\[{index}\] must be finite, got {value!r}$"):
         solve_lp(lp["A"], lp["b"], lp["c"], sense="min")
 
 
