@@ -156,24 +156,35 @@ def _evaluate(evaluator: Callable, k: int, xs, what: str, *args) -> np.ndarray:
 
 
 def basis_matrix(system: ChebyshevSystem, xs) -> np.ndarray:
-    """Evaluate all basis functions at the given points.
+    """Evaluate all basis functions at the given points, which pass
+    ``check_reals`` ("xs[j]").
 
     Returns the k x n matrix V with V[i, j] = psi_i(xs[j]).
     """
-    return _evaluate(system.evaluator, system.k, xs, "basis")
+    return _basis_matrix(system, check_reals(xs, "xs"))
 
 
 def derivative_matrix(system: ChebyshevSystem, xs) -> np.ndarray:
-    """Evaluate d(psi_i)/dx at the given points.
+    """Evaluate d(psi_i)/dx at the given points, which pass ``check_reals``.
 
     Uses analytic derivatives when the system carries them, otherwise a
     central finite difference with step 1e-6 * (B - A).
     """
+    return _derivative_matrix(system, check_reals(xs, "xs"))
+
+
+def _basis_matrix(system: ChebyshevSystem, xs: np.ndarray) -> np.ndarray:
+    """``basis_matrix`` on points the library made, unchecked."""
+    return _evaluate(system.evaluator, system.k, xs, "basis")
+
+
+def _derivative_matrix(system: ChebyshevSystem, xs: np.ndarray) -> np.ndarray:
+    """``derivative_matrix`` on points the library made, unchecked."""
     fd_step = 1e-6 * system.interval.length
     # Central difference; evaluation may step slightly outside [A, B],
     # which every catalog function tolerates.
     evaluator = system.derivative_evaluator or (
-        lambda x: (basis_matrix(system, x + fd_step) - basis_matrix(system, x - fd_step)) / (2.0 * fd_step)
+        lambda x: (_basis_matrix(system, x + fd_step) - _basis_matrix(system, x - fd_step)) / (2.0 * fd_step)
     )
     return _evaluate(evaluator, system.k, xs, "derivative")
 
@@ -187,7 +198,7 @@ def evaluate_basis(system: ChebyshevSystem, x: float) -> np.ndarray:
         raise DomainError(
             f"x={x!r} outside [{system.interval.lower}, {system.interval.upper}]"
         )
-    return basis_matrix(system, [x])[:, 0]
+    return _basis_matrix(system, np.array([x]))[:, 0]
 
 
 @functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
@@ -334,7 +345,7 @@ def check_chebyshev(
     k = system.k
     tuples = _sample(system.interval, k, grid_size, num_random_tuples, seed)
     with _typed_overflow("collocation determinants"):
-        return _collocation_verdict(tuples, basis_matrix(system, tuples.ravel()).reshape(k, -1, k))
+        return _collocation_verdict(tuples, _basis_matrix(system, tuples.ravel()).reshape(k, -1, k))
 
 
 def check_gate(system: ChebyshevSystem, evaluator: Callable, p1: int, sign: float, seed: int):

@@ -6,8 +6,9 @@ design tables additionally emitted as CSV next to the report).  Each
 subcommand accepts only the flags it reads: ``--seed`` on check, reduce
 and optimize, ``--tol.psd=`` on dominate.  ``check`` reports every
 determinant check of the sampled gate at the seed, and whether the
-model's leading Wronskians certify the gate, in which case ``reduce``
-skips that sample.
+model's closed-form determinant signs certify the gate (``certified``,
+true for instance for michaelis_menten upper at theta2 > 0), in which
+case ``reduce`` skips that sample.
 Exit status 0 on success, 2 when a determinant precondition fails, 1 on
 I/O or schema errors.  All other library errors, and
 arithmetic that overflows, divides by zero or is invalid (code

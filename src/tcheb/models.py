@@ -53,15 +53,17 @@ class RegressionModel:
     ``reduce_design`` memoises its determinant gate per model, keyed by
     these fields.
 
-    ``wronskian_signs``, filled only by ``make_model``, maps (model,
-    theta) to the signs +-1 of the leading Wronskians W_1, ..., W_{k+1}
-    of the psi system in its declared order with h_tail^2 appended, each
-    strict on the whole interval, or to None.  It is a closed-form
-    certificate for ``exponential``, ``exponential3`` and ``polynomial``
-    at p1 = 1; it answers None for any model whose ``gradient``,
-    ``p_matrix``, ``psi_order``, ``p1`` or ``expected_k`` is not the one it
-    was derived for, e.g. after ``dataclasses.replace``, and for every
-    ``michaelis_menten`` model (README "Numerical notes" says why).
+    ``determinant_signs``, filled only by ``make_model``, maps (model,
+    theta) to the pair (s_k, s_{k+1}) of signs +-1 that every ordered
+    collocation determinant of the psi system in its declared order has,
+    and of that system with h_tail^2 appended, or to None where nothing is
+    proved.  It is a closed-form certificate at p1 = 1: by the leading
+    Wronskians for ``exponential``, ``exponential3`` and ``polynomial``,
+    and by a generalized Vandermonde factorization for ``michaelis_menten``
+    at theta2 > 0 on an interval with A >= 0 (README "Numerical notes").
+    It answers None for any model whose ``gradient``, ``p_matrix``,
+    ``psi_order``, ``p1`` or ``expected_k`` is not the one it was derived
+    for, e.g. after ``dataclasses.replace``.
     """
 
     name: str
@@ -74,7 +76,7 @@ class RegressionModel:
     gradient_dx: Optional[Callable] = None
     psi_order: Optional[Tuple[int, ...]] = None
     expected_k: Optional[int] = None
-    wronskian_signs: Optional[Callable] = None
+    determinant_signs: Optional[Callable] = None
 
     def __post_init__(self):
         check_interval(self.design_interval, "design_interval")
@@ -122,7 +124,11 @@ def _check_theta(model: RegressionModel, theta) -> np.ndarray:
 def information_matrix(model: RegressionModel, theta, design) -> np.ndarray:
     """M = sum_j w_j g(x_j) g(x_j)^T, a symmetric PSD p x p matrix; one that
     overflows double precision raises EvaluationError."""
-    theta = _check_theta(model, theta)
+    return _information_matrix(model, _check_theta(model, theta), design)
+
+
+def _information_matrix(model: RegressionModel, theta: np.ndarray, design) -> np.ndarray:
+    """``information_matrix`` at a theta that passed ``_check_theta``."""
     if design.interval != model.design_interval:
         raise DomainError("design interval differs from the model design interval")
     G = _grad_values(model, theta, design.points_array())
@@ -144,7 +150,7 @@ def _p_inverse(model: RegressionModel, theta) -> np.ndarray:
 def c_matrix(model: RegressionModel, theta, design) -> np.ndarray:
     """C = P^{-1} M P^{-T}; the identity M = P C P^T holds to round-off."""
     theta = _check_theta(model, theta)
-    M = information_matrix(model, theta, design)
+    M = _information_matrix(model, theta, design)
     Pinv = _p_inverse(model, theta)
     C = Pinv @ M @ Pinv.T
     return (C + C.T) / 2.0
@@ -394,28 +400,40 @@ CATALOG_NAMES = ("michaelis_menten", "exponential", "exponential3", "polynomial"
 #   exponential3  (1, e, x e, e^2, x e^2; x^2 e^2):
 #                 1, r e, r^2 e^2, 2r^5 e^4, 4r^8 e^6, 16r^11 e^8;
 #   polynomial    (1, x, ..., x^(2d-1); x^(2d)):  W_j = 0! 1! ... (j-1)!.
-def _alternating_signs(k: int, rate: Optional[int] = None) -> Callable:
-    """theta -> (1, s, 1, s, ...) of length k + 1, s the sign of the rate
-    theta[rate] (1 when there is none); None at a zero rate."""
+# W_k > 0 and W_{k+1} has the sign of r, so the pair is (1, sign r).
+def _rate_signs(rate: Optional[int] = None) -> Callable:
+    """(model, theta) -> (1, s), s the sign of the rate theta[rate] (1 when
+    there is none); None at a zero rate."""
 
-    def signs(theta):
+    def signs(model: RegressionModel, theta: np.ndarray):
         s = 1 if rate is None else int(np.sign(theta[rate]))
-        return None if s == 0 else tuple(s if j % 2 else 1 for j in range(k + 1))
+        return None if s == 0 else (1, s)
 
     return signs
 
 
+# michaelis_menten at p1 = 1 in declared order with h_tail^2 appended is
+# (1, x^2/d^3, x^2/d^2; x^2/d^4), d = theta2 + x.  With v = x/d, which
+# rises strictly from v(A) >= 0 on [A, B] when theta2 > 0 and A >= 0, it is
+# T (1, v^2, v^3, v^4) for a matrix T whose leading 3 x 3 block has det
+# 1/theta2 and whole det 1/theta2^3.  Generalized Vandermonde determinants
+# det [v_j^a_i] at 0 <= v_0 < v_1 < ... are positive, so the pair is (1, 1).
+def _michaelis_menten_signs(model: RegressionModel, theta: np.ndarray):
+    """(1, 1) when theta2 > 0 and the model's interval starts at A >= 0, else None."""
+    return (1, 1) if theta[1] > 0.0 and model.design_interval.lower >= 0.0 else None
+
+
 def _certified(model: RegressionModel, signs: Callable) -> RegressionModel:
-    """The model carrying ``signs`` as its ``wronskian_signs``, bound to the
-    fields that the closed forms were derived for."""
+    """The model carrying ``signs`` as its ``determinant_signs``, bound to
+    the fields that the closed forms were derived for."""
     gradient, p_matrix, rest = model.gradient, model.p_matrix, (model.psi_order, model.p1, model.expected_k)
 
-    def wronskian_signs(m: RegressionModel, theta) -> Optional[Tuple[int, ...]]:
+    def determinant_signs(m: RegressionModel, theta) -> Optional[Tuple[int, int]]:
         if m.gradient is not gradient or m.p_matrix is not p_matrix or (m.psi_order, m.p1, m.expected_k) != rest:
             return None
-        return signs(_check_theta(m, theta))
+        return signs(m, _check_theta(m, theta))
 
-    return dataclasses.replace(model, wronskian_signs=wronskian_signs)
+    return dataclasses.replace(model, determinant_signs=determinant_signs)
 
 
 def make_model(name: str, theta, interval, p1: int = 1) -> RegressionModel:
@@ -437,19 +455,19 @@ def make_model(name: str, theta, interval, p1: int = 1) -> RegressionModel:
     theta = check_reals(theta, f"model {name} theta")
     if name == "michaelis_menten":
         model, rules = _michaelis_menten(interval, p1), ((_theta_nonzero, 0), (_theta_positive, 1))
-        signs = None
+        signs = _michaelis_menten_signs
     elif name == "exponential":
         model, rules = _exponential(interval, p1), ((_theta_nonzero, 0), (_theta_nonzero, 1))
-        signs = _alternating_signs(3, rate=1)
+        signs = _rate_signs(rate=1)
     elif name == "exponential3":
         model, rules = _exponential3(interval, p1), ((_theta_nonzero, 1), (_theta_nonzero, 2))
-        signs = _alternating_signs(5, rate=2)
+        signs = _rate_signs(rate=2)
     else:
         if theta.ndim != 1:
             raise ConfigurationError(f"model {name} needs a vector of parameters, got shape {theta.shape}")
         model, rules = _polynomial(interval, p1, degree=len(theta) - 1), ()
-        signs = _alternating_signs(2 * len(theta) - 2)
+        signs = _rate_signs()
     _check_theta(model, theta)
     for rule, index in rules:  # the per-model rules, in order
         rule(name, theta, index)
-    return model if signs is None or p1 != 1 else _certified(model, signs)
+    return model if p1 != 1 else _certified(model, signs)

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, List, Tuple
 
 import numpy as np
 
-from .chebyshev import ChebyshevSystem, Interval, basis_matrix, check_interval, check_reals
+from .chebyshev import ChebyshevSystem, Interval, _basis_matrix, check_interval, check_reals
 from .errors import ConfigurationError, DomainError
 
 # Points within this times (B - A) of an endpoint snap onto it before
@@ -197,7 +197,7 @@ def moment_point(system: ChebyshevSystem, design: Design) -> MomentPoint:
     """
     if design.interval != system.interval:
         raise DomainError("design and system live on different intervals")
-    return fsum_moments(system, basis_matrix(system, design.points_array()), design.weights)
+    return fsum_moments(system, _basis_matrix(system, design.points_array()), design.weights)
 
 
 def fsum_moments(system: ChebyshevSystem, V: np.ndarray, w) -> MomentPoint:

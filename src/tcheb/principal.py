@@ -36,7 +36,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .chebyshev import (
-    ChebyshevSystem, Interval, _evaluate, _stacked, basis_matrix, check_reals, derivative_matrix, monomials
+    ChebyshevSystem, Interval, _basis_matrix, _derivative_matrix, _evaluate, _stacked, check_reals, monomials
 )
 from .errors import (
     ConfigurationError,
@@ -119,7 +119,7 @@ def _lp_arrays(system: ChebyshevSystem, objective: Optional[Callable] = None):
     grid = lp_grid(system.interval)
     k = system.k
     row = _stacked((objective,), "probe") if objective is not None else lambda x: monomials(x, k + 1)[k:]
-    return grid, basis_matrix(system, grid), _evaluate(row, 1, grid, "objective")[0]
+    return grid, _basis_matrix(system, grid), _evaluate(row, 1, grid, "objective")[0]
 
 
 def _solve_grid_lp(lp, c0: MomentPoint, senses: Sequence[str], feas_tol: Optional[float] = None):
@@ -238,7 +238,7 @@ def refine_newton(
     if not feasible(points, w) or points[[0, -1]][ends].tobytes() != np.array([a, b])[ends].tobytes():
         raise ConfigurationError(f"initial support {points.tolist()} would move as a Design")
 
-    V = basis_matrix(system, points)
+    V = _basis_matrix(system, points)
     F = V @ w - c
     res = float(np.abs(F).max())
     for iterations in range(1, NEWTON_MAX_ITER + 1):
@@ -246,7 +246,7 @@ def refine_newton(
             break
         J = np.empty((k, k))
         if ni:
-            J[:, :ni] = derivative_matrix(system, points[free]) * w[free]
+            J[:, :ni] = _derivative_matrix(system, points[free]) * w[free]
         J[:, ni:] = V
         try:
             if np.linalg.cond(J) > 1e14:
@@ -264,7 +264,7 @@ def refine_newton(
             p_new[free] += alpha * step[:ni]
             w_new = w + alpha * step[ni:]
             if feasible(p_new, w_new):
-                V_new = basis_matrix(system, p_new)
+                V_new = _basis_matrix(system, p_new)
                 F_new = V_new @ w_new - c
                 res_new = float(np.abs(F_new).max())
                 if res_new <= res * (1.0 - 1e-4 * alpha) or res_new <= tol:
@@ -319,8 +319,9 @@ def _shape_to_structure(
     tol: float,
     interval: Interval,
     which: str,
-) -> List[Atom]:
-    """Coerce LP atoms onto the structure, or raise DegeneracyError.
+) -> np.ndarray:
+    """Coerce LP atoms onto the structure, as an (n, 2) float array of
+    (point, weight) rows, or raise DegeneracyError.
 
     An end atom within 10 * tol of an endpoint the structure contains
     snaps onto it, and one on an endpoint the structure excludes moves
@@ -344,7 +345,7 @@ def _shape_to_structure(
         keep, weight = merge_pair((pts[i], ws[i]), (pts[i + 1], ws[i + 1]), a, b)
         pts[i : i + 2], ws[i : i + 2] = [keep], [weight]
     check_structure(pts, interval, structure, which)
-    return list(zip(pts, ws))
+    return np.array([pts, ws], dtype=float).T
 
 
 def _principal(system: ChebyshevSystem, c0: MomentPoint, which: str, lp) -> PrincipalResult:
@@ -369,7 +370,7 @@ def _principal(system: ChebyshevSystem, c0: MomentPoint, which: str, lp) -> Prin
         # An atom of weight at most 1e-9 is LP round-off, not a support point;
         # c0[0] = 1 leaves a heavier one.
         points, weights = zip(*[(p, w) for p, w in merged if w > 1e-9])
-        V = basis_matrix(system, np.asarray(points, float))
+        V = _basis_matrix(system, np.asarray(points, float))
         if (result := _result(system, c0, structure, points, weights, V, 0)) is None:
             raise
         raise DegeneracyError(

@@ -15,10 +15,10 @@ unchanged; their gain and information difference are exact zeros.
 Both hypotheses are determinant conditions: the psi system, and the psi
 system augmented by +psi_k^Q (upper) or -psi_k^Q (lower) for every
 nonzero Q, must be Chebyshev systems.  ``gate_certified`` proves both
-from a catalog model's leading Wronskians; every other key runs the
-sampled gate, ``gate_checks``, before any computation.  A failed check
-raises a precondition error rather than producing an output whose
-domination guarantee has no backing.  Whether an output dominates its
+from a catalog model's closed-form determinant signs; every other key
+runs the sampled gate, ``gate_checks``, before any computation.  A
+failed check raises a precondition error rather than producing an output
+whose domination guarantee has no backing.  Whether an output dominates its
 input in the Loewner order is judged in one place, ``verify_domination``;
 the reduction refuses an output that fails it.
 """
@@ -38,6 +38,7 @@ from .models import (
     PsiSystem,
     RegressionModel,
     _check_theta,
+    _information_matrix,
     information_matrix,
     psi_system,
 )
@@ -94,22 +95,22 @@ def gate_checks(psi: PsiSystem, direction: str, seed: int):
 
 
 def gate_certified(model: RegressionModel, theta, direction: str) -> bool:
-    """Whether the model's leading Wronskians at theta prove the gate of
-    the direction, so that ``gate_checks`` cannot refuse it.
+    """Whether the model's closed-form determinant signs at theta prove
+    the gate of the direction, so that ``gate_checks`` cannot refuse it.
 
-    ``model.wronskian_signs`` gives the signs s_1, ..., s_{k+1} of the
-    leading Wronskians W_j of (psi_0, ..., psi_{k-1}, h_tail^2), each
-    strict on the whole interval.  Multiplying psi_{j-1} by s_{j-1} s_j
-    (s_0 = 1) makes every W_j positive, an extended complete Chebyshev
-    system (Karlin & Studden, 1966, Ch. XI), so every ordered collocation
-    determinant of the leading j functions has the sign s_j.  Both checks
-    of the gate therefore hold when s_k > 0 and s_{k+1} is +1 (upper) or
-    -1 (lower).  A model without the signs, or whose signs are None at
-    theta, is not certified.
+    ``model.determinant_signs`` gives the pair (s_k, s_{k+1}): the sign of
+    every ordered collocation determinant of (psi_0, ..., psi_{k-1}), and
+    of that system with h_tail^2 appended.  Both checks of the gate hold
+    when s_k > 0 and s_{k+1} is +1 (upper) or -1 (lower), since the
+    augmenting +-psi_k^Q is +-(Q h_tail)^2.  The pair comes from the
+    leading Wronskians, an extended complete Chebyshev system (Karlin &
+    Studden, 1966, Ch. XI), or from a generalized Vandermonde
+    factorization (``michaelis_menten``).  A model without the signs, or
+    whose signs are None at theta, is not certified.
     """
     sign = _direction_sign(direction)
-    signs = None if model.wronskian_signs is None else model.wronskian_signs(model, theta)
-    return signs is not None and signs[-2] > 0 and signs[-1] == sign
+    signs = None if model.determinant_signs is None else model.determinant_signs(model, theta)
+    return signs is not None and signs[0] > 0 and signs[1] == sign
 
 
 def _cached_call(cached: Callable, *key):
@@ -193,7 +194,7 @@ def reduce_design(
 
     Verifies the determinant hypotheses for the requested direction, the
     base system and its augmentation for every nonzero Q: by the model's
-    leading Wronskians where ``gate_certified`` holds, otherwise in one
+    determinant signs where ``gate_certified`` holds, otherwise in one
     sampled pass (``gate_checks``, the gate ``tcheb check`` reports),
     computes the moment point, and returns either the design itself
     (branch Identity, when its index is below k/2) or the principal
@@ -233,7 +234,7 @@ def reduce_design(
         result = _principal(system, c0, direction, lp)
         out, moments_out = result.design, result.moments
         branch = "OddCase" if k % 2 else "EvenCase"
-    dom = verify_domination(model, theta, out, xi)
+    dom = _domination(model, theta, out, xi, PSD_TOL)
     if not dom.dominates:
         raise DegeneracyError(
             f"the {direction} reduction does not dominate its input: whitened lambda_min "
@@ -271,7 +272,12 @@ def verify_domination(
     ``information_matrix``, ``check_reals``.
     """
     tolerance = check_real(tolerance, "tolerance")
-    M1, M2 = information_matrix(model, theta, xi1), information_matrix(model, theta, xi2)
+    return _domination(model, _check_theta(model, theta), xi1, xi2, tolerance)
+
+
+def _domination(model: RegressionModel, theta: np.ndarray, xi1: Design, xi2: Design, tolerance: float):
+    """``verify_domination`` at a checked theta and tolerance."""
+    M1, M2 = _information_matrix(model, theta, xi1), _information_matrix(model, theta, xi2)
     diff = M1 - M2
     w, U = np.linalg.eigh(M1 + M2)
     keep = w > w[-1] * w.size * np.finfo(float).eps

@@ -344,12 +344,12 @@ def test_check_matches_reference_on_catalog_systems(name, theta, iv, index, valu
 @pytest.mark.parametrize("direction", ["upper", "lower"])
 @pytest.mark.parametrize("name,theta,iv,index,values", SWEEPS, ids=[s[0] for s in SWEEPS])
 def test_a_certified_gate_passes_the_sampled_gate(name, theta, iv, index, values, direction):
-    """Where the leading Wronskians certify the gate, the sampled gate that
+    """Where the determinant signs certify the gate, the sampled gate that
     reduce_design then skips passes.  Elsewhere on the sweep the signs
-    prove the direction false for the certified entries, and the sampled
-    gate passes it only when no augmented tuple is decisive: exponential3
-    at theta3 = -0.105 (upper), 0.105 and 0.316 (lower).
-    michaelis_menten is never certified."""
+    prove the direction false, and the sampled gate passes it only when
+    no augmented tuple is decisive: exponential3 at theta3 = -0.105
+    (upper), 0.105 and 0.316 (lower).  michaelis_menten is certified upper
+    at every swept theta2, and its lower gate is refused at each."""
     model = make_model(name, theta, iv)
     certified = 0
     for value in values:
@@ -360,10 +360,30 @@ def test_a_certified_gate_passes_the_sampled_gate(name, theta, iv, index, values
         if gate_certified(model, th, direction):
             certified += 1
             assert passed
-        elif name != "michaelis_menten":
+        else:
             assert not passed or aug.min_determinant == 0.0
-    want = {"michaelis_menten": 0, "polynomial": 20 if direction == "upper" else 0}
+    want = dict.fromkeys(("michaelis_menten", "polynomial"), 20 if direction == "upper" else 0)
     assert certified == want.get(name, 10)
+
+
+@pytest.mark.parametrize("upper", [1e-3, 1.0, 10.0, 1e3, 1e6])
+def test_michaelis_menten_certificate_agrees_with_the_sample_far_out(upper):
+    """On [0, B] for B from 1e-3 to 1e6 and theta2 from 1e-4 to 1e4, upper
+    is certified and passes the sampled gate wherever psi_system builds
+    the system; lower is never certified."""
+    model = make_model("michaelis_menten", [1.0, 1.0], (0.0, upper))
+    built, theta2s = 0, np.logspace(-4.0, 4.0, 17)
+    for theta2 in theta2s:
+        th = np.array([1.0, theta2])
+        try:
+            psi = psi_system(model, th)
+        except ConfigurationError:  # entries coincide on the dedup grid
+            continue
+        built += 1
+        assert gate_certified(model, th, "upper") and not gate_certified(model, th, "lower")
+        base, aug, Q = gate_checks(psi, "upper", 0)
+        assert base.verified and aug.verified and Q is None
+    assert built > theta2s.size // 2
 
 
 def test_flipped_system_matches_reference():

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from tcheb import Design, Interval, MomentPoint, make_model, psi_k_Q, psi_system, solve_lp
-from tcheb.chebyshev import check_real, check_reals, evaluate_basis, polynomial_system
+from tcheb.chebyshev import (
+    basis_matrix, check_real, check_reals, derivative_matrix, evaluate_basis, polynomial_system,
+)
 from tcheb.errors import ConfigurationError, DomainError
 from tcheb.models import information_matrix
 from tcheb.principal import STRUCTURES, refine_newton
@@ -47,6 +49,8 @@ ENTRIES = {
     "feas_tol": ("feas_tol", lambda v: solve_lp(LP["A"], LP["b"], LP["c"], feas_tol=v)),
     "tolerance": ("tolerance", lambda v: verify_domination(MM, (1.0, 1.0), XI, XI, tolerance=v)),
     "evaluate_basis": ("x", lambda v: evaluate_basis(SYS3, v)),
+    "basis_matrix": ("xs[1]", lambda v: basis_matrix(SYS3, [0.5, v])),
+    "derivative_matrix": ("xs[1]", lambda v: derivative_matrix(SYS3, np.array([0.5, v], dtype=object))),
     "refine_newton": (
         "initial atoms[1, 1]",
         lambda v: refine_newton(SYS3, C0, STRUCTURES["upper"](3), [(0.5, 0.5), (1.0, v)]),

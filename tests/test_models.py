@@ -6,9 +6,12 @@ import sys
 import zlib
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tcheb
 from tcheb import (
@@ -27,7 +30,9 @@ from tcheb import (
 from tcheb.chebyshev import derivative_matrix
 from tcheb.errors import ConfigurationError, DomainError, EvaluationError
 from tcheb.moments import moment_point
-from tcheb.reduction import criterion_value, gate_checks, optimize_in_class, reduce_design, verify_domination
+from tcheb.reduction import (
+    criterion_value, gate_certified, gate_checks, optimize_in_class, reduce_design, verify_domination,
+)
 
 MM_IV = (0.0, 10.0)
 
@@ -550,15 +555,16 @@ CERTIFIED_GRID = [
 
 @pytest.mark.parametrize("name,theta,iv", CERTIFIED_GRID, ids=[f"{c[0]}-{c[1]}" for c in CERTIFIED_GRID])
 def test_wronskian_signs_match_a_sympy_derivation(name, theta, iv):
-    """The certificate is the sign, strict for every real x, of each
-    leading Wronskian of the psi system in declared order with h_tail^2
-    appended, and the sympy psi system is the one psi_system evaluates."""
+    """Each leading Wronskian of the psi system in declared order with
+    h_tail^2 appended has a sign strict for every real x; the last two,
+    s_k and s_{k+1}, are the certificate's pair, and the sympy psi system
+    is the one psi_system evaluates."""
     model = make_model(name, theta, iv)
     psi, wronskians = _symbolic_wronskians(name, model.p, model.psi_order)
     at = dict(zip(_T, (sympy.nsimplify(v) for v in theta)))
     signs = tuple(_sign_on_the_line(sympy.simplify(W.subs(at))) for W in wronskians)
     assert None not in signs
-    assert model.wronskian_signs(model, theta) == signs
+    assert model.determinant_signs(model, theta) == signs[-2:]
 
     xs = np.linspace(iv[0], iv[1], 9)
     values = np.array([[float(f.subs(at).subs(_X, x)) for x in xs] for f in psi])
@@ -570,15 +576,99 @@ def test_wronskian_signs_match_a_sympy_derivation(name, theta, iv):
 
 def test_michaelis_menten_declared_order_is_not_certifiable():
     """W_2 of the declared order is x (2 theta2 - x) / (theta2 + x)^4: zero
-    at A = 0 and of both signs on [0, 10] at theta2 = 1, so the entry
-    carries no certificate."""
+    at A = 0 and of both signs on [0, 10] at theta2 = 1, so the Wronskian
+    route certifies nothing.  The entry's pair (1, 1) comes from the
+    Vandermonde factorization instead."""
     model = make_model("michaelis_menten", [1.0, 1.0], MM_IV)
-    assert model.wronskian_signs is None
+    assert model.determinant_signs(model, [1.0, 1.0]) == (1, 1)
     _, wronskians = _symbolic_wronskians("michaelis_menten", 2, model.psi_order)
     w2 = wronskians[1]
     assert sympy.simplify(w2 - _X * (2 * _T[1] - _X) / (_T[1] + _X) ** 4) == 0
     values = [w2.subs({_T[1]: 1, _X: x}) for x in (0, 1, 3)]
     assert values[0] == 0 and values[1] > 0 and values[2] < 0
+
+
+_V = sympy.Symbol("v", positive=True)
+
+
+def test_michaelis_menten_system_is_a_vandermonde_image():
+    """With v = x / (theta2 + x), the psi system with h_tail^2 appended,
+    (1, x^2/d^3, x^2/d^2; x^2/d^4) for d = theta2 + x, is T (1, v^2, v^3,
+    v^4).  T's leading 3 x 3 block has det 1/theta2 and T det 1/theta2^3,
+    both positive at theta2 > 0: the certificate's pair (1, 1)."""
+    model = make_model("michaelis_menten", [1.0, 1.0], MM_IV)
+    psi, _ = _symbolic_wronskians("michaelis_menten", 2, model.psi_order)
+    t2 = _T[1]
+    polys = [sympy.Poly(sympy.cancel(f.subs(_X, t2 * _V / (1 - _V))), _V) for f in psi]
+    exponents = sorted({e for poly in polys for (e,) in poly.monoms()})
+    assert exponents == [0, 2, 3, 4]
+    T = sympy.Matrix([[poly.coeff_monomial(_V**e) for e in exponents] for poly in polys])
+    want = sympy.Matrix([
+        [1, 0, 0, 0],
+        [0, 1 / t2, -1 / t2, 0],
+        [0, 1, 0, 0],
+        [0, 1 / t2**2, -2 / t2**2, 1 / t2**2],
+    ])
+    assert sympy.simplify(T - want) == sympy.zeros(4, 4)
+    assert sympy.simplify(T[:3, :3].det() - 1 / t2) == 0
+    assert sympy.simplify(T.det() - 1 / t2**3) == 0
+
+    theta, xs = [1.0, 2.0], np.linspace(0.0, 10.0, 9)
+    rows = psi_system(model, theta).with_tail(xs)
+    v = xs / (theta[1] + xs)
+    values = np.array(T.subs(t2, theta[1]), dtype=float) @ np.array([v**e for e in exponents])
+    np.testing.assert_allclose(rows[:3], values[:3], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(rows[3] ** 2, values[3], rtol=1e-12, atol=1e-15)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(
+    theta2=st.floats(1e-3, 1e3),
+    upper=st.floats(1e-3, 1e3),
+    gaps=st.lists(st.floats(0.05, 1.0), min_size=5, max_size=5),
+    at_zero=st.booleans(),
+)
+def test_michaelis_menten_collocation_determinants_are_positive(theta2, upper, gaps, at_zero):
+    """At 50 digits, every ordered 4-tuple of [0, B], some starting at 0,
+    has a positive augmented determinant of (1, x^2/d^3, x^2/d^2; x^2/d^4),
+    and each of its 3-point sub-tuples a positive base determinant."""
+    with mpmath.workdps(50):
+        total = mpmath.fsum(gaps)
+        xs = [mpmath.mpf(upper) * mpmath.fsum(gaps[: i + 1]) / total for i in range(4)]
+        if at_zero:
+            xs[0] = mpmath.mpf(0)
+
+        def rows(points):
+            return mpmath.matrix([
+                [1, x**2 / (theta2 + x) ** 3, x**2 / (theta2 + x) ** 2, x**2 / (theta2 + x) ** 4]
+                for x in points
+            ]).T
+
+        assert mpmath.det(rows(xs)) > 0
+        for drop in range(4):
+            base = rows(xs[:drop] + xs[drop + 1 :])
+            assert mpmath.det(base[:3, :3]) > 0
+
+
+@pytest.mark.parametrize(
+    "theta,lower",
+    [([1.0, 1.0], -0.5), ([1.0, -1.0], 0.0), ([1.0, 0.0], 0.0), ([1.0, -0.0], 0.0)],
+    ids=["A<0", "theta2<0", "theta2=0", "theta2=-0"],
+)
+def test_michaelis_menten_is_certified_only_at_positive_theta2_and_nonnegative_a(theta, lower):
+    """The pair needs v = x / (theta2 + x) to rise from v >= 0: an interval
+    made by dataclasses.replace to start below 0, or a theta2 <= 0 passed
+    at call time, is not certified.  On [-0.5, 10] the sampled gate then
+    refuses the base system."""
+    catalog = make_model("michaelis_menten", [1.0, 1.0], MM_IV)
+    model = dataclasses.replace(catalog, design_interval=Interval(lower, 10.0))
+    assert catalog.determinant_signs(catalog, [1.0, 1.0]) == (1, 1)
+    assert model.determinant_signs(model, theta) is None
+    for direction in ("upper", "lower"):
+        assert not gate_certified(model, theta, direction)
+    if lower < 0.0:
+        base, _, _ = gate_checks(psi_system(model, theta), "upper", 0)
+        assert not base.verified
 
 
 @pytest.mark.parametrize("p1", [1, 2])
@@ -587,16 +677,16 @@ def test_only_p1_1_is_certified(name, theta, iv, p1):
     """make_model fills the signs at p1 = 1 only, and they answer None for
     the same model with p1 replaced."""
     model = make_model(name, theta, iv, p1=p1)
-    assert (model.wronskian_signs is not None) == (p1 == 1)
+    assert (model.determinant_signs is not None) == (p1 == 1)
     if p1 == 1:
         replaced = dataclasses.replace(model, p1=2)
-        assert replaced.wronskian_signs(replaced, theta) is None
+        assert replaced.determinant_signs(replaced, theta) is None
 
 
 def test_a_zero_rate_has_no_signs():
     model = make_model("exponential", [1.0, 1.0], (0.0, 3.0))
     for rate in (0.0, -0.0):
-        assert model.wronskian_signs(model, [1.0, rate]) is None
+        assert model.determinant_signs(model, [1.0, rate]) is None
 
 
 def test_importing_tcheb_loads_no_sympy():

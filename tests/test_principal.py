@@ -152,21 +152,21 @@ class TestNewton:
 
             monkeypatch.setattr(tcheb.principal, name, record)
 
-        spy("basis_matrix")
-        spy("derivative_matrix")
+        spy("_basis_matrix")
+        spy("_derivative_matrix")
         full_steps = [(-1.0, 0.2), (0.1, 0.6), (1.0, 0.2)]
         damped = [(-1.0, 0.05), (0.9, 0.9), (1.0, 0.05)]
         for initial in (full_steps, damped):
             calls.clear()
             res = refine_newton(sys4, c0, RepresentationStructure.upper(4), initial)
             names = [name for name, _ in calls]
-            values = [xs for name, xs in calls if name == "basis_matrix"]
+            values = [xs for name, xs in calls if name == "_basis_matrix"]
             steps = res.newton_iterations - 1
-            assert names.count("derivative_matrix") == steps >= 3
+            assert names.count("_derivative_matrix") == steps >= 3
             np.testing.assert_array_equal(values[0], [p for p, _ in initial])
             assert not any(np.array_equal(u, v) for u, v in zip(values, values[1:]))
             if initial is full_steps:
-                assert names == ["basis_matrix"] + ["derivative_matrix", "basis_matrix"] * steps
+                assert names == ["_basis_matrix"] + ["_derivative_matrix", "_basis_matrix"] * steps
             else:
                 assert len(values) > 1 + steps
 
@@ -543,14 +543,14 @@ class TestGridCache:
     def grid_evaluations(monkeypatch):
         """Records the points of every grid-sized basis evaluation."""
         calls = []
-        real = tcheb.principal.basis_matrix
+        real = tcheb.principal._basis_matrix
 
         def record(system, xs):
             if np.size(xs) == tcheb.principal.DEFAULT_GRID:
                 calls.append(np.array(xs))
             return real(system, xs)
 
-        monkeypatch.setattr(tcheb.principal, "basis_matrix", record)
+        monkeypatch.setattr(tcheb.principal, "_basis_matrix", record)
         return calls
 
     @staticmethod

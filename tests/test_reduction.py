@@ -45,6 +45,12 @@ def mm():
     return make_model("michaelis_menten", [1.0, 1.0], MM_IV)
 
 
+def sampled_mm():
+    """mm() without its determinant signs: its upper gate is not
+    certified, so reduce_design runs the sampled gate, which passes."""
+    return dataclasses.replace(mm(), determinant_signs=None)
+
+
 def uniform(points, interval):
     n = len(points)
     return Design(points=tuple(points), weights=(1.0 / n,) * n, interval=Interval(*interval))
@@ -84,13 +90,13 @@ class TestReduce:
         reduce_design(model, [1.0, 1.0], xi, "upper")
         calls = []
         for module in (tcheb.principal, tcheb.moments):
-            real = module.basis_matrix
+            real = module._basis_matrix
 
             def record(system, xs, real=real):
                 calls.append(np.array(xs, dtype=float))
                 return real(system, xs)
 
-            monkeypatch.setattr(module, "basis_matrix", record)
+            monkeypatch.setattr(module, "_basis_matrix", record)
         rep = reduce_design(model, [1.0, 1.0], xi, "upper")
         support = rep.output.points_array()
         assert sum(np.array_equal(xs, support) for xs in calls) == 1
@@ -357,7 +363,7 @@ class TestGateCache:
     check_gate call) runs once per (model, theta, direction, seed) key."""
 
     def test_repeat_key_skips_the_gate(self, checks):
-        model = mm()
+        model = sampled_mm()
         reduce_design(model, [1.0, 1.0], uniform(range(1, 9), MM_IV), "upper")
         assert len(checks) == 1
         rep = reduce_design(model, (1.0, 1.0), uniform([1.0, 4.0, 9.0], MM_IV), "upper")
@@ -367,14 +373,14 @@ class TestGateCache:
     @pytest.mark.parametrize(
         "change",
         [
-            {"model": mm()},
+            {"model": sampled_mm()},
             {"theta": [1.0, float(np.nextafter(1.0, 2.0))]},
             {"seed": 1},
         ],
         ids=["model", "theta", "seed"],
     )
     def test_any_key_change_runs_the_gate(self, checks, change):
-        model = mm()
+        model = sampled_mm()
         args = dict(model=model, theta=[1.0, 1.0], xi=uniform(range(1, 9), MM_IV), direction="upper")
         reduce_design(**args)
         checks.clear()
@@ -382,7 +388,7 @@ class TestGateCache:
         assert len(checks) == 1
 
     def test_direction_is_part_of_the_key(self, checks):
-        model = mm()
+        model = sampled_mm()
         xi = uniform(range(1, 9), MM_IV)
         reduce_design(model, [1.0, 1.0], xi, "upper")
         checks.clear()
@@ -424,7 +430,7 @@ class TestGateCache:
     def test_float_seed_is_refused_cold_and_warm(self, checks, seed, warm):
         """1.0 == 1 hash alike, so the seed is checked before the lookup:
         a float is refused whether or not its integer warmed the cache."""
-        model, xi = mm(), uniform([1.0, 4.0, 6.0, 9.0], MM_IV)
+        model, xi = sampled_mm(), uniform([1.0, 4.0, 6.0, 9.0], MM_IV)
         for _ in range(2):
             with pytest.raises(ConfigurationError, match="^seed must be an integer, got float$"):
                 reduce_design(model, [1.0, 1.0], xi, "upper", seed=seed)
@@ -461,6 +467,8 @@ class TestGateCache:
     )
     def test_hit_payload_equals_miss_payload(self, checks, name, theta, iv, direction):
         model = make_model(name, theta, iv)
+        if name == "michaelis_menten":  # one key that runs the sampled gate
+            model = dataclasses.replace(model, determinant_signs=None)
         xi = uniform(np.linspace(iv[0] + 0.1, iv[1] - 0.1, 7), iv)
         miss = json.dumps(_reduce_payload(reduce_design(model, theta, xi, direction)), sort_keys=True)
         hit = json.dumps(_reduce_payload(reduce_design(model, theta, xi, direction)), sort_keys=True)
@@ -469,6 +477,37 @@ class TestGateCache:
         assert (info.misses, info.hits) == (1, 1)
         assert len(checks) == (0 if name == "exponential" else 1)
         assert hit == miss
+
+
+def test_a_repeated_key_checks_theta_once(monkeypatch):
+    """On a cached key reduce_design reads theta through check_reals once;
+    verify_domination's information matrices reuse the checked vector."""
+    model, xi = mm(), uniform(range(1, 9), MM_IV)
+    reduce_design(model, [1.0, 1.0], xi, "upper")
+    names = []
+    real = tcheb.models.check_reals
+
+    def record(values, name):
+        names.append(name)
+        return real(values, name)
+
+    monkeypatch.setattr(tcheb.models, "check_reals", record)
+    reduce_design(model, [1.0, 1.0], xi, "upper")
+    assert names == ["model michaelis_menten theta"]
+
+
+def test_michaelis_menten_upper_runs_no_sampled_gate(checks):
+    """michaelis_menten upper is certified at theta2 > 0, so reduce_design
+    makes no check_gate call there; its lower gate still runs the sample,
+    which refuses it."""
+    model, xi = mm(), uniform(range(1, 9), MM_IV)
+    for theta2 in (0.25, 1.0, 4.0):
+        assert gate_certified(model, [1.0, theta2], "upper")
+        assert reduce_design(model, [1.0, theta2], xi, "upper").branch == "OddCase"
+    assert checks == []
+    with pytest.raises(PreconditionError, match="^augmented system for direction 'lower'"):
+        reduce_design(model, [1.0, 1.0], xi, "lower")
+    assert len(checks) == 1
 
 
 def _negated_h1_gradient(model):
@@ -495,7 +534,7 @@ def test_a_replaced_gradient_or_p_matrix_is_not_certified(field, direction):
     }[field]
     model = dataclasses.replace(catalog, **{field: replacement})
     assert gate_certified(catalog, theta, "lower")
-    assert model.wronskian_signs(model, theta) is None
+    assert model.determinant_signs(model, theta) is None
     assert not gate_certified(model, theta, direction)
     xi = uniform(np.linspace(0.1, 2.9, 7), iv)
     with pytest.raises(PreconditionError, match="^base psi system") as err:
