@@ -13,7 +13,6 @@ while a clean pass over many tuples is evidence, not proof.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
@@ -32,10 +31,6 @@ INDETERMINATE_REL = 1e-12
 
 DEFAULT_GRID_SIZE = 512
 DEFAULT_NUM_TUPLES = 2000
-# Tuple samples kept per (interval, k, grid_size, num_random_tuples, seed)
-# key.  A sample holds (grid_size - k + 1 + num_random_tuples) k-tuples of
-# float64, so at the defaults one takes at most 20,096 k bytes.
-SAMPLE_CACHE_SIZE = 16
 
 # Slack used when testing membership of a point in the interval, relative
 # to the interval length.  Guards against round-off on endpoint arithmetic.
@@ -201,27 +196,6 @@ def evaluate_basis(system: ChebyshevSystem, x: float) -> np.ndarray:
     return _basis_matrix(system, np.array([x]))[:, 0]
 
 
-@functools.lru_cache(maxsize=SAMPLE_CACHE_SIZE)
-def _memo_tuples(bounds: bytes, k: int, grid_size: int, num_random_tuples: int, seed: int) -> np.ndarray:
-    """Every run of k consecutive points of an equispaced grid, then the
-    sorted uniform draws whose points are more than 1e-9 (b - a) apart;
-    memoised and read-only.  The endpoints are keyed by their bytes,
-    which tell 0.0 from -0.0 where floats do not."""
-    a, b = np.frombuffer(bounds).tolist()
-    batches = [sliding_window_view(np.linspace(a, b, grid_size), k)]
-    if num_random_tuples > 0:
-        rng = np.random.default_rng(seed)
-        rand = np.sort(rng.uniform(a, b, size=(num_random_tuples, k)), axis=1)
-        if k > 1:
-            # Degenerate tuples (coincident points) carry no sign information.
-            gap = np.min(np.diff(rand, axis=1), axis=1)
-            rand = rand[gap > 1e-9 * (b - a)]
-        batches.append(rand)
-    tuples = np.vstack(batches)
-    tuples.flags.writeable = False
-    return tuples
-
-
 def check_count(value, name: str, minimum: Optional[int] = None) -> int:
     """The value as an ``int``, numpy integers included and bools not, of
     at least ``minimum`` when one is given, or ConfigurationError."""
@@ -273,11 +247,22 @@ def check_interval(value, name: str) -> None:
 
 
 def _sample(interval: Interval, k: int, grid_size: int, num_random_tuples: int, seed) -> np.ndarray:
-    bounds = np.array([interval.lower, interval.upper]).tobytes()
-    return _memo_tuples(
-        bounds, k, check_count(grid_size, "grid_size", k),
-        check_count(num_random_tuples, "num_random_tuples", 0), check_count(seed, "seed", 0),
-    )
+    """Every run of k consecutive points of an equispaced grid, then the
+    sorted uniform draws whose points are more than 1e-9 (b - a) apart."""
+    grid_size = check_count(grid_size, "grid_size", k)
+    num_random_tuples = check_count(num_random_tuples, "num_random_tuples", 0)
+    seed = check_count(seed, "seed", 0)
+    a, b = interval.lower, interval.upper
+    batches = [sliding_window_view(np.linspace(a, b, grid_size), k)]
+    if num_random_tuples > 0:
+        rng = np.random.default_rng(seed)
+        rand = np.sort(rng.uniform(a, b, size=(num_random_tuples, k)), axis=1)
+        if k > 1:
+            # Degenerate tuples (coincident points) carry no sign information.
+            gap = np.min(np.diff(rand, axis=1), axis=1)
+            rand = rand[gap > 1e-9 * (b - a)]
+        batches.append(rand)
+    return np.vstack(batches)
 
 
 def _row_norms(V: np.ndarray) -> np.ndarray:
@@ -335,12 +320,8 @@ def check_chebyshev(
     was nonpositive.  Tuples below the indeterminacy threshold carry no
     sign information and cannot fail the check.
 
-    The sample does not depend on the functions, so it is drawn once per
-    (interval, k, grid_size, num_random_tuples, seed) key and kept for the
-    last ``SAMPLE_CACHE_SIZE`` keys (about 2.6 MB at k = 8 and the default
-    sizes).  ``seed`` is a nonnegative integer, numpy integers included;
-    anything else, such as a ``np.random.Generator``, raises
-    ConfigurationError.
+    ``seed`` is a nonnegative integer, numpy integers included; anything
+    else, such as a ``np.random.Generator``, raises ConfigurationError.
     """
     k = system.k
     tuples = _sample(system.interval, k, grid_size, num_random_tuples, seed)

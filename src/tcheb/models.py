@@ -139,10 +139,14 @@ def _information_matrix(model: RegressionModel, theta: np.ndarray, design) -> np
 
 
 def _p_inverse(model: RegressionModel, theta) -> np.ndarray:
+    """P^{-1}, or ConfigurationError when P is not finite or is numerically
+    singular: a condition number above 1e12 once each row is scaled to unit
+    max-norm, so a diagonal P of any scale is inverted."""
     P = np.asarray(model.p_matrix(theta), dtype=float)
     if P.shape != (model.p, model.p):
         raise ConfigurationError(f"P matrix of {model.name} has shape {P.shape}")
-    if not np.all(np.isfinite(P)) or np.linalg.cond(P) > 1e12:
+    rows = np.abs(P).max(axis=1, keepdims=True)
+    if not (np.all(np.isfinite(P)) and rows.all()) or np.linalg.cond(P / rows) > 1e12:
         raise ConfigurationError(f"P matrix of {model.name} is numerically singular")
     return np.linalg.inv(P)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -293,21 +293,28 @@ def _domination(model: RegressionModel, theta: np.ndarray, xi1: Design, xi2: Des
 
 
 def criterion_value(model: RegressionModel, theta, design: Design, criterion: str = "d") -> float:
-    """log det M for criterion "d", -trace(M^{-1}) for criterion "a".
+    """log det M for criterion "d", -trace(M^{-1}) for criterion "a", or
+    -inf when M is singular.
 
-    Returns -inf when the information matrix is singular.  Rank is judged
-    from the eigenvalues: a rank-deficient M produced by a too-small
-    support otherwise leaks float-noise determinants of either sign.
+    Rank is judged on S = M / sqrt(d_i d_j), d = diag(M), which does not
+    depend on the scale of theta: M is singular when some d_i is 0 or
+    lambda_min(S) <= 1e-13 p, so a too-small support leaks no float-noise
+    determinant.  The value is M's own, from S's eigenpairs (lam, U):
+    sum log d + sum log lam, or -sum_ij U_ij^2 / (d_i lam_j).
     """
     if criterion not in ("d", "a"):
         raise ConfigurationError(f"criterion must be 'd' or 'a', got {criterion!r}")
     M = information_matrix(model, theta, design)
-    eigs = np.linalg.eigvalsh(M)
-    if eigs[0] <= 1e-13 * max(1.0, eigs[-1]):
+    d = M.diagonal()
+    if not d.all():
+        return -math.inf
+    s = np.sqrt(d)
+    lam, U = np.linalg.eigh(M / np.outer(s, s))
+    if lam[0] <= 1e-13 * d.size:
         return -math.inf
     if criterion == "d":
-        return float(np.sum(np.log(eigs)))
-    return -float(np.sum(1.0 / eigs))
+        return float(np.log(d).sum() + np.log(lam).sum())
+    return -float(((U * U) @ (1.0 / lam) / d).sum())
 
 
 def optimize_in_class(
@@ -333,7 +340,11 @@ def optimize_in_class(
     caller's responsibility.  The bounds let a free point reach A or B
     exactly, so the optimum may lie on the closure of the class:
     ``exponential3`` lower under D at restarts 4, seed 0 returns
-    (0, 0.8428, 3), though its structure excludes B.
+    (0, 0.8428, 3), though its structure excludes B.  Every trial is a
+    valid design: scipy clips each vertex to the bounds, and softmax
+    weights are nonnegative with the largest 1 before normalising.  A
+    trial whose M is singular by ``criterion_value``'s scale-free rule
+    scores a large finite penalty.
     """
     from scipy.optimize import minimize
 
@@ -349,31 +360,25 @@ def optimize_in_class(
     n_free = structure.interior_points
     dim = n_free + (n_pts - 1)
 
-    def assemble(z: np.ndarray) -> Optional[Design]:
+    def assemble(z: np.ndarray) -> Design:
         pts = [a] * structure.includes_A + np.sort(z[:n_free]).tolist() + [b] * structure.includes_B
         logits = np.append(z[n_free:], 0.0)
         logits -= logits.max()
         w = np.exp(logits)
         w /= w.sum()
-        try:
-            return Design(points=pts, weights=w, interval=model.design_interval)
-        except ConfigurationError:
-            return None
+        return Design(points=pts, weights=w, interval=model.design_interval)
 
     # Singular matrices map to a large finite penalty; infinities would
     # poison Nelder-Mead's simplex comparisons.
     PENALTY = 1e300
 
     def objective(z: np.ndarray) -> float:
-        d = assemble(z)
-        if d is None:
-            return PENALTY
-        val = criterion_value(model, theta, d, criterion)
+        val = criterion_value(model, theta, assemble(z), criterion)
         return -val if math.isfinite(val) else PENALTY
 
     if dim == 0:
         d = assemble(np.empty(0))
-        if d is None or not math.isfinite(criterion_value(model, theta, d, criterion)):
+        if not math.isfinite(criterion_value(model, theta, d, criterion)):
             raise DegeneracyError("the structure admits no nonsingular design")
         return d
 

@@ -703,3 +703,29 @@ def test_importing_tcheb_loads_no_sympy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "name, theta, theta_one, iv, direction",
+    [
+        ("michaelis_menten", (1e-13, 1.0), (1.0, 1.0), MM_IV, "upper"),
+        ("exponential", (1e13, -1.0), (1.0, -1.0), (0.0, 3.0), "lower"),
+        ("exponential3", (1.0, 1e-13, -1.0), (1.0, 1.0, -1.0), (0.0, 3.0), "lower"),
+    ],
+)
+def test_a_diagonal_p_of_any_scale_is_inverted(name, theta, theta_one, iv, direction):
+    """P is diagonal in theta here and h = P^{-1} g does not depend on its
+    scale, so the reduction matches the one at the unit entry."""
+    model = make_model(name, theta_one, iv)
+    xi = Design(points=tuple(np.linspace(*iv, 10)[1:-1]), weights=(0.125,) * 8, interval=Interval(*iv))
+    got, want = reduce_design(model, theta, xi, direction).output, reduce_design(model, theta_one, xi, direction).output
+    np.testing.assert_allclose(got.points, want.points, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(got.weights, want.weights, rtol=0.0, atol=1e-12)
+
+
+def test_a_singular_p_is_refused():
+    model = dataclasses.replace(
+        make_model("michaelis_menten", [1.0, 1.0], MM_IV), p_matrix=lambda th: np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    )
+    with pytest.raises(ConfigurationError, match="^P matrix of michaelis_menten is numerically singular$"):
+        psi_system(model, [1.0, 1.0])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 import textwrap
@@ -510,6 +511,29 @@ def test_michaelis_menten_upper_runs_no_sampled_gate(checks):
     assert len(checks) == 1
 
 
+def _swept_keys():
+    """(name, theta, interval, direction) of the reduce benchmark's four
+    cases over the ranges its parameter sweep draws from."""
+    for v in np.linspace(0.5, 2.0, 4):
+        yield "michaelis_menten", (1.0, v), MM_IV, "upper"
+    for v in np.linspace(-2.0, -0.5, 4):
+        yield "exponential", (1.0, v), (0.0, 3.0), "lower"
+        yield "exponential3", (1.0, 1.0, v), (0.0, 3.0), "lower"
+    for theta in np.random.default_rng(0).normal(0.0, 1.0, (4, 4)):
+        yield "polynomial", tuple(theta), (-1.0, 1.0), "upper"
+
+
+def test_swept_keys_run_no_sampled_gate(checks):
+    """Every swept key is certified, so reducing a spread design there
+    makes no check_gate call."""
+    for name, theta, iv, direction in _swept_keys():
+        model = make_model(name, theta, iv)
+        assert gate_certified(model, theta, direction)
+        xi = uniform(np.linspace(*iv, 14)[1:-1].tolist(), iv)
+        assert reduce_design(model, theta, xi, direction).branch != "Identity"
+    assert checks == []
+
+
 def _negated_h1_gradient(model):
     """The exponential's gradient with its x e entry negated."""
 
@@ -778,6 +802,24 @@ class TestOptimize:
     def test_criterion_value_refuses_a_bad_criterion(self):
         with pytest.raises(ConfigurationError, match="^criterion must be 'd' or 'a', got 'D'$"):
             criterion_value(mm(), [1.0, 1.0], uniform(range(1, 9), MM_IV), "D")
+
+    @pytest.mark.parametrize("theta1", [1e-7, 1e-12])
+    def test_rank_does_not_depend_on_the_scale_of_theta(self, theta1):
+        """exponential's information matrix on {0, 1} is diag(1, theta1)
+        M(1) diag(1, theta1): full rank at any theta1 != 0, so its D value
+        is shifted by 2 log theta1, its A value is finite, a one-point
+        design stays singular, and the search finds theta1 = 1's support."""
+        model = make_model("exponential", [1.0, -1.0], (0.0, 3.0))
+        xi, one = uniform([0.0, 1.0], (0.0, 3.0)), uniform([1.0], (0.0, 3.0))
+        d1 = criterion_value(model, [1.0, -1.0], xi, "d")
+        assert criterion_value(model, [theta1, -1.0], xi, "d") == pytest.approx(d1 + 2.0 * np.log(theta1), abs=1e-12)
+        assert math.isfinite(criterion_value(model, [theta1, -1.0], xi, "a"))
+        for criterion in ("d", "a"):
+            assert criterion_value(model, [theta1, -1.0], one, criterion) == -math.inf
+        best = optimize_in_class(model, [theta1, -1.0], "d", "lower", 4)
+        want = optimize_in_class(model, [1.0, -1.0], "d", "lower", 4)
+        assert best.points == pytest.approx(want.points, abs=1e-6)
+        assert best.weights == pytest.approx(want.weights, abs=1e-6)
 
     def test_a_one_point_class_is_degenerate(self):
         """At p1 = p = 2 the psi system is the constant alone, k = 1: the
