@@ -78,7 +78,6 @@ class ChebyshevSystem:
     k: int
     evaluator: Callable
     derivative_evaluator: Optional[Callable] = None
-    name: str = ""
 
     def __post_init__(self):
         check_interval(self.interval, "system interval")
@@ -86,7 +85,7 @@ class ChebyshevSystem:
             raise ConfigurationError("a system needs at least one basis function")
 
     @classmethod
-    def from_functions(cls, interval, basis, derivatives=None, name="") -> "ChebyshevSystem":
+    def from_functions(cls, interval, basis, derivatives=None) -> "ChebyshevSystem":
         """The system of one callable per psi_i, and per d(psi_i)/dx if given:
         each maps a float ndarray to one of its shape or to a scalar, or is
         called point by point if it rejects arrays."""
@@ -96,7 +95,7 @@ class ChebyshevSystem:
             if len(derivatives) != len(basis):
                 raise ConfigurationError("derivatives must match the basis in length")
             derivatives = _stacked(derivatives, "derivatives")
-        return cls(interval, len(basis), _stacked(basis, "basis"), derivatives, name)
+        return cls(interval, len(basis), _stacked(basis, "basis"), derivatives)
 
 
 def _stacked(fs: Tuple[Callable, ...], name: str) -> Callable:
@@ -379,11 +378,8 @@ def augment(system: ChebyshevSystem, omega: Callable) -> ChebyshevSystem:
     No determinant check is performed; callers run check_chebyshev on the
     result when they need the property.
     """
-    name = f"{system.name}+omega" if system.name else "+omega"
     row = _stacked((omega,), "omega")
-    return ChebyshevSystem(
-        system.interval, system.k + 1, lambda xs: np.vstack([system.evaluator(xs), row(xs)]), name=name
-    )
+    return ChebyshevSystem(system.interval, system.k + 1, lambda xs: np.vstack([system.evaluator(xs), row(xs)]))
 
 
 def monomials(x, k: int) -> np.ndarray:
@@ -415,6 +411,4 @@ def monomial_derivatives(x, k: int) -> np.ndarray:
 
 def polynomial_system(k: int, interval: Interval) -> ChebyshevSystem:
     """The monomial system {1, x, ..., x^(k-1)} with analytic derivatives."""
-    return ChebyshevSystem(
-        interval, k, lambda xs: monomials(xs, k), lambda xs: monomial_derivatives(xs, k), f"monomials_{k}"
-    )
+    return ChebyshevSystem(interval, k, lambda xs: monomials(xs, k), lambda xs: monomial_derivatives(xs, k))

@@ -4,11 +4,11 @@ Subcommands: check, moments, reduce, dominate, optimize.  Inputs are a
 model-spec JSON and design JSONs; reports are written as JSON (with
 design tables additionally emitted as CSV next to the report).  Each
 subcommand accepts only the flags it reads: ``--seed`` on check, reduce
-and optimize, ``--tol.psd=`` on dominate.  ``check`` reports every
-determinant check of the sampled gate at the seed, and whether the
-model's closed-form determinant signs certify the gate (``certified``,
-true for instance for michaelis_menten upper at theta2 > 0), in which
-case ``reduce`` skips that sample.
+and optimize, ``--tol.psd=`` on dominate.  ``check`` reports the
+determinant gate ``reduce`` runs: ``certified`` true alone where the
+model's closed-form determinant signs prove it (for instance
+michaelis_menten upper at theta2 > 0), otherwise both checks of the
+sampled gate at the seed.
 Exit status 0 on success, 2 when a determinant precondition fails, 1 on
 I/O or schema errors.  All other library errors, and
 arithmetic that overflows, divides by zero or is invalid (code
@@ -35,10 +35,9 @@ from .moments import Design, design_index, moment_point
 from .reduction import (
     PSD_TOL,
     criterion_value,
-    gate_certified,
-    gate_checks,
     optimize_in_class,
     reduce_design,
+    run_gate,
     verify_domination,
 )
 
@@ -148,19 +147,16 @@ def _check_report(rep) -> dict:
 def _cmd_check(args) -> int:
     model, theta = _load_model(args.model)
     psi = psi_system(model, theta)
-    base, aug, Q = gate_checks(psi, args.direction, args.seed)
-    augmented = _check_report(aug)
-    if Q is not None:
-        augmented["Q"] = list(Q)
-    report = {
-        "base": _check_report(base),
-        "augmented": augmented,
-        "certified": gate_certified(model, theta, args.direction),
-        "direction": args.direction,
-        "k": psi.k,
-    }
+    checks = run_gate(model, theta, psi, args.direction, args.seed)
+    report = {"certified": checks is None, "direction": args.direction, "k": psi.k}
+    if checks is not None:
+        base, aug, Q = checks
+        report["base"] = _check_report(base)
+        report["augmented"] = _check_report(aug)
+        if Q is not None:
+            report["augmented"]["Q"] = list(Q)
     _write_report(args.out, report)
-    return EXIT_OK if base.verified and aug.verified else EXIT_PRECONDITION
+    return EXIT_OK if checks is None or (base.verified and aug.verified) else EXIT_PRECONDITION
 
 
 def _cmd_moments(args) -> int:

@@ -231,10 +231,8 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
         dH = Pinv @ np.asarray(model.gradient_dx(xs, theta), dtype=float)
         return np.vstack([np.zeros((1, H.shape[1])), dH[I] * H[J] + H[I] * dH[J]])
 
-    system = ChebyshevSystem(
-        model.design_interval, k, lambda xs: with_tail(xs)[:k],
-        None if model.gradient_dx is None else derivative_rows, name=f"{model.name}_psi"
-    )
+    dpsi = None if model.gradient_dx is None else derivative_rows
+    system = ChebyshevSystem(model.design_interval, k, lambda xs: with_tail(xs)[:k], dpsi)
     return PsiSystem(system=system, p1=p1, h=h, with_tail=with_tail)
 
 

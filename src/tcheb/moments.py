@@ -186,7 +186,6 @@ class BoundaryReport:
     classification: str  # "Boundary" or "Interior"
     gamma_lower: float
     gamma_upper: float
-    probe: str
 
 
 def moment_point(system: ChebyshevSystem, design: Design) -> MomentPoint:
@@ -254,5 +253,4 @@ def classify_point(
         classification="Boundary" if boundary else "Interior",
         gamma_lower=float(gamma_lower),
         gamma_upper=float(gamma_upper),
-        probe=getattr(probe, "__name__", "probe"),
     )

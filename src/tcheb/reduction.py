@@ -14,13 +14,14 @@ unchanged; their gain and information difference are exact zeros.
 
 Both hypotheses are determinant conditions: the psi system, and the psi
 system augmented by +psi_k^Q (upper) or -psi_k^Q (lower) for every
-nonzero Q, must be Chebyshev systems.  ``gate_certified`` proves both
-from a catalog model's closed-form determinant signs; every other key
-runs the sampled gate, ``gate_checks``, before any computation.  A
-failed check raises a precondition error rather than producing an output
-whose domination guarantee has no backing.  Whether an output dominates its
-input in the Loewner order is judged in one place, ``verify_domination``;
-the reduction refuses an output that fails it.
+nonzero Q, must be Chebyshev systems.  ``run_gate`` decides them once
+per key: ``gate_certified`` proves both from a catalog model's
+closed-form determinant signs, and every other key runs the sampled
+gate, ``gate_checks``, before any computation.  A failed check raises a
+precondition error rather than producing an output whose domination
+guarantee has no backing.  Whether an output dominates its input in the
+Loewner order is judged in one place, ``verify_domination``; the
+reduction refuses an output that fails it.
 """
 
 from __future__ import annotations
@@ -113,6 +114,18 @@ def gate_certified(model: RegressionModel, theta, direction: str) -> bool:
     return signs is not None and signs[0] > 0 and signs[1] == sign
 
 
+def run_gate(model: RegressionModel, theta, psi: PsiSystem, direction: str, seed):
+    """The determinant gate ``reduce_design`` runs on a key: None where
+    ``gate_certified`` proves it, otherwise ``gate_checks``' (base,
+    augmented, Q) at ``seed``, psi the psi system at theta.  ``seed`` must
+    be a nonnegative integer, checked first, so a certified key refuses a
+    bad one too."""
+    seed = check_count(seed, "seed", 0)
+    if gate_certified(model, theta, direction):
+        return None
+    return gate_checks(psi, direction, seed)
+
+
 def _cached_call(cached: Callable, *key):
     """cached(*key), or the function it memoises when a part of the key is
     unhashable."""
@@ -129,20 +142,20 @@ def _gated_psi(model: RegressionModel, theta_bytes: bytes, direction: str, seed:
     and the arrays of that direction's moment LP: the grid of
     ``principal.lp_grid``, the basis V on it and the objective row +-tr C22.
 
-    A key that ``gate_certified`` proves runs no ``gate_checks``; any other
-    runs the sampled gate, whose base refusal raises PreconditionError
-    before an augmented one.  The gate and the LP arrays do not depend on
-    the design, so they are memoised per key, the arrays read-only; a
-    refusal is never cached.  The grid is evaluated once, psi over h_tail
-    in one ``with_tail`` call, like the gate's sample, and the objective
-    row in that evaluation, so its overflow raises EvaluationError.  theta
-    is keyed by its bytes, which tell 0.0 from -0.0 where floats do not;
-    the seed must be checked before keying.
+    ``run_gate`` decides the gate; a sampled base refusal raises
+    PreconditionError before an augmented one.  The gate and the LP arrays
+    do not depend on the design, so they are memoised per key, the arrays
+    read-only; a refusal is never cached.  The grid is evaluated once, psi
+    over h_tail in one ``with_tail`` call, like the gate's sample, and the
+    objective row in that evaluation, so its overflow raises
+    EvaluationError.  theta is keyed by its bytes, which tell 0.0 from -0.0
+    where floats do not; the seed must be checked before keying.
     """
     theta = np.frombuffer(theta_bytes)
     psi = psi_system(model, theta)
-    if not gate_certified(model, theta, direction):
-        base, rep, Q = gate_checks(psi, direction, seed)
+    checks = run_gate(model, theta, psi, direction, seed)
+    if checks is not None:
+        base, rep, Q = checks
         if not base.verified:
             raise PreconditionError(
                 f"base psi system fails the determinant condition at tuple {base.witness}",
@@ -193,9 +206,9 @@ def reduce_design(
     """Reduce a design to its dominating principal representation.
 
     Verifies the determinant hypotheses for the requested direction, the
-    base system and its augmentation for every nonzero Q: by the model's
-    determinant signs where ``gate_certified`` holds, otherwise in one
-    sampled pass (``gate_checks``, the gate ``tcheb check`` reports),
+    base system and its augmentation for every nonzero Q, by ``run_gate``
+    (the gate ``tcheb check`` reports): by the model's determinant signs
+    where ``gate_certified`` holds, otherwise in one sampled pass,
     computes the moment point, and returns either the design itself
     (branch Identity, when its index is below k/2) or the principal
     representation matching all k moments; theta passes ``check_reals``.

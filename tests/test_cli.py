@@ -60,11 +60,12 @@ def test_moments_single_point_index_one(workdir):
 
 
 def test_check_pass_and_fail(workdir):
+    """michaelis_menten upper is certified, so its report is the
+    certificate alone; exponential upper at a negative rate runs the
+    sample, whose augmented check refuses."""
     out = workdir / "check.json"
     assert run(workdir, "check", "--model", workdir / "mm.json", "--out", out) == 0
-    rep = json.loads(out.read_text())
-    assert rep["base"]["verified"] is True
-    assert rep["augmented"]["verified"] is True
+    assert json.loads(out.read_text()) == {"certified": True, "direction": "upper", "k": 3}
 
     out2 = workdir / "check2.json"
     code = run(workdir, "check", "--model", workdir / "expneg.json",
@@ -456,10 +457,10 @@ GATE_CASES = [
 def test_check_reports_the_gate_reduce_runs(
     workdir, monkeypatch, name, theta, iv, refused_direction, direction
 ):
-    """tcheb check calls check_gate once.  reduce_design calls it with the
-    same arguments and gets the same reports, except where check reports
-    "certified": true: then reduce makes no check_gate call, and the
-    sampled verdict check reports passes."""
+    """At seeds 0 and 1, tcheb check makes the check_gate calls that
+    reduce_design makes, with the same reports, and exits by the same
+    verdict: none where check reports "certified": true, and then the
+    report is the certificate alone."""
     calls = []
     xs = np.linspace(iv[0], iv[1], 11)
 
@@ -476,33 +477,55 @@ def test_check_reports_the_gate_reduce_runs(
     monkeypatch.setattr(tcheb.reduction, "check_gate", recording(tcheb.reduction.check_gate))
     spec, out = workdir / "spec.json", workdir / "check.json"
     spec.write_text(json.dumps({"model": name, "theta": theta, "interval": iv}))
-    code = run(workdir, "check", "--model", spec, "--direction", direction, "--out", out)
-    checked = calls[:]
-    calls.clear()
     pts = np.linspace(iv[0], iv[1], 9)[1:-1]
     xi = Design(points=tuple(pts), weights=(1 / 7,) * 7, interval=Interval(*iv))
-    try:
-        reduce_design(make_model(name, theta, iv), theta, xi, direction)
-        refused = False
-    except PreconditionError:
-        refused = True
+    k = psi_system(make_model(name, theta, iv), theta).k
+    for seed in (0, 1):
+        code = run(workdir, "check", "--model", spec, "--direction", direction, "--seed", seed, "--out", out)
+        checked = calls[:]
+        calls.clear()
+        try:
+            reduce_design(make_model(name, theta, iv), theta, xi, direction, seed=seed)
+            refused = False
+        except PreconditionError:
+            refused = True
 
-    assert refused == (direction == refused_direction)
-    assert code == (2 if refused else 0)
-    assert len(checked) == 1
-    report = json.loads(out.read_text())
-    assert report["certified"] == (calls == [])
-    assert report["certified"] == (direction != refused_direction)
-    assert calls == ([] if report["certified"] else checked)
-    if report["certified"]:
-        assert code == 0
-    (_, (base, aug, Q)), = checked
-    assert report["augmented"].get("Q") == (None if Q is None else list(Q))
-    assert (Q is None) == aug.verified
-    for part, rep in (("base", base), ("augmented", aug)):
-        assert report[part]["verified"] == rep.verified
-        assert report[part]["tuples_checked"] == rep.tuples_checked
-        assert report[part].get("witness") == (list(rep.witness) if rep.witness else None)
+        assert refused == (direction == refused_direction)
+        assert code == (2 if refused else 0)
+        assert calls == checked
+        calls.clear()
+        report = json.loads(out.read_text())
+        assert report["certified"] == (checked == []) == (direction != refused_direction)
+        if report["certified"]:
+            assert report == {"certified": True, "direction": direction, "k": k}
+            continue
+        (_, (base, aug, Q)), = checked
+        assert report["augmented"].get("Q") == (None if Q is None else list(Q))
+        assert (Q is None) == aug.verified
+        for part, rep in (("base", base), ("augmented", aug)):
+            assert report[part]["verified"] == rep.verified
+            assert report[part]["tuples_checked"] == rep.tuples_checked
+            assert report[part].get("witness") == (list(rep.witness) if rep.witness else None)
+
+
+# Keys whose closed-form signs prove the gate while the sample at seed 0
+# fails on them: exponential lower at rate -48 underflows to decisive zero
+# determinants, and exponential3 upper at rate 40 overflows in det.
+EXTREME_CERTIFIED = [
+    ("exponential", [1.0, -48.0], "lower", 3),
+    ("exponential3", [1.0, 1.0, 40.0], "upper", 5),
+]
+
+
+@pytest.mark.parametrize("name,theta,direction,k", EXTREME_CERTIFIED, ids=[c[0] for c in EXTREME_CERTIFIED])
+def test_check_passes_a_certified_key_whose_sample_fails(workdir, name, theta, direction, k):
+    """tcheb check reports the certificate that reduce_design runs on, not
+    the sample's refusal or overflow."""
+    assert gate_certified(make_model(name, theta, [0.0, 3.0]), theta, direction)
+    spec, out = workdir / "spec.json", workdir / "check.json"
+    spec.write_text(json.dumps({"model": name, "theta": theta, "interval": [0.0, 3.0]}))
+    assert run(workdir, "check", "--model", spec, "--direction", direction, "--out", out) == 0
+    assert json.loads(out.read_text()) == {"certified": True, "direction": direction, "k": k}
 
 
 # Catalog models with a psi_order that orients the base system wrongly:
@@ -578,11 +601,12 @@ def test_overflow_after_the_gradient_names_the_products(workdir, command, messag
 
 
 def test_an_overflowing_gate_determinant_is_the_librarys_evaluation_error(workdir):
-    """exponential3 at rate 40 is finite on [0, 3], but its gate's
-    determinants are not."""
+    """exponential3 at rate 40 is finite on [0, 3], but its sampled gate's
+    determinants are not; lower is not certified there, so it runs the
+    sample."""
     spec, out = workdir / "spec.json", workdir / "out.json"
     spec.write_text(json.dumps({"model": "exponential3", "theta": [1.0, 1.0, 40.0], "interval": [0.0, 3.0]}))
-    assert run(workdir, "check", "--model", spec, "--direction", "upper", "--out", out) == 1
+    assert run(workdir, "check", "--model", spec, "--direction", "lower", "--out", out) == 1
     error = json.loads(out.read_text())["error"]
     assert error == {"code": "evaluation", "message": "determinant gate: overflow encountered in det"}
 

@@ -607,7 +607,10 @@ class TestGridCache:
 
         assert payload(warm) == payload(cold) == payload(again)
 
-    def test_unhashable_evaluator_runs_uncached(self, monkeypatch):
+    def test_each_call_evaluates_its_grid(self, monkeypatch):
+        """Principal calls keep no memo, so each call on a system with an
+        unhashable evaluator evaluates its grid, and the designs equal
+        those of the hashable system."""
         calls = self.grid_evaluations(monkeypatch)
         sys4, c0 = uniform_c0(4)
 
