@@ -80,7 +80,7 @@ class ChebyshevSystem:
     derivative_evaluator: Optional[Callable] = None
 
     def __post_init__(self):
-        check_interval(self.interval, "system interval")
+        check_type(self.interval, Interval, "system interval")
         if check_count(self.k, "k") < 1:
             raise ConfigurationError("a system needs at least one basis function")
 
@@ -239,10 +239,12 @@ def check_reals(values, name: str) -> np.ndarray:
     return entries.astype(float)
 
 
-def check_interval(value, name: str) -> None:
-    """Refuse a value that is not an ``Interval`` with ConfigurationError."""
-    if not isinstance(value, Interval):
-        raise ConfigurationError(f"{name} must be an Interval, got {type(value).__name__}")
+def check_type(value, kind: type, name: str) -> None:
+    """Refuse a value that is not a ``kind`` with ConfigurationError ("{name}
+    must be an Interval, got tuple")."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ConfigurationError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
 
 
 def _sample(interval: Interval, k: int, grid_size: int, num_random_tuples: int, seed) -> np.ndarray:
@@ -409,6 +411,19 @@ def monomial_derivatives(x, k: int) -> np.ndarray:
     return np.concatenate([np.zeros_like(M[:1]), scale * M[:-1]])
 
 
+@dataclass(frozen=True)
+class _Monomials:
+    """The evaluator xs -> monomials(xs, k) of ``polynomial_system``.  Its
+    type marks the systems whose principal representations
+    ``principal`` seeds from Gauss-type rules; any other evaluator, even
+    one with the same values, takes the moment LP."""
+
+    k: int
+
+    def __call__(self, xs):
+        return monomials(xs, self.k)
+
+
 def polynomial_system(k: int, interval: Interval) -> ChebyshevSystem:
     """The monomial system {1, x, ..., x^(k-1)} with analytic derivatives."""
-    return ChebyshevSystem(interval, k, lambda xs: monomials(xs, k), lambda xs: monomial_derivatives(xs, k))
+    return ChebyshevSystem(interval, k, _Monomials(k), lambda xs: monomial_derivatives(xs, k))

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .chebyshev import (
-    ChebyshevSystem, Interval, _evaluate, _typed_overflow, check_count, check_interval, check_reals,
+    ChebyshevSystem, Interval, _evaluate, _typed_overflow, check_count, check_reals, check_type,
     monomial_derivatives, monomials,
 )
 from .errors import ConfigurationError, DomainError
@@ -79,7 +79,7 @@ class RegressionModel:
     determinant_signs: Optional[Callable] = None
 
     def __post_init__(self):
-        check_interval(self.design_interval, "design_interval")
+        check_type(self.design_interval, Interval, "design_interval")
         if not 1 <= check_count(self.p1, "p1") <= self.p:
             raise ConfigurationError(f"p1 must lie in 1..{self.p}, got {self.p1}")
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, List, Tuple
 
 import numpy as np
 
-from .chebyshev import ChebyshevSystem, Interval, _basis_matrix, check_interval, check_reals
+from .chebyshev import ChebyshevSystem, Interval, _basis_matrix, check_reals, check_type
 from .errors import ConfigurationError, DomainError
 
 # Points within this times (B - A) of an endpoint snap onto it before
@@ -97,7 +97,7 @@ class Design:
     interval: Interval
 
     def __post_init__(self):
-        check_interval(self.interval, "design interval")
+        check_type(self.interval, Interval, "design interval")
         pts = check_reals(self.points, "design points")
         ws = check_reals(self.weights, "design weights")
         if pts.ndim != 1 or pts.shape != ws.shape:
@@ -188,6 +188,14 @@ class BoundaryReport:
     gamma_upper: float
 
 
+def check_arguments(system, c0) -> None:
+    """Refuse, by ``check_type``, a ``system`` that is not a ChebyshevSystem,
+    then a ``c0`` that is not a MomentPoint: the first check of every entry
+    that takes the pair."""
+    check_type(system, ChebyshevSystem, "system")
+    check_type(c0, MomentPoint, "c0")
+
+
 def moment_point(system: ChebyshevSystem, design: Design) -> MomentPoint:
     """Moments c_i = sum_j w_j psi_i(x_j), accumulated with math.fsum.
 
@@ -237,6 +245,7 @@ def classify_point(
     call on one grid evaluation and one simplex phase one; each gamma is
     the value its own one-sense solve gives.
     """
+    check_arguments(system, c0)
     # Imported here: principal builds on this module.
     from .principal import _lp_arrays, _solve_grid_lp
 

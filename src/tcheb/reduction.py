@@ -48,8 +48,8 @@ from .principal import STRUCTURES, _principal, lp_grid
 
 PSD_TOL = 1e-8
 # Passing gate verdicts kept per (model, theta, direction, seed) key, each
-# with its LP arrays: (k + p1 + 2) * principal.DEFAULT_GRID floats, so
-# about 144 kB an entry at k = 6.
+# with its LP arrays, the grid, the k-row basis and the objective row:
+# (k + 2) * principal.DEFAULT_GRID floats, so about 128 kB an entry at k = 6.
 GATE_CACHE_SIZE = 8
 # Nelder-Mead iterations per restart of optimize_in_class.
 OPTIMIZE_MAX_ITER = 500

@@ -1,4 +1,6 @@
-"""Each demo script runs to completion in a child process."""
+"""Each demo script runs to completion in a child process, under the
+warning rules of the tier-1 pytest run: ``-X dev`` and every warning an
+error."""
 
 import os
 import subprocess
@@ -23,7 +25,7 @@ def test_demo_exits_zero(demo):
         PYTHONDONTWRITEBYTECODE="1",
     )
     proc = subprocess.run(
-        [sys.executable, str(DEMO_DIR / f"{demo}.py")],
+        [sys.executable, "-X", "dev", "-W", "error", str(DEMO_DIR / f"{demo}.py")],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -492,6 +493,136 @@ class TestPrincipal:
             assert (1.0 in lo.design.points) == s.includes_B
 
 
+# A spread measure on [-1, 1] of index 9, interior at every k below 18.
+SPREAD = Design(
+    points=(-0.95, -0.7, -0.4, -0.15, 0.05, 0.3, 0.5, 0.75, 0.9),
+    weights=(0.05, 0.1, 0.15, 0.1, 0.2, 0.1, 0.1, 0.12, 0.08),
+    interval=SYM,
+)
+
+
+def mp_representation(c0, structure, start):
+    """The solution near ``start`` (a PrincipalResult) of the moment
+    equations sum_j w_j x_j^i = c0_i of the structure on [-1, 1], by
+    mpmath ``findroot`` at 50 digits on c0's doubles taken exactly: its
+    points and weights as floats."""
+    with mpmath.workdps(50):
+        c = [mpmath.mpf(v) for v in c0.coordinates]
+        lo, hi = [mpmath.mpf(-1)] * structure.includes_A, [mpmath.mpf(1)] * structure.includes_B
+        free = slice(int(structure.includes_A), structure.num_points - int(structure.includes_B))
+        n_inner = structure.interior_points
+
+        def residual(*unknowns):
+            points = lo + list(unknowns[:n_inner]) + hi
+            weights = unknowns[n_inner:]
+            return [mpmath.fsum(w * x**i for x, w in zip(points, weights)) - c_i for i, c_i in enumerate(c)]
+
+        x0 = list(start.design.points[free]) + list(start.design.weights)
+        root = mpmath.findroot(residual, [mpmath.mpf(v) for v in x0], tol=mpmath.mpf(10) ** -45)
+        root = list(root) if isinstance(root, mpmath.matrix) else [root]
+        points = [float(v) for v in lo + root[:n_inner] + hi]
+        return points, [float(v) for v in root[n_inner:]]
+
+
+class TestGaussSeed:
+    """Without a probe, ``polynomial_system``'s principal representations
+    start Newton from the Gauss, Radau or Lobatto rule of c0, and only a
+    seed that breaks down or fails Newton reaches the moment LP."""
+
+    @staticmethod
+    def lp_calls(monkeypatch):
+        calls = []
+        real = tcheb.principal._solve_grid_lp
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tcheb.principal, "_solve_grid_lp", spy)
+        return calls
+
+    @pytest.mark.parametrize("measure", ["uniform", "spread"])
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_rules_match_a_50_digit_reference(self, k, measure):
+        """Points and weights within 1e-12 of the mpmath solution of the
+        moment equations with the structure, in both directions."""
+        sys_k, c0 = uniform_c0(k)
+        if measure == "spread":
+            c0 = moment_point(sys_k, SPREAD)
+        for which, build in (("upper", upper_principal), ("lower", lower_principal)):
+            result = build(sys_k, c0)
+            points, weights = mp_representation(c0, tcheb.principal.STRUCTURES[which](k), result)
+            np.testing.assert_allclose(result.design.points, points, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(result.design.weights, weights, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", range(4, 9))
+    def test_no_probe_solves_no_lp(self, monkeypatch, k):
+        calls = self.lp_calls(monkeypatch)
+        sys_k = polynomial_system(k, SYM)
+        for c0 in (uniform_c0(k)[1], moment_point(sys_k, SPREAD)):
+            upper_principal(sys_k, c0)
+            lower_principal(sys_k, c0)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "coords,error,message",
+        [
+            (
+                (1.0, 0.25, 0.125, 0.0625),
+                DegeneracyError,
+                r"^c0 is a boundary moment point: its LP atoms have index 1\.5 < k/2 = 2\.0 and \[0\.0, 0\.5\] "
+                r"represents it, so no representation has the {which} structure$",
+            ),
+            (
+                (1.0, 0.5, 0.6, 0.5),
+                InfeasibleError,
+                r"^no nonnegative solution matches the constraints \(residual 1\.000e-01\)$",
+            ),
+        ],
+        ids=["boundary", "infeasible"],
+    )
+    @pytest.mark.parametrize("route", ["seed", "probe", "replaced"])
+    def test_the_lp_decides_what_the_seed_cannot(self, monkeypatch, route, coords, error, message):
+        """A boundary or infeasible c0 on [0, 1] at k = 4 raises the LP
+        path's error after one LP, whether the Gauss seed fails first, a
+        probe is given, or ``dataclasses.replace`` gave the system another
+        evaluator."""
+        sys4 = polynomial_system(4, UNIT)
+        probe = None
+        if route == "probe":
+            probe = lambda x: x**4  # noqa: E731 - the default objective, given
+        elif route == "replaced":
+            plain = sys4.evaluator
+            sys4 = dataclasses.replace(sys4, evaluator=lambda xs: plain(xs))
+        c0 = MomentPoint(coordinates=coords, system=sys4)
+        for which, build in (("upper", upper_principal), ("lower", lower_principal)):
+            calls = self.lp_calls(monkeypatch)
+            with pytest.raises(error, match=message.format(which=which)):
+                build(sys4, c0, probe)
+            assert len(calls) == 1
+
+    def test_a_seed_with_a_round_off_weight_goes_to_the_lp(self, monkeypatch):
+        """At the boundary point of {-1: 1/2, 0.3: 1/2}, k = 4, Newton from
+        the Lobatto rule meets the gate with about 4e-17 at B: a boundary
+        support plus round-off, so the LP decides, as it did before the
+        seed."""
+        calls = self.lp_calls(monkeypatch)
+        seeded = []
+        real = tcheb.principal.refine_newton
+
+        def spy(*args):
+            seeded.append(real(*args))
+            return seeded[-1]
+
+        monkeypatch.setattr(tcheb.principal, "refine_newton", spy)
+        sys4 = polynomial_system(4, SYM)
+        c0 = moment_point(sys4, Design(points=(-1.0, 0.3), weights=(0.5, 0.5), interval=SYM))
+        with pytest.raises(DegeneracyError, match=r"^c0 is a boundary moment point: its LP atoms have index 1\.5 "):
+            upper_principal(sys4, c0)
+        assert 0.0 < min(seeded[0].design.weights) <= tcheb.principal.ROUNDOFF_WEIGHT
+        assert len(calls) == 1
+
+
 # Probes whose evaluation on the LP grid of [0, 1] fails: numpy arithmetic
 # that overflows, divides by zero or is invalid, and scalar-only math
 # callables that raise OverflowError or ValueError themselves.
@@ -609,8 +740,9 @@ class TestGridCache:
 
     def test_each_call_evaluates_its_grid(self, monkeypatch):
         """Principal calls keep no memo, so each call on a system with an
-        unhashable evaluator evaluates its grid, and the designs equal
-        those of the hashable system."""
+        unhashable evaluator evaluates its grid, the two LP-seeded designs
+        are equal, and they match the Gauss-seeded design of the
+        ``polynomial_system`` to 1e-9."""
         calls = self.grid_evaluations(monkeypatch)
         sys4, c0 = uniform_c0(4)
 
@@ -626,8 +758,11 @@ class TestGridCache:
         unhashable = dataclasses.replace(sys4, evaluator=Evaluator())
         reps = [upper_principal(unhashable, c0) for _ in range(2)]
         assert len(calls) == 2
-        want = upper_principal(sys4, c0)
-        assert all(r.design == want.design for r in reps)
+        assert reps[0].design == reps[1].design
+        want = upper_principal(sys4, c0).design
+        assert len(calls) == 2
+        assert reps[0].design.points == pytest.approx(want.points, abs=1e-9)
+        assert reps[0].design.weights == pytest.approx(want.weights, abs=1e-9)
 
     def test_a_raising_probe_raises_again(self):
         sys3 = polynomial_system(3, UNIT)
@@ -706,6 +841,26 @@ def test_moment_point_with_no_coordinates_is_refused(call):
     sys4 = polynomial_system(4, SYM)
     with pytest.raises(ConfigurationError, match="^a moment point needs at least one coordinate$"):
         call(sys4, MomentPoint(coordinates=(), system=sys4))
+
+
+@ENTRY_POINTS
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("system", r"^system must be a ChebyshevSystem, got str$"),
+        ("c0", r"^c0 must be a MomentPoint, got tuple$"),
+        ("both", r"^system must be a ChebyshevSystem, got str$"),
+    ],
+)
+def test_an_argument_of_the_wrong_type_is_refused_by_name(call, bad, message):
+    """A system that is not a ChebyshevSystem, or a c0 that is not a
+    MomentPoint (here its coordinates), is refused first, by name and
+    type, never met as an AttributeError; the system is checked first."""
+    sys4, c0 = uniform_c0(4)
+    system = "sys4" if bad in ("system", "both") else sys4
+    point = c0.coordinates if bad in ("c0", "both") else c0
+    with pytest.raises(ConfigurationError, match=message):
+        call(system, point)
 
 
 class TestClassifyLP:
