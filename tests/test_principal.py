@@ -527,7 +527,8 @@ def mp_representation(c0, structure, start):
 class TestGaussSeed:
     """Without a probe, ``polynomial_system``'s principal representations
     start Newton from the Gauss, Radau or Lobatto rule of c0, and only a
-    seed that breaks down or fails Newton reaches the moment LP."""
+    seed that breaks down, fails Newton or leaves a round-off weight
+    reaches the moment LP."""
 
     @staticmethod
     def lp_calls(monkeypatch):
