@@ -414,9 +414,10 @@ def monomial_derivatives(x, k: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _Monomials:
     """The evaluator xs -> monomials(xs, k) of ``polynomial_system``.  Its
-    type marks the systems whose principal representations
-    ``principal`` seeds from Gauss-type rules; any other evaluator, even
-    one with the same values, takes the moment LP."""
+    type, or a subclass's as for the catalog ``polynomial``'s psi system,
+    marks the systems whose principal representations ``principal`` seeds
+    from Gauss-type rules; any other evaluator, even one with the same
+    values, gets no such seed."""
 
     k: int
 

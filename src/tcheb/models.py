@@ -30,7 +30,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .chebyshev import (
-    ChebyshevSystem, Interval, _evaluate, _typed_overflow, check_count, check_reals, check_type,
+    ChebyshevSystem, Interval, _evaluate, _Monomials, _typed_overflow, check_count, check_reals, check_type,
     monomial_derivatives, monomials,
 )
 from .errors import ConfigurationError, DomainError
@@ -160,6 +160,32 @@ def c_matrix(model: RegressionModel, theta, design) -> np.ndarray:
     return (C + C.T) / 2.0
 
 
+@dataclass(frozen=True)
+class _MonomialProducts(_Monomials):
+    """The psi evaluator of the catalog ``polynomial`` at p1 = 1: the
+    monomials 1, x, ..., x^(k-1) as the dedup scan's products x^i x^j, the
+    first k rows of ``with_tail``, so the gate's sample and the system
+    read the same values.  They equal ``monomials`` to round-off, and as a
+    ``_Monomials`` the system is seeded from Gauss-type rules."""
+
+    with_tail: Callable
+
+    def __call__(self, xs):
+        return self.with_tail(xs)[: self.k]
+
+
+def _monomial_psi(model: RegressionModel, Pinv: np.ndarray, k: int) -> bool:
+    """Whether the psi system is 1, x, ..., x^(k-1) in that order: the
+    catalog ``polynomial`` of degree d at p1 = 1, with its own gradient
+    ``_monomial_gradient``, P = I, no ``psi_order`` and k = 2d.  Its
+    entries x^i x^j, first met in increasing degree, are the monomials."""
+    return (
+        model.gradient is _monomial_gradient
+        and (model.p1, model.psi_order, k) == (1, None, 2 * (model.p - 1))
+        and np.array_equal(Pinv, np.eye(model.p))
+    )
+
+
 def psi_system(model: RegressionModel, theta) -> PsiSystem:
     """Deduplicated entries of C11 and C21, ordered per the catalog.
 
@@ -168,7 +194,9 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
     same psi, and constants are discarded.  A table of entries that
     overflows on that grid raises EvaluationError.  When the model declares
     an expected k, a mismatch raises a configuration error, which catches
-    deduplication ambiguities at known parameter values.
+    deduplication ambiguities at known parameter values.  The catalog
+    ``polynomial`` at p1 = 1 (``_monomial_psi``) gets a ``_MonomialProducts``
+    evaluator, whose type ``principal`` seeds from Gauss-type rules.
     """
     theta = _check_theta(model, theta)
     p, p1 = model.p, model.p1
@@ -232,7 +260,8 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
         return np.vstack([np.zeros((1, H.shape[1])), dH[I] * H[J] + H[I] * dH[J]])
 
     dpsi = None if model.gradient_dx is None else derivative_rows
-    system = ChebyshevSystem(model.design_interval, k, lambda xs: with_tail(xs)[:k], dpsi)
+    evaluator = _MonomialProducts(k, with_tail) if _monomial_psi(model, Pinv, k) else lambda xs: with_tail(xs)[:k]
+    system = ChebyshevSystem(model.design_interval, k, evaluator, dpsi)
     return PsiSystem(system=system, p1=p1, h=h, with_tail=with_tail)
 
 
@@ -369,6 +398,12 @@ def _exponential3(interval: Interval, p1: int) -> RegressionModel:
     )
 
 
+def _monomial_gradient(x, th):
+    """The catalog ``polynomial``'s gradient 1, x, ..., x^d at theta of
+    length d + 1; ``psi_system`` recognises the model by its identity."""
+    return monomials(x, len(th))
+
+
 def _polynomial(interval: Interval, p1: int, degree: int) -> RegressionModel:
     """eta = theta1 + theta2 x + ... + theta_{d+1} x^d, the linear model."""
     if degree < 1:
@@ -382,7 +417,7 @@ def _polynomial(interval: Interval, p1: int, degree: int) -> RegressionModel:
         name="polynomial",
         p=p,
         eta=eta,
-        gradient=lambda x, th: monomials(x, p),
+        gradient=_monomial_gradient,
         p_matrix=lambda th: np.eye(p),
         design_interval=interval,
         p1=p1,

@@ -10,13 +10,27 @@ function Omega that augments the system to a Chebyshev system, the
 upper one maximizing and the lower one minimizing, and the measures do
 not depend on which valid Omega is used.
 
-For ``polynomial_system``'s monomials with no probe, ``upper_principal``
-and ``lower_principal`` first start Newton from c0's Gauss, Radau or
-Lobatto rule (``_gauss_rule``), which is that representation up to
-round-off: within 6.1e-16 of a 50-digit reference at k <= 8 on [-1, 1].
-A rule that breaks down, a Newton failure from it, or a result with a
-weight at most ``ROUNDOFF_WEIGHT`` falls back to the LP path below, so
-every error raised is that path's.
+With no probe, ``upper_principal``, ``lower_principal`` and
+``reduce_design`` share one solver, ``_represent``, which starts Newton
+from an LP-free seed, in this order:
+
+1. on a system whose evaluator is a ``_Monomials``, as
+   ``polynomial_system``'s and the catalog ``polynomial``'s psi system's
+   at p1 = 1 are, c0's Gauss, Radau or Lobatto rule (``_gauss_rule``),
+   which is that representation up to round-off: within 6.1e-16 of a
+   50-digit reference at k <= 8 on [-1, 1];
+2. at k = 3, the one interior point as a scalar root on the LP grid
+   (``_root_seed``);
+3. the LP path below.
+
+No seed, a Newton failure from it, or a result with a weight at most
+``ROUNDOFF_WEIGHT`` falls back to the LP path, so every error raised is
+that path's.  ``PrincipalResult.path`` records the path taken, and
+``reduce_design`` hands a Gauss-seeded result with an interior point
+within one LP grid cell of an end to the LP path.  On the
+benchmark's spread designs the seeds serve every ``michaelis_menten``,
+``exponential`` and ``polynomial`` reduction (README "Numerical notes"
+has the timings).
 
 The LP path is one path with one attempt, entered with a finite linear
 program built on the fixed ``lp_grid``, with the caller's probe as
@@ -37,6 +51,7 @@ that exit, the call raises DegeneracyError naming that measure."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
@@ -109,13 +124,16 @@ class PrincipalResult:
     """A principal representation, as ``refine_newton`` returns it: its
     ``design``, whose support has the ``structure``, the design's
     ``moments``, by fsum at its own weights, and their largest gap from c0,
-    ``residual_norm``."""
+    ``residual_norm``.  ``path`` names what seeded Newton: "gauss"
+    (``_gauss_rule``), "root" (``_root_seed``), "lp" (the grid LP's atoms)
+    or "given" (the caller's own, in a direct ``refine_newton`` call)."""
 
     design: Design
     residual_norm: float
     newton_iterations: int
     structure: RepresentationStructure
     moments: MomentPoint
+    path: str = "given"
 
 
 def lp_grid(interval: Interval) -> np.ndarray:
@@ -223,6 +241,7 @@ def refine_newton(
     gate on the returned ``Design`` (else ConvergenceError).  The basis is
     evaluated once per iterate: the accepted trial's values serve the next
     Jacobian, the last ones the result's ``moments``.  c0[0] must be 1.
+    The result's ``path`` is "given": the caller's own atoms.
     """
     check_arguments(system, c0)
     k = system.k
@@ -377,7 +396,7 @@ def _principal(system: ChebyshevSystem, c0: MomentPoint, which: str, lp) -> Prin
     merged = merge_runs(atoms, cluster_tol, interval.lower, interval.upper)
     try:
         shaped = _shape_to_structure(merged, structure, cluster_tol, interval, which)
-        return refine_newton(system, c0, structure, shaped)
+        return dataclasses.replace(refine_newton(system, c0, structure, shaped), path="lp")
     except (DegeneracyError, ConvergenceError, SingularityError) as err:
         index = support_index([p for p, _ in merged], interval)
         if index >= system.k / 2:
@@ -443,7 +462,7 @@ def _gauss_rule(
     checks the rest: increasing points strictly inside (A, B) and positive
     weights."""
     k = system.k
-    if type(system.evaluator) is not _Monomials or system.evaluator.k != k or c0.k != k:
+    if not isinstance(system.evaluator, _Monomials) or system.evaluator.k != k or c0.k != k:
         return None
     a, b = system.interval.lower, system.interval.upper
     try:
@@ -471,22 +490,73 @@ def _gauss_rule(
     return np.column_stack([points, beta[0] * vectors[0] ** 2])
 
 
-def _entry(system: ChebyshevSystem, c0: MomentPoint, which: str, probe: Optional[Callable]) -> PrincipalResult:
-    """``upper_principal`` and ``lower_principal``: with no probe, Newton
-    from ``_gauss_rule`` where it applies; where it does not, breaks down,
-    ``refine_newton`` raises from it or its result has a weight at most
-    ``ROUNDOFF_WEIGHT``, the moment LP of the probe."""
-    check_arguments(system, c0)
-    _check_total_weight(c0)
+@np.errstate(all="ignore")
+def _root_seed(c0: MomentPoint, structure: RepresentationStructure, grid: np.ndarray, V: np.ndarray):
+    """The representation of c0 with the principal ``structure`` at k = 3 as
+    one scalar root, (point, weight) rows for ``refine_newton``, or None
+    when the scan finds no bracket or more than one.
+
+    The structure is one endpoint E (B upper, A lower) and one interior
+    point t.  On each point t of ``grid``, V the basis there, the rows
+    psi_0 = 1 and psi_1 fix the weights w_t = (c_1 - c_0 psi_1(E)) /
+    (psi_1(t) - psi_1(E)) and w_E = c_0 - w_t, and what is left is the
+    residual r(t) = w_E psi_2(E) + w_t psi_2(t) - c_2 (variable projection,
+    Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).  A cell of the grid
+    brackets a root when r changes sign over it, both its ends lie inside
+    (A, B) and 0 < w_t < c_0 at both.  An interior c0 of a Chebyshev
+    system has exactly one representation of the structure, so exactly
+    one such cell gives the seed: its regula falsi point, with both
+    weights interpolated there.  Round-off on the way (E's own column
+    divides by zero) gives inf or nan, which no bracket keeps."""
+    c = c0.array()
+    end = -1 if structure.includes_B else 0
+    w_t = (c[1] - c[0] * V[1, end]) / (V[1] - V[1, end])
+    w_e = c[0] - w_t
+    r = w_e * V[2, end] + w_t * V[2] - c[2]
+    inside = (w_t > 0.0) & (w_t < c[0])
+    inside[[0, -1]] = False
+    cells = np.flatnonzero(inside[:-1] & inside[1:] & ((r[:-1] < 0.0) != (r[1:] < 0.0)))
+    if cells.size != 1:
+        return None
+    i = cells[0]
+    s = r[i] / (r[i] - r[i + 1])
+    t, w = grid[i] + s * (grid[i + 1] - grid[i]), w_t[i] + s * (w_t[i + 1] - w_t[i])
+    e, w_end = grid[end], w_e[i] + s * (w_e[i + 1] - w_e[i])
+    return np.array([(t, w), (e, w_end)] if structure.includes_B else [(e, w_end), (t, w)])
+
+
+def _represent(system: ChebyshevSystem, c0: MomentPoint, which: str, lp=None) -> PrincipalResult:
+    """The principal representation of the direction ``which``, as
+    ``refine_newton`` returns it, seeded first without the moment LP:
+    from ``_gauss_rule`` on a ``_Monomials`` system, else from
+    ``_root_seed`` at k = 3.  Where there is no seed, Newton raises from it
+    or its result has a weight at most ``ROUNDOFF_WEIGHT``, ``_principal``
+    runs the LP on ``lp``, the (grid, V, objective row) arrays, so every
+    error raised is that path's.  ``lp`` None means ``_lp_arrays(system)``,
+    evaluated only where the root scan or the LP needs it."""
     structure = STRUCTURES[which](system.k)
-    if probe is None and (rule := _gauss_rule(system, c0, structure)) is not None:
+    seed, path = _gauss_rule(system, c0, structure), "gauss"
+    if seed is None and system.k == 3 == c0.k:
+        lp = _lp_arrays(system) if lp is None else lp
+        seed, path = _root_seed(c0, structure, *lp[:2]), "root"
+    if seed is not None:
         try:
-            result = refine_newton(system, c0, structure, rule)
+            result = refine_newton(system, c0, structure, seed)
         except TchebError:
             pass
         else:
             if min(result.design.weights) > ROUNDOFF_WEIGHT:
-                return result
+                return dataclasses.replace(result, path=path)
+    return _principal(system, c0, which, _lp_arrays(system) if lp is None else lp)
+
+
+def _entry(system: ChebyshevSystem, c0: MomentPoint, which: str, probe: Optional[Callable]) -> PrincipalResult:
+    """``upper_principal`` and ``lower_principal``: ``_represent`` with no
+    probe, the moment LP of the probe otherwise."""
+    check_arguments(system, c0)
+    _check_total_weight(c0)
+    if probe is None:
+        return _represent(system, c0, which)
     return _principal(system, c0, which, _lp_arrays(system, probe))
 
 
@@ -497,8 +567,9 @@ def upper_principal(
 
     Contains B among its support points, and A as well when k is even.
     On ``polynomial_system`` with no probe, Newton starts from the Radau
-    rule at B (odd k) or the Lobatto rule (even k) of c0, and falls back
-    to the grid LP where that fails (see the module docstring).
+    rule at B (odd k) or the Lobatto rule (even k) of c0, on any other
+    system at k = 3 from the scalar root of its interior point, and falls
+    back to the grid LP where that fails (see the module docstring).
     Otherwise ``probe`` seeds the one grid LP and must augment the system
     to a Chebyshev system; the default x -> x^k does so for the monomials
     and, by measurement only, for the catalog psi systems.  A ``system``
@@ -520,7 +591,7 @@ def lower_principal(
     Avoids B; contains A when k is odd and avoids both endpoints when k
     is even.  On ``polynomial_system`` with no probe, Newton starts from
     the Radau rule at A (odd k) or the Gauss rule (even k) of c0.  The
-    fallback, ``probe``, the argument types, c0[0] and a boundary moment
-    point are as for ``upper_principal``.
+    k = 3 root, the fallback, ``probe``, the argument types, c0[0] and a
+    boundary moment point are as for ``upper_principal``.
     """
     return _entry(system, c0, "lower", probe)

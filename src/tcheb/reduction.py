@@ -22,6 +22,14 @@ precondition error rather than producing an output whose domination
 guarantee has no backing.  Whether an output dominates its input in the
 Loewner order is judged in one place, ``verify_domination``; the
 reduction refuses an output that fails it.
+
+The principal representation comes from ``principal._represent``, the
+solver the principal entries share: Newton from the Lobatto rule of the
+catalog ``polynomial``'s psi system, from the scalar root at k = 3, and
+otherwise from the moment LP on the gate entry's cached arrays.  An
+output seeded from a Gauss-type rule with an interior point within one
+grid cell of an end goes to the LP instead: the Loewner verdict on it
+is round-off.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from .models import (
     psi_system,
 )
 from .moments import Design, MomentPoint, design_index, moment_point
-from .principal import STRUCTURES, _principal, lp_grid
+from .principal import STRUCTURES, _principal, _represent, lp_grid
 
 PSD_TOL = 1e-8
 # Passing gate verdicts kept per (model, theta, direction, seed) key, each
@@ -244,7 +252,16 @@ def reduce_design(
     if idx < k / 2.0:
         out, moments_out, branch = xi, c0, "Identity"
     else:
-        result = _principal(system, c0, direction, lp)
+        result = _represent(system, c0, direction, lp)
+        if result.path == "gauss":
+            s, grid = result.structure, lp[0]
+            inner = result.design.points_array()[int(s.includes_A) : s.num_points - int(s.includes_B)]
+            if not np.all((inner >= grid[1]) & (inner <= grid[-2])):
+                # An interior point within one grid cell of an end, where no
+                # root bracket lies either: the information matrices of input
+                # and output are nearly singular together there, and the
+                # verdict below on such an output is round-off.  The LP decides.
+                result = _principal(system, c0, direction, lp)
         out, moments_out = result.design, result.moments
         branch = "OddCase" if k % 2 else "EvenCase"
     dom = _domination(model, theta, out, xi, PSD_TOL)

@@ -15,15 +15,20 @@ def _empty_caches():
 
 @pytest.fixture
 def shifted_solver(monkeypatch):
-    """The principal solver, but with the first point of each design it
-    returns moved +1.0; the list collects the designs so returned."""
-    real, shifted = reduction._principal, []
+    """The principal solvers ``reduce_design`` calls, but with the first
+    point of each design they return moved +1.0; the list collects the
+    designs so returned."""
+    shifted = []
 
-    def shift(*args):
-        result = real(*args)
-        d = result.design
-        shifted.append(Design(points=(d.points[0] + 1.0,) + d.points[1:], weights=d.weights, interval=d.interval))
-        return dataclasses.replace(result, design=shifted[-1])
+    def shifting(real):
+        def shift(*args):
+            result = real(*args)
+            d = result.design
+            shifted.append(Design(points=(d.points[0] + 1.0,) + d.points[1:], weights=d.weights, interval=d.interval))
+            return dataclasses.replace(result, design=shifted[-1])
 
-    monkeypatch.setattr(reduction, "_principal", shift)
+        return shift
+
+    for name in ("_represent", "_principal"):
+        monkeypatch.setattr(reduction, name, shifting(getattr(reduction, name)))
     return shifted

@@ -455,8 +455,10 @@ class TestPrincipal:
                 build(sys4, c0)
 
     def test_one_lp_per_call(self, monkeypatch):
-        """No probe, no retry: a principal call solves one moment LP, and
-        x^k seeds the lower representation of the exponential psi system."""
+        """No retry: a principal call solves at most one moment LP.  Given
+        x^k, which seeds the lower representation of the exponential psi
+        system, it solves one; with no probe the k = 3 scalar root seeds
+        Newton and no LP runs, for the same representation."""
         theta = (1.0, -1.0)
         system = psi_system(make_model("exponential", theta, (0.0, 3.0)), theta).system
         xi = Design(
@@ -470,9 +472,13 @@ class TestPrincipal:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(tcheb.principal, "_solve_grid_lp", spy)
-        lo = lower_principal(system, moment_point(system, xi))
+        lo = lower_principal(system, moment_point(system, xi), lambda x: x * x * x)
         assert len(calls) == 1
-        assert lo.design.points == (0.0, 1.3300912578617015)
+        assert (lo.design.points, lo.path) == ((0.0, 1.3300912578617015), "lp")
+        root = lower_principal(system, moment_point(system, xi))
+        assert len(calls) == 1 and root.path == "root"
+        np.testing.assert_allclose(root.design.points, lo.design.points, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(root.design.weights, lo.design.weights, rtol=0.0, atol=1e-9)
 
     def test_structure_compliance(self):
         rng = np.random.default_rng(41)
