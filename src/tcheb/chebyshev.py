@@ -414,10 +414,11 @@ def monomial_derivatives(x, k: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _Monomials:
     """The evaluator xs -> monomials(xs, k) of ``polynomial_system``.  Its
-    type, or a subclass's as for the catalog ``polynomial``'s psi system,
-    marks the systems whose principal representations ``principal`` seeds
-    from Gauss-type rules; any other evaluator, even one with the same
-    values, gets no such seed."""
+    type, or a subclass's as for a psi system whose values ``psi_system``
+    finds to be the monomials, marks the systems whose principal
+    representations ``principal`` seeds from Gauss-type rules; a system
+    built on any other evaluator, even one with the same values, gets no
+    such seed."""
 
     k: int
 

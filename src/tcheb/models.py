@@ -162,28 +162,15 @@ def c_matrix(model: RegressionModel, theta, design) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _MonomialProducts(_Monomials):
-    """The psi evaluator of the catalog ``polynomial`` at p1 = 1: the
-    monomials 1, x, ..., x^(k-1) as the dedup scan's products x^i x^j, the
-    first k rows of ``with_tail``, so the gate's sample and the system
-    read the same values.  They equal ``monomials`` to round-off, and as a
+    """The psi evaluator of a system whose values are the monomials 1, x,
+    ..., x^(k-1) in that order: the first k rows of ``with_tail``, so the
+    gate's sample and the system read the same values.  As a
     ``_Monomials`` the system is seeded from Gauss-type rules."""
 
     with_tail: Callable
 
     def __call__(self, xs):
         return self.with_tail(xs)[: self.k]
-
-
-def _monomial_psi(model: RegressionModel, Pinv: np.ndarray, k: int) -> bool:
-    """Whether the psi system is 1, x, ..., x^(k-1) in that order: the
-    catalog ``polynomial`` of degree d at p1 = 1, with its own gradient
-    ``_monomial_gradient``, P = I, no ``psi_order`` and k = 2d.  Its
-    entries x^i x^j, first met in increasing degree, are the monomials."""
-    return (
-        model.gradient is _monomial_gradient
-        and (model.p1, model.psi_order, k) == (1, None, 2 * (model.p - 1))
-        and np.array_equal(Pinv, np.eye(model.p))
-    )
 
 
 def psi_system(model: RegressionModel, theta) -> PsiSystem:
@@ -194,9 +181,11 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
     same psi, and constants are discarded.  A table of entries that
     overflows on that grid raises EvaluationError.  When the model declares
     an expected k, a mismatch raises a configuration error, which catches
-    deduplication ambiguities at known parameter values.  The catalog
-    ``polynomial`` at p1 = 1 (``_monomial_psi``) gets a ``_MonomialProducts``
-    evaluator, whose type ``principal`` seeds from Gauss-type rules.
+    deduplication ambiguities at known parameter values.  A system whose
+    ordered rows on that grid are x, ..., x^(k-1), each within 1e-10 of its
+    own largest magnitude there, gets a ``_MonomialProducts`` evaluator,
+    whose type ``principal`` seeds from Gauss-type rules: the catalog
+    ``polynomial`` at any p1, and any model with the same values.
     """
     theta = _check_theta(model, theta)
     p, p1 = model.p, model.p1
@@ -244,6 +233,10 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
         raise ConfigurationError(f"{model.name}: psi_order is not a permutation of 0..{n_distinct - 1}")
 
     I, J = np.array([reps[scan][1] for scan in order], dtype=int).reshape(-1, 2).T
+    with np.errstate(over="ignore"):  # a power past the double range matches no finite row
+        powers = monomials(grid, k)[1:]
+    ordered = np.array([reps[scan][0] for scan in order]).reshape(powers.shape)
+    monomial = np.all(np.abs(ordered - powers) <= DEDUP_TOL * np.abs(ordered).max(axis=1, keepdims=True))
 
     def with_tail(xs):
         H = h(xs)
@@ -260,7 +253,7 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
         return np.vstack([np.zeros((1, H.shape[1])), dH[I] * H[J] + H[I] * dH[J]])
 
     dpsi = None if model.gradient_dx is None else derivative_rows
-    evaluator = _MonomialProducts(k, with_tail) if _monomial_psi(model, Pinv, k) else lambda xs: with_tail(xs)[:k]
+    evaluator = _MonomialProducts(k, with_tail) if monomial else lambda xs: with_tail(xs)[:k]
     system = ChebyshevSystem(model.design_interval, k, evaluator, dpsi)
     return PsiSystem(system=system, p1=p1, h=h, with_tail=with_tail)
 
@@ -398,12 +391,6 @@ def _exponential3(interval: Interval, p1: int) -> RegressionModel:
     )
 
 
-def _monomial_gradient(x, th):
-    """The catalog ``polynomial``'s gradient 1, x, ..., x^d at theta of
-    length d + 1; ``psi_system`` recognises the model by its identity."""
-    return monomials(x, len(th))
-
-
 def _polynomial(interval: Interval, p1: int, degree: int) -> RegressionModel:
     """eta = theta1 + theta2 x + ... + theta_{d+1} x^d, the linear model."""
     if degree < 1:
@@ -417,7 +404,7 @@ def _polynomial(interval: Interval, p1: int, degree: int) -> RegressionModel:
         name="polynomial",
         p=p,
         eta=eta,
-        gradient=_monomial_gradient,
+        gradient=lambda x, th: monomials(x, p),
         p_matrix=lambda th: np.eye(p),
         design_interval=interval,
         p1=p1,

@@ -190,10 +190,13 @@ class BoundaryReport:
 
 def check_arguments(system, c0) -> None:
     """Refuse, by ``check_type``, a ``system`` that is not a ChebyshevSystem,
-    then a ``c0`` that is not a MomentPoint: the first check of every entry
-    that takes the pair."""
+    then a ``c0`` that is not a MomentPoint, then, by ConfigurationError, a
+    ``c0`` whose size is not the system's k: the first check of every entry
+    that takes the pair, before any grid is evaluated."""
     check_type(system, ChebyshevSystem, "system")
     check_type(c0, MomentPoint, "c0")
+    if c0.k != system.k:
+        raise ConfigurationError("moment point dimension does not match the system")
 
 
 def moment_point(system: ChebyshevSystem, design: Design) -> MomentPoint:

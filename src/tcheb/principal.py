@@ -15,15 +15,18 @@ With no probe, ``upper_principal``, ``lower_principal`` and
 from an LP-free seed, in this order:
 
 1. on a system whose evaluator is a ``_Monomials``, as
-   ``polynomial_system``'s and the catalog ``polynomial``'s psi system's
-   at p1 = 1 are, c0's Gauss, Radau or Lobatto rule (``_gauss_rule``),
+   ``polynomial_system``'s is, and a psi system's whose values
+   ``models.psi_system`` finds to be the monomials (the catalog
+   ``polynomial``'s), c0's Gauss, Radau or Lobatto rule (``_gauss_rule``),
    which is that representation up to round-off: within 6.1e-16 of a
    50-digit reference at k <= 8 on [-1, 1];
 2. at k = 3, the one interior point as a scalar root on the LP grid
    (``_root_seed``);
 3. the LP path below.
 
-No seed, a Newton failure from it, or a result with a weight at most
+A seed is a numerical choice only: an interior c0 has exactly one
+representation of each structure, which the moment equations and
+``_result``'s gate fix whatever the seed.  No seed, a Newton failure from it, or a result with a weight at most
 ``ROUNDOFF_WEIGHT`` falls back to the LP path, so every error raised is
 that path's.  ``PrincipalResult.path`` records the path taken, and
 ``reduce_design`` hands a Gauss-seeded result with an interior point
@@ -159,8 +162,6 @@ def _solve_grid_lp(lp, c0: MomentPoint, senses: Sequence[str], feas_tol: Optiona
     sense goes through ``solve_lp`` (the name bench/tracing.py wraps);
     several share one phase one."""
     grid, V, obj = lp
-    if c0.k != V.shape[0]:
-        raise ConfigurationError("moment point dimension does not match the system")
     try:
         if len(senses) == 1:
             results = [solve_lp(V, c0.array(), obj, sense=senses[0], feas_tol=feas_tol)]
@@ -238,7 +239,10 @@ def refine_newton(
     ConfigurationError; steps are damped to stay in it and must not
     increase the residual norm.  Success means ||F||_inf <= NEWTON_TOL *
     max(1, ||c0||_inf) within ``NEWTON_MAX_ITER`` steps, then ``_result``'s
-    gate on the returned ``Design`` (else ConvergenceError).  The basis is
+    gate on the returned ``Design`` (else ConvergenceError).  A Jacobian
+    with a zero row or column, or a condition number above 1e14 once its
+    rows, then its columns, are scaled to unit max-norm, raises
+    SingularityError: no step depends on those scales.  The basis is
     evaluated once per iterate: the accepted trial's values serve the next
     Jacobian, the last ones the result's ``moments``.  c0[0] must be 1.
     The result's ``path`` is "given": the caller's own atoms.
@@ -247,8 +251,6 @@ def refine_newton(
     k = system.k
     a, b = system.interval.lower, system.interval.upper
     _check_total_weight(c0)
-    if c0.k != k:
-        raise ConfigurationError("moment point dimension does not match the system")
     if structure.free_unknowns != k:
         raise ConfigurationError("structure unknowns do not match the system dimension")
     atoms = check_reals(initial, "initial atoms")
@@ -282,8 +284,11 @@ def refine_newton(
         if ni:
             J[:, :ni] = _derivative_matrix(system, points[free]) * w[free]
         J[:, ni:] = V
+        with np.errstate(all="ignore"):  # a zero row or column of J leaves a nan in R
+            R = J / np.abs(J).max(axis=1, keepdims=True)
+            R /= np.abs(R).max(axis=0)
         try:
-            if np.linalg.cond(J) > 1e14:
+            if not np.isfinite(R).all() or np.linalg.cond(R) > 1e14:
                 raise SingularityError(
                     "moment Jacobian is numerically singular; the moment point "
                     "is degenerate for this structure"
@@ -462,7 +467,7 @@ def _gauss_rule(
     checks the rest: increasing points strictly inside (A, B) and positive
     weights."""
     k = system.k
-    if not isinstance(system.evaluator, _Monomials) or system.evaluator.k != k or c0.k != k:
+    if not isinstance(system.evaluator, _Monomials) or system.evaluator.k != k:
         return None
     a, b = system.interval.lower, system.interval.upper
     try:
@@ -536,7 +541,7 @@ def _represent(system: ChebyshevSystem, c0: MomentPoint, which: str, lp=None) ->
     evaluated only where the root scan or the LP needs it."""
     structure = STRUCTURES[which](system.k)
     seed, path = _gauss_rule(system, c0, structure), "gauss"
-    if seed is None and system.k == 3 == c0.k:
+    if seed is None and system.k == 3:
         lp = _lp_arrays(system) if lp is None else lp
         seed, path = _root_seed(c0, structure, *lp[:2]), "root"
     if seed is not None:
@@ -573,10 +578,10 @@ def upper_principal(
     Otherwise ``probe`` seeds the one grid LP and must augment the system
     to a Chebyshev system; the default x -> x^k does so for the monomials
     and, by measurement only, for the catalog psi systems.  A ``system``
-    that is not a ChebyshevSystem or a c0 that is not a MomentPoint
-    raises ConfigurationError first.  With psi_0 = 1, c0[0] is the total
-    weight: one farther than ``INGEST_WEIGHT_TOL`` from 1 raises
-    ConfigurationError before any solve.  c0 must be an interior moment
+    that is not a ChebyshevSystem, a c0 that is not a MomentPoint or one
+    of another size raises ConfigurationError first.  With psi_0 = 1,
+    c0[0] is the total weight: one farther than ``INGEST_WEIGHT_TOL`` from
+    1 raises ConfigurationError before any solve.  c0 must be an interior moment
     point: a boundary moment point raises DegeneracyError naming its
     unique representation.
     """

@@ -24,12 +24,12 @@ Loewner order is judged in one place, ``verify_domination``; the
 reduction refuses an output that fails it.
 
 The principal representation comes from ``principal._represent``, the
-solver the principal entries share: Newton from the Lobatto rule of the
-catalog ``polynomial``'s psi system, from the scalar root at k = 3, and
-otherwise from the moment LP on the gate entry's cached arrays.  An
-output seeded from a Gauss-type rule with an interior point within one
-grid cell of an end goes to the LP instead: the Loewner verdict on it
-is round-off.
+solver the principal entries share: Newton from the Gauss-type rule of a
+psi system whose values are the monomials (the catalog ``polynomial``'s),
+from the scalar root at k = 3, and otherwise from the moment LP on the
+gate entry's cached arrays.  An output seeded from a Gauss-type rule
+with an interior point within one grid cell of an end goes to the LP
+instead: the Loewner verdict on it is round-off.
 """
 
 from __future__ import annotations

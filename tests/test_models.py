@@ -27,8 +27,9 @@ from tcheb import (
     psi_k_Q,
     psi_system,
 )
-from tcheb.chebyshev import derivative_matrix
-from tcheb.errors import ConfigurationError, DomainError, EvaluationError
+from tcheb.chebyshev import _Monomials, derivative_matrix, monomials
+from tcheb.errors import ConfigurationError, DomainError, EvaluationError, PreconditionError
+from tcheb.models import _MonomialProducts
 from tcheb.moments import moment_point
 from tcheb.reduction import (
     criterion_value, gate_certified, gate_checks, optimize_in_class, reduce_design, verify_domination,
@@ -203,6 +204,46 @@ def test_polynomial_psi_is_monomials():
     np.testing.assert_allclose(basis_matrix(psi.system, xs), [xs**i for i in range(psi.k)], atol=1e-14)
     f = psi_k_Q(psi, (1.0,))
     np.testing.assert_allclose(f(xs), xs**4, atol=1e-14)
+
+
+POLY_THETA = (1.0, 0.5, -0.5, 0.25)
+POLY_DESIGN = Design(points=(-0.9, -0.62, -0.4, -0.1, 0.15, 0.38, 0.66, 0.88), weights=(0.125,) * 8,
+                     interval=Interval(-1.0, 1.0))
+
+
+def test_a_polynomial_with_an_equal_gradient_reduces_bit_for_bit():
+    """psi_system tells the monomial psi system by its values, not by the
+    model's identity: the catalog polynomial rebuilt with an equal-valued
+    gradient gets the Gauss-type seed too, so its reduction equals the
+    catalog model's bit for bit, where the LP path differs by 2.5e-14."""
+    model = make_model("polynomial", POLY_THETA, (-1.0, 1.0))
+    rebuilt = dataclasses.replace(model, gradient=lambda x, th: monomials(x, len(th)))
+    assert isinstance(psi_system(rebuilt, POLY_THETA).system.evaluator, _MonomialProducts)
+    want = reduce_design(model, POLY_THETA, POLY_DESIGN, "upper")
+    got = reduce_design(rebuilt, POLY_THETA, POLY_DESIGN, "upper")
+    assert got.output == want.output
+    assert got.moments_out.coordinates == want.moments_out.coordinates
+
+
+@pytest.mark.parametrize("direction", ["upper", "lower"])
+def test_the_polynomial_at_p1_2_is_monomial_and_still_refused(direction):
+    """At p1 = 2 the psi system is 1, x, ..., x^4, and gets the monomial
+    evaluator; the seed changes nothing about the gate, which refuses."""
+    model = make_model("polynomial", POLY_THETA, (-1.0, 1.0), p1=2)
+    psi = psi_system(model, POLY_THETA)
+    assert isinstance(psi.system.evaluator, _MonomialProducts) and psi.k == 5
+    with pytest.raises(PreconditionError, match=f"^augmented system for direction {direction!r} fails"):
+        reduce_design(model, POLY_THETA, POLY_DESIGN, direction)
+
+
+@pytest.mark.parametrize(
+    "change", [{"psi_order": (1, 0, 2, 3, 4)}, {"p_matrix": lambda th: 2.0 * np.eye(4)}], ids=["permuted", "scaled"]
+)
+def test_a_permuted_or_scaled_polynomial_psi_is_not_monomial(change):
+    """x, 1 ... or x^n / 4 are not the monomials in order: the system keeps
+    the plain evaluator, and no Gauss-type seed."""
+    model = dataclasses.replace(make_model("polynomial", POLY_THETA, (-1.0, 1.0)), **change)
+    assert not isinstance(psi_system(model, POLY_THETA).system.evaluator, _Monomials)
 
 
 def test_theta_validation():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import tcheb.principal
 from tcheb import (
+    ChebyshevSystem,
     Design,
     Interval,
     RepresentationStructure,
@@ -213,6 +214,26 @@ class TestNewton:
         c0 = MomentPoint(coordinates=(1.0, 500.0, 1e6 / 3.0), system=sys3)
         res = refine_newton(sys3, c0, RepresentationStructure.upper(3), [(2e-7, 0.7), (1000.0, 0.3)])
         assert res.design.points == pytest.approx((1000.0 / 3.0, 1000.0))
+
+    @pytest.mark.parametrize("zero", ["row", "column"])
+    def test_a_zero_jacobian_row_or_column_is_singular(self, zero):
+        """The singularity test scales J's rows and columns to unit max-norm;
+        a zero row (psi_2 = 0) or column (psi' = 0 at the interior point)
+        has no such scaling, and is singular, with no floating-point
+        warning on the way."""
+        ones = np.ones_like
+        if zero == "row":
+            system = ChebyshevSystem(
+                UNIT, 3, lambda xs: np.vstack([ones(xs), xs, 0.0 * xs]),
+                lambda xs: np.vstack([0.0 * xs, ones(xs), 0.0 * xs]),
+            )
+            coords = (1.0, 0.5, 0.0)
+        else:
+            system = ChebyshevSystem(UNIT, 3, polynomial_system(3, UNIT).evaluator, lambda xs: np.zeros((3, xs.size)))
+            coords = (1.0, 0.5, 1.0 / 3.0)
+        c0 = MomentPoint(coordinates=coords, system=system)
+        with pytest.raises(SingularityError, match="^moment Jacobian is numerically singular"):
+            refine_newton(system, c0, RepresentationStructure.upper(3), [(0.3, 0.5), (1.0, 0.5)])
 
     def test_result_must_meet_the_moment_gate(self, monkeypatch):
         """refine_newton gates its own result: with the Newton tolerance
@@ -833,10 +854,12 @@ ENTRY_POINTS = pytest.mark.parametrize(
 
 
 @ENTRY_POINTS
-def test_moment_point_of_the_wrong_dimension_is_refused(call):
+def test_moment_point_of_the_wrong_dimension_is_refused(monkeypatch, call):
     """A k = 5 moment point on a k = 4 system is a ConfigurationError at
-    every entry point, never a numpy shape error."""
+    every entry point, never a numpy shape error, and before any grid is
+    evaluated: ``check_arguments`` holds the one size check."""
     sys4 = polynomial_system(4, SYM)
+    monkeypatch.setattr(tcheb.principal, "_lp_arrays", None)
     with pytest.raises(ConfigurationError, match="^moment point dimension does not match the system$"):
         call(sys4, MomentPoint(coordinates=K5, system=polynomial_system(5, SYM)))
 

@@ -148,6 +148,37 @@ class TestReduce:
             rep.moments_out.coordinates, rep.moments_in.coordinates, rtol=1e-8, atol=1e-10
         )
 
+    def test_exponential3_upper_at_rate_10_is_not_singular(self):
+        """A spread design under exponential3 at rate 10, whose Jacobian rows
+        span e^0 to e^60: Newton's singularity test reads J with its rows
+        and columns scaled to unit max-norm, so it reduces.  Unscaled,
+        cond(J) passed 1e14 and the call raised SingularityError.  Checked
+        here from the gradient alone: the upper structure at k = 5, the psi
+        moments and M(output) - M(input) >= 0 up to 1e-8 of the largest
+        eigenvalue of M(input)."""
+        theta = (1.0, 1.0, 10.0)
+        model = make_model("exponential3", theta, (0.0, 3.0))
+        rng = np.random.default_rng(0)
+        points = (np.arange(8) + rng.uniform(0.0, 1.0, 8)) * 3.0 / 8.0
+        xi = Design(points=tuple(points), weights=tuple(rng.dirichlet(np.ones(8))), interval=Interval(0.0, 3.0))
+        out = reduce_design(model, theta, xi, "upper").output
+        assert out.size == 3 and out.points[-1] == 3.0 and out.points[0] > 0.0
+
+        def psi_moments(design):
+            x, w = design.points_array(), design.weights_array()
+            e = np.exp(10.0 * x)
+            return np.array([np.ones_like(x), e, x * e, e**2, x * e**2]) @ w
+
+        def info(design):
+            x, w = design.points_array(), design.weights_array()
+            e = np.exp(10.0 * x)
+            G = np.array([np.ones_like(x), e, x * e])
+            return (G * w) @ G.T
+
+        np.testing.assert_allclose(psi_moments(out), psi_moments(xi), rtol=1e-8)
+        M_in = info(xi)
+        assert eigvalsh(info(out) - M_in)[0] >= -1e-8 * eigvalsh(M_in)[-1]
+
     def test_exponential3_lower_negative_rate(self):
         theta = [1.0, 1.0, -1.0]
         model = make_model("exponential3", theta, (0.0, 3.0))
