@@ -176,49 +176,51 @@ class _MonomialProducts(_Monomials):
 def psi_system(model: RegressionModel, theta) -> PsiSystem:
     """Deduplicated entries of C11 and C21, ordered per the catalog.
 
-    Entries are compared on a 256-point Chebyshev-spaced grid; two
-    entries agreeing within 1e-10 (relative to their magnitude) are the
-    same psi, and constants are discarded.  A table of entries that
-    overflows on that grid raises EvaluationError.  When the model declares
-    an expected k, a mismatch raises a configuration error, which catches
-    deduplication ambiguities at known parameter values.  A system whose
-    ordered rows on that grid are x, ..., x^(k-1), each within 1e-10 of its
-    own largest magnitude there, gets a ``_MonomialProducts`` evaluator,
-    whose type ``principal`` seeds from Gauss-type rules: the catalog
-    ``polynomial`` at any p1, and any model with the same values.
+    Entries are compared on a 256-point Chebyshev-spaced grid, each through
+    its magnitude m there, its largest absolute value.  An entry whose
+    values span at most 1e-10 max(1, m) is a constant and is discarded, and
+    two entries within 1e-10 max(1, m, m') of each other are the same psi:
+    both rules are absolute where the magnitudes are below 1.  A table of
+    entries that overflows on that grid raises EvaluationError.  When the
+    model declares an expected k, a mismatch raises a configuration error,
+    which catches deduplication ambiguities at known parameter values.  A
+    system whose ordered rows on that grid are x, ..., x^(k-1), each within
+    1e-10 of its own magnitude there, gets a ``_MonomialProducts``
+    evaluator, whose type ``principal`` seeds from Gauss-type rules: the
+    catalog ``polynomial`` at any p1, and any model with the same values.
+    Row 1 is compared with x first, so a system whose row 1 is not x forms
+    no power.
     """
     theta = _check_theta(model, theta)
     p, p1 = model.p, model.p1
     r = p - p1
     Pinv = _p_inverse(model, theta)
     a, b = model.design_interval.lower, model.design_interval.upper
+    # The index pairs (i, j) of C11's upper triangle, then of C21: C11's
+    # lower triangle repeats the upper one bit for bit and adds no psi.
+    entries = [(i, j) for i in range(r) for j in range(i, r)] + [(i, j) for i in range(r, p) for j in range(r)]
+    entries = np.array(entries, dtype=int).reshape(-1, 2).T
 
     def h(xs):
         return Pinv @ _grad_values(model, theta, xs)
 
+    def products(F, G, pairs, out=None):  # the rows F_i G_j over the index pairs (i, j); h_i h_j at F = G = h
+        return np.multiply(F[pairs[0]], G[pairs[1]], out=out)
+
+    def table_rows(xs):
+        H = h(xs)
+        return products(H, H, entries)
+
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     angles = np.pi * (2.0 * np.arange(DEDUP_GRID_SIZE) + 1.0) / (2.0 * DEDUP_GRID_SIZE)
     grid = np.sort(mid + half * np.cos(angles))
-    # C11's lower triangle repeats its upper one bit for bit: it adds no psi.
-    positions = [(i, j) for i in range(r) for j in range(i, r)]
-    positions += [(i, j) for i in range(r, p) for j in range(r)]
-
-    def products(xs):
-        H = h(xs)
-        return np.array([H[i] * H[j] for i, j in positions]).reshape(-1, xs.size)
-
-    table = _evaluate(products, len(positions), grid, f"psi dedup table of {model.name}")
-    reps: list = []  # (values_on_grid, (i, j) of first appearance)
-    for (i, j), vals in zip(positions, table):
-        lo, hi = float(vals.min()), float(vals.max())
-        if hi - lo <= DEDUP_TOL * max(1.0, abs(hi), abs(lo)):
-            continue
-        for rv, _ in reps:
-            tol = DEDUP_TOL * max(1.0, float(np.abs(vals).max()), float(np.abs(rv).max()))
-            if np.abs(vals - rv).max() <= tol:
-                break
-        else:
-            reps.append((vals, (i, j)))
+    table = _evaluate(table_rows, entries.shape[1], grid, f"psi dedup table of {model.name}")
+    magnitude = np.abs(table).max(axis=1)
+    tol = DEDUP_TOL * np.maximum(1.0, magnitude)
+    reps: list = []  # the table rows of first appearance
+    for row in np.flatnonzero(table.max(axis=1) - table.min(axis=1) > tol):
+        if not any(np.abs(table[row] - table[rep]).max() <= max(tol[row], tol[rep]) for rep in reps):
+            reps.append(row)
 
     n_distinct = len(reps)
     k = 1 + n_distinct
@@ -232,25 +234,24 @@ def psi_system(model: RegressionModel, theta) -> PsiSystem:
     if sorted(order) != list(range(n_distinct)):
         raise ConfigurationError(f"{model.name}: psi_order is not a permutation of 0..{n_distinct - 1}")
 
-    I, J = np.array([reps[scan][1] for scan in order], dtype=int).reshape(-1, 2).T
+    rows = np.array(reps, dtype=int)[list(order)]
+    ordered, scale, chosen = table[rows], DEDUP_TOL * magnitude[rows, None], entries[:, rows]
     with np.errstate(over="ignore"):  # a power past the double range matches no finite row
-        powers = monomials(grid, k)[1:]
-    ordered = np.array([reps[scan][0] for scan in order]).reshape(powers.shape)
-    monomial = np.all(np.abs(ordered - powers) <= DEDUP_TOL * np.abs(ordered).max(axis=1, keepdims=True))
+        monomial = np.all(np.abs(ordered[:1] - grid) <= scale[:1])  # row 1 is x: only then form the powers
+        monomial = monomial and np.all(np.abs(ordered - monomials(grid, k)[1:]) <= scale)
 
     def with_tail(xs):
         H = h(xs)
         W = np.empty((k + p1, H.shape[1]))
         W[0] = 1.0
-        for row, (i, j) in enumerate(zip(I, J), 1):
-            np.multiply(H[i], H[j], out=W[row])
+        products(H, H, chosen, out=W[1:k])
         W[k:] = H[r:]
         return W
 
     def derivative_rows(xs):
         H = h(xs)
         dH = Pinv @ np.asarray(model.gradient_dx(xs, theta), dtype=float)
-        return np.vstack([np.zeros((1, H.shape[1])), dH[I] * H[J] + H[I] * dH[J]])
+        return np.vstack([np.zeros((1, H.shape[1])), products(dH, H, chosen) + products(H, dH, chosen)])
 
     dpsi = None if model.gradient_dx is None else derivative_rows
     evaluator = _MonomialProducts(k, with_tail) if monomial else lambda xs: with_tail(xs)[:k]

@@ -502,31 +502,41 @@ def _root_seed(c0: MomentPoint, structure: RepresentationStructure, grid: np.nda
     when the scan finds no bracket or more than one.
 
     The structure is one endpoint E (B upper, A lower) and one interior
-    point t.  On each point t of ``grid``, V the basis there, the rows
-    psi_0 = 1 and psi_1 fix the weights w_t = (c_1 - c_0 psi_1(E)) /
-    (psi_1(t) - psi_1(E)) and w_E = c_0 - w_t, and what is left is the
-    residual r(t) = w_E psi_2(E) + w_t psi_2(t) - c_2 (variable projection,
-    Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).  A cell of the grid
-    brackets a root when r changes sign over it, both its ends lie inside
-    (A, B) and 0 < w_t < c_0 at both.  An interior c0 of a Chebyshev
-    system has exactly one representation of the structure, so exactly
-    one such cell gives the seed: its regula falsi point, with both
-    weights interpolated there.  Round-off on the way (E's own column
-    divides by zero) gives inf or nan, which no bracket keeps."""
+    point t, and c0 lies in the span of psi(E) and psi(t) exactly where the
+    residual r(t) = det[psi(E), psi(t), c0] vanishes: on ``grid``, V the
+    basis there, r is the 3-vector c0 x psi(E) times V, with no pole
+    (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).
+    A cell of the grid brackets a root when r changes sign over it, both
+    its ends lie inside (A, B) and the weights w_E, w_t of c0 on psi(E),
+    psi(t), solved from all three rows by least squares, are positive at
+    both; no pair of rows alone need fix them.  An interior c0 of a
+    Chebyshev system has exactly one representation of the structure, so
+    exactly one such cell gives the seed: its regula falsi point, with both
+    weights interpolated there.  Round-off on the way gives inf or nan,
+    which no bracket keeps."""
     c = c0.array()
     end = -1 if structure.includes_B else 0
-    w_t = (c[1] - c[0] * V[1, end]) / (V[1] - V[1, end])
-    w_e = c[0] - w_t
-    r = w_e * V[2, end] + w_t * V[2] - c[2]
-    inside = (w_t > 0.0) & (w_t < c[0])
-    inside[[0, -1]] = False
-    cells = np.flatnonzero(inside[:-1] & inside[1:] & ((r[:-1] < 0.0) != (r[1:] < 0.0)))
-    if cells.size != 1:
+    u = V[:, end]
+    # c0 x psi(E), written out: np.cross takes about 20 us on one pair.
+    r = np.array([c[1] * u[2] - c[2] * u[1], c[2] * u[0] - c[0] * u[2], c[0] * u[1] - c[1] * u[0]]) @ V
+    cells = np.flatnonzero((r[:-1] < 0.0) != (r[1:] < 0.0))
+    uu, cu = u @ u, c @ u
+
+    def weights(v):  # (w_t, w_E) at psi(t) = v, by the normal equations
+        uv, cv, vv = u @ v, c @ v, v @ v
+        return np.array([uu * cv - uv * cu, vv * cu - uv * cv]) / (uu * vv - uv * uv)
+
+    brackets = []
+    for i in cells[(cells > 0) & (cells < r.size - 2)]:
+        w_i, w_next = weights(V[:, i]), weights(V[:, i + 1])
+        if (w_i > 0.0).all() and (w_next > 0.0).all():
+            brackets.append((i, w_i, w_next))
+    if len(brackets) != 1:
         return None
-    i = cells[0]
+    ((i, w_i, w_next),) = brackets
     s = r[i] / (r[i] - r[i + 1])
-    t, w = grid[i] + s * (grid[i + 1] - grid[i]), w_t[i] + s * (w_t[i + 1] - w_t[i])
-    e, w_end = grid[end], w_e[i] + s * (w_e[i + 1] - w_e[i])
+    t, (w, w_end) = grid[i] + s * (grid[i + 1] - grid[i]), w_i + s * (w_next - w_i)
+    e = grid[end]
     return np.array([(t, w), (e, w_end)] if structure.includes_B else [(e, w_end), (t, w)])
 
 

@@ -237,11 +237,14 @@ def test_the_polynomial_at_p1_2_is_monomial_and_still_refused(direction):
 
 
 @pytest.mark.parametrize(
-    "change", [{"psi_order": (1, 0, 2, 3, 4)}, {"p_matrix": lambda th: 2.0 * np.eye(4)}], ids=["permuted", "scaled"]
+    "change",
+    [{"psi_order": (1, 0, 2, 3, 4)}, {"psi_order": (0, 2, 1, 3, 4)}, {"p_matrix": lambda th: 2.0 * np.eye(4)}],
+    ids=["permuted", "permuted_after_x", "scaled"],
 )
 def test_a_permuted_or_scaled_polynomial_psi_is_not_monomial(change):
-    """x, 1 ... or x^n / 4 are not the monomials in order: the system keeps
-    the plain evaluator, and no Gauss-type seed."""
+    """x^2, x, ..., or x, x^3, x^2, ..., or x^n / 4 are not the monomials in
+    order: the system keeps the plain evaluator, and no Gauss-type seed.
+    The second passes the row-1 test and is refused by the powers."""
     model = dataclasses.replace(make_model("polynomial", POLY_THETA, (-1.0, 1.0)), **change)
     assert not isinstance(psi_system(model, POLY_THETA).system.evaluator, _Monomials)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tcheb.principal
-from tcheb import Design, Interval, make_model, reduce_design
+from tcheb import Design, Interval, basis_matrix, make_model, reduce_design
 from tcheb.moments import design_index, moment_point
 from tcheb.errors import InfeasibleError
 from tcheb.principal import STRUCTURES, _principal, _represent, _root_seed, refine_newton
@@ -90,6 +90,32 @@ def test_a_point_one_cell_from_an_end_keeps_the_lp():
     assert result.path == "lp" and result.design == _principal(system, c0, "upper", lp).design
     assert 0.0 < result.design.points[0] < 2e-4
     assert reduce_design(model, [1.0, 1.0], xi, "upper").output == result.design
+
+
+def test_a_root_where_psi_1_repeats_its_end_value_is_seeded():
+    """michaelis_menten upper at theta2 = 1.70, op 988 of the benchmark's
+    seed-1 reduce_sweep: psi_1 = x^2/(theta2 + x)^3 peaks inside [A, B], and
+    at the interior point 1.297 psi_1(t) equals psi_1(B) to 1e-4, so the
+    psi_0/psi_1 rows alone cannot fix the weights there.  The pole-free
+    residual det[psi(E), psi(t), c0] changes sign in that cell all the
+    same, and the weights from all three rows are positive at its ends, so
+    the root seeds the reduction, which is the LP path's to 1e-9."""
+    theta = (1.0, 1.701292486027441)
+    model = make_model("michaelis_menten", theta, (0.0, 10.0))
+    psi, lp = _gated_psi(model, np.asarray(theta).tobytes(), "upper", 0)
+    xi = Design(
+        points=(0.5106260360262482, 2.698367654894433, 4.1447407496527635, 6.188423473587304,
+                7.4944381017307045, 9.061721278309525),
+        weights=(0.29305392581361445, 0.03800516793710342, 0.28413846190426184, 0.05844961367495302,
+                 0.25458122283044937, 0.07177160783961785),
+        interval=Interval(0.0, 10.0),
+    )
+    c0 = moment_point(psi.system, xi)
+    got, want = _represent(psi.system, c0, "upper", lp), _principal(psi.system, c0, "upper", lp)
+    assert got.path == "root" and want.path == "lp"
+    close(got, want)
+    psi_1 = basis_matrix(psi.system, got.design.points)[1]
+    assert abs(psi_1[0] / psi_1[1] - 1.0) < 1e-4
 
 
 def test_a_cluster_without_a_bracket_falls_back_unchanged():
