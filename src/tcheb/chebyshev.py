@@ -153,8 +153,11 @@ def basis_matrix(system: ChebyshevSystem, xs) -> np.ndarray:
     """Evaluate all basis functions at the given points, which pass
     ``check_reals`` ("xs[j]").
 
-    Returns the k x n matrix V with V[i, j] = psi_i(xs[j]).
+    Returns the k x n matrix V with V[i, j] = psi_i(xs[j]); ``check_type``
+    first refuses a ``system`` that is not a ChebyshevSystem, here as in
+    ``derivative_matrix``, ``evaluate_basis``, ``check_chebyshev`` and ``augment``.
     """
+    check_type(system, ChebyshevSystem, "system")
     return _basis_matrix(system, check_reals(xs, "xs"))
 
 
@@ -164,6 +167,7 @@ def derivative_matrix(system: ChebyshevSystem, xs) -> np.ndarray:
     Uses analytic derivatives when the system carries them, otherwise a
     central finite difference with step 1e-6 * (B - A).
     """
+    check_type(system, ChebyshevSystem, "system")
     return _derivative_matrix(system, check_reals(xs, "xs"))
 
 
@@ -186,6 +190,7 @@ def _derivative_matrix(system: ChebyshevSystem, xs: np.ndarray) -> np.ndarray:
 def evaluate_basis(system: ChebyshevSystem, x: float) -> np.ndarray:
     """Return the vector (psi_0(x), ..., psi_{k-1}(x)); x passes
     ``check_real``, and a point outside the interval raises DomainError."""
+    check_type(system, ChebyshevSystem, "system")
     x = check_real(x, "x")
     slack = _MEMBERSHIP_REL * system.interval.length
     if not system.interval.contains(x, slack):
@@ -324,6 +329,7 @@ def check_chebyshev(
     ``seed`` is a nonnegative integer, numpy integers included; anything
     else, such as a ``np.random.Generator``, raises ConfigurationError.
     """
+    check_type(system, ChebyshevSystem, "system")
     k = system.k
     tuples = _sample(system.interval, k, grid_size, num_random_tuples, seed)
     with _typed_overflow("collocation determinants"):
@@ -380,6 +386,7 @@ def augment(system: ChebyshevSystem, omega: Callable) -> ChebyshevSystem:
     No determinant check is performed; callers run check_chebyshev on the
     result when they need the property.
     """
+    check_type(system, ChebyshevSystem, "system")
     row = _stacked((omega,), "omega")
     return ChebyshevSystem(system.interval, system.k + 1, lambda xs: np.vstack([system.evaluator(xs), row(xs)]))
 

@@ -8,7 +8,10 @@ and optimize, ``--tol.psd=`` on dominate.  ``check`` reports the
 determinant gate ``reduce`` runs: ``certified`` true alone where the
 model's closed-form determinant signs prove it (for instance
 michaelis_menten upper at theta2 > 0), otherwise both checks of the
-sampled gate at the seed.
+sampled gate at the seed.  ``main`` loads the model spec and writes
+every report, and the CSV of a reduce or optimize design; each
+subcommand maps (args, model, theta) to (payload, CSV design or None,
+exit status).
 Exit status 0 on success, 2 when a determinant precondition fails, 1 on
 I/O or schema errors.  All other library errors, and
 arithmetic that overflows, divides by zero or is invalid (code
@@ -144,8 +147,7 @@ def _check_report(rep) -> dict:
     return out
 
 
-def _cmd_check(args) -> int:
-    model, theta = _load_model(args.model)
+def _cmd_check(args, model, theta):
     psi = psi_system(model, theta)
     checks = run_gate(model, theta, psi, args.direction, args.seed)
     report = {"certified": checks is None, "direction": args.direction, "k": psi.k}
@@ -155,31 +157,20 @@ def _cmd_check(args) -> int:
         report["augmented"] = _check_report(aug)
         if Q is not None:
             report["augmented"]["Q"] = list(Q)
-    _write_report(args.out, report)
-    return EXIT_OK if checks is None or (base.verified and aug.verified) else EXIT_PRECONDITION
+    return report, None, (EXIT_OK if checks is None or (base.verified and aug.verified) else EXIT_PRECONDITION)
 
 
-def _cmd_moments(args) -> int:
-    model, theta = _load_model(args.model)
+def _cmd_moments(args, model, theta):
     design = _load_design(args.design, model)
     psi = psi_system(model, theta)
     point = moment_point(psi.system, design)
-    report = {
-        "moment_point": list(point.coordinates),
-        "index": design_index(design),
-        "k": psi.k,
-    }
-    _write_report(args.out, report)
-    return EXIT_OK
+    return {"moment_point": list(point.coordinates), "index": design_index(design), "k": psi.k}, None, EXIT_OK
 
 
-def _cmd_reduce(args) -> int:
-    model, theta = _load_model(args.model)
+def _cmd_reduce(args, model, theta):
     design = _load_design(args.design, model)
     report = reduce_design(model, theta, design, args.direction, seed=args.seed)
-    _write_report(args.out, _reduce_payload(report))
-    _write_design_csv(args.out, report.output)
-    return EXIT_OK
+    return _reduce_payload(report), report.output, EXIT_OK
 
 
 def _reduce_payload(report) -> dict:
@@ -197,8 +188,7 @@ def _reduce_payload(report) -> dict:
     }
 
 
-def _cmd_dominate(args) -> int:
-    model, theta = _load_model(args.model)
+def _cmd_dominate(args, model, theta):
     xi1 = _load_design(args.design, model)
     xi2 = _load_design(args.design2, model)
     rep = verify_domination(model, theta, xi1, xi2, tolerance=args.psd_tol)
@@ -208,12 +198,10 @@ def _cmd_dominate(args) -> int:
         "tolerance": rep.tolerance,
         "loewner_min_eigenvalue": _sig15(rep.loewner_min_eigenvalue),
     }
-    _write_report(args.out, payload)
-    return EXIT_OK
+    return payload, None, EXIT_OK
 
 
-def _cmd_optimize(args) -> int:
-    model, theta = _load_model(args.model)
+def _cmd_optimize(args, model, theta):
     design = optimize_in_class(
         model, theta, criterion=args.criterion, direction=args.direction, seed=args.seed
     )
@@ -224,9 +212,7 @@ def _cmd_optimize(args) -> int:
         "direction": args.direction,
         "value": _sig15(value),
     }
-    _write_report(args.out, payload)
-    _write_design_csv(args.out, design)
-    return EXIT_OK
+    return payload, design, EXIT_OK
 
 
 _COMMANDS = {
@@ -263,7 +249,10 @@ def main(argv=None) -> int:
         # Arithmetic that overflows double precision ends the run as an
         # evaluation error rather than as a warning and inf or NaN values.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            code = _COMMANDS[args.command](args)
+            payload, design, code = _COMMANDS[args.command](args, *_load_model(args.model))
+        _write_report(out_path, payload)
+        if design is not None:
+            _write_design_csv(out_path, design)
         log.info("%s finished with exit code %d", args.command, code)
         return code
     except PreconditionError as err:

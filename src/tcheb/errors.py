@@ -50,10 +50,6 @@ class ConvergenceError(TchebError):
 
     code = "convergence"
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class SingularityError(TchebError):
     """A linear system or Jacobian is numerically singular."""

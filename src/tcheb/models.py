@@ -34,6 +34,7 @@ from .chebyshev import (
     monomial_derivatives, monomials,
 )
 from .errors import ConfigurationError, DomainError
+from .moments import Design
 
 DEDUP_GRID_SIZE = 256
 DEDUP_TOL = 1e-10
@@ -43,10 +44,11 @@ DEDUP_TOL = 1e-10
 class RegressionModel:
     """Catalog model: mean function, gradient and block transformation.
 
-    ``gradient`` and ``gradient_dx`` accept an ndarray of x values and
-    return an array of shape (p, n); ``gradient_dx`` is the x derivative
-    of the gradient, used to carry analytic derivatives through to the
-    Newton refinement.  ``p1`` is the size of the trailing block.
+    ``gradient`` and ``gradient_dx`` receive the float ndarray of n x
+    values that ``chebyshev._evaluate`` makes, and return an array of
+    shape (p, n); ``gradient_dx`` is the x derivative of the gradient,
+    used to carry analytic derivatives through to the Newton refinement.
+    ``p1`` is the size of the trailing block.
 
     ``eta``, ``gradient``, ``p_matrix`` and ``gradient_dx`` must be pure
     functions of (x, theta), or of theta alone for ``p_matrix``:
@@ -112,7 +114,10 @@ def _grad_values(model: RegressionModel, theta, xs) -> np.ndarray:
 
 
 def _check_theta(model: RegressionModel, theta) -> np.ndarray:
-    """theta as a float p-vector, entries by ``check_reals`` ("model {name} theta")."""
+    """theta as a float p-vector, entries by ``check_reals`` ("model {name} theta"),
+    after ``check_type`` refuses a model that is not a RegressionModel: the
+    first check of every entry that takes a model."""
+    check_type(model, RegressionModel, "model")
     theta = check_reals(theta, f"model {model.name} theta")
     if theta.shape != (model.p,):
         raise ConfigurationError(
@@ -128,7 +133,9 @@ def information_matrix(model: RegressionModel, theta, design) -> np.ndarray:
 
 
 def _information_matrix(model: RegressionModel, theta: np.ndarray, design) -> np.ndarray:
-    """``information_matrix`` at a theta that passed ``_check_theta``."""
+    """``information_matrix`` at a theta that passed ``_check_theta``, after
+    ``check_type`` refuses a design that is not a Design."""
+    check_type(design, Design, "design")
     if design.interval != model.design_interval:
         raise DomainError("design interval differs from the model design interval")
     G = _grad_values(model, theta, design.points_array())
@@ -265,8 +272,10 @@ def psi_k_Q(psi: PsiSystem, Q) -> Callable:
     Since C22 = h h^T with the trailing block h of length p1, the value
     is the square of Q . h(x), read through ``chebyshev._evaluate``: a
     square that overflows raises EvaluationError.  Q's entries pass
-    ``check_reals``; every refusal of Q is a DomainError.
+    ``check_reals``; every refusal of Q is a DomainError, and a ``psi``
+    that is not a PsiSystem is refused first, by ``check_type``.
     """
+    check_type(psi, PsiSystem, "psi")
     try:
         Q = check_reals(Q, "Q")
     except ConfigurationError as err:
@@ -305,12 +314,10 @@ def _michaelis_menten(interval: Interval, p1: int) -> RegressionModel:
         return th[0] * x / (th[1] + x)
 
     def gradient(x, th):
-        x = np.asarray(x, dtype=float)
         d = th[1] + x
         return np.stack([x / d, -th[0] * x / d**2])
 
     def gradient_dx(x, th):
-        x = np.asarray(x, dtype=float)
         d = th[1] + x
         return np.stack([th[1] / d**2, -th[0] * (th[1] - x) / d**3])
 
@@ -335,12 +342,10 @@ def _exponential(interval: Interval, p1: int) -> RegressionModel:
         return th[0] * np.exp(th[1] * np.asarray(x, dtype=float))
 
     def gradient(x, th):
-        x = np.asarray(x, dtype=float)
         e = np.exp(th[1] * x)
         return np.stack([e, th[0] * x * e])
 
     def gradient_dx(x, th):
-        x = np.asarray(x, dtype=float)
         e = np.exp(th[1] * x)
         return np.stack([th[1] * e, th[0] * e * (1.0 + th[1] * x)])
 
@@ -365,12 +370,10 @@ def _exponential3(interval: Interval, p1: int) -> RegressionModel:
         return th[0] + th[1] * np.exp(th[2] * np.asarray(x, dtype=float))
 
     def gradient(x, th):
-        x = np.asarray(x, dtype=float)
         e = np.exp(th[2] * x)
         return np.stack([np.ones_like(x), e, th[1] * x * e])
 
     def gradient_dx(x, th):
-        x = np.asarray(x, dtype=float)
         e = np.exp(th[2] * x)
         return np.stack([np.zeros_like(x), th[2] * e, th[1] * e * (1.0 + th[2] * x)])
 

@@ -204,7 +204,11 @@ def moment_point(system: ChebyshevSystem, design: Design) -> MomentPoint:
 
     With psi_0 identically one the zeroth coordinate equals
     math.fsum(weights), which Design construction pins to exactly 1.0.
+    A ``system`` that is not a ChebyshevSystem, then a ``design`` that is
+    not a Design, is refused by ``check_type``.
     """
+    check_type(system, ChebyshevSystem, "system")
+    check_type(design, Design, "design")
     if design.interval != system.interval:
         raise DomainError("design and system live on different intervals")
     return fsum_moments(system, _basis_matrix(system, design.points_array()), design.weights)
@@ -227,7 +231,9 @@ def support_index(points: Iterable[float], interval: Interval) -> float:
 
 
 def design_index(design: Design) -> float:
-    """The half-counted index of the design's support."""
+    """The half-counted index of the design's support; a ``design`` that is
+    not a Design is refused by ``check_type``."""
+    check_type(design, Design, "design")
     return support_index(design.points, design.interval)
 
 

@@ -63,7 +63,7 @@ import numpy as np
 
 from .chebyshev import (
     ChebyshevSystem, Interval, _basis_matrix, _derivative_matrix, _evaluate, _Monomials, _stacked, check_reals,
-    monomials,
+    check_type, monomials,
 )
 from .errors import (
     ConfigurationError,
@@ -244,13 +244,15 @@ def refine_newton(
     rows, then its columns, are scaled to unit max-norm, raises
     SingularityError: no step depends on those scales.  The basis is
     evaluated once per iterate: the accepted trial's values serve the next
-    Jacobian, the last ones the result's ``moments``.  c0[0] must be 1.
-    The result's ``path`` is "given": the caller's own atoms.
+    Jacobian, the last ones the result's ``moments``.  c0[0] must be 1,
+    and a ``structure`` that is not a RepresentationStructure is refused by
+    ``check_type``.  The result's ``path`` is "given": the caller's own atoms.
     """
     check_arguments(system, c0)
     k = system.k
     a, b = system.interval.lower, system.interval.upper
     _check_total_weight(c0)
+    check_type(structure, RepresentationStructure, "structure")
     if structure.free_unknowns != k:
         raise ConfigurationError("structure unknowns do not match the system dimension")
     atoms = check_reals(initial, "initial atoms")
@@ -258,9 +260,6 @@ def refine_newton(
         raise ConfigurationError(f"initial atoms must have shape {(structure.num_points, 2)}, got {atoms.shape}")
     points, w = atoms.T.copy()
     ends = [structure.includes_A, structure.includes_B]
-    if ends != [points[0] == a, points[-1] == b]:
-        raise ConfigurationError("initial support endpoint membership violates the structure")
-
     free = slice(int(structure.includes_A), points.size - int(structure.includes_B))
     ni = structure.interior_points
     c = c0.array()
@@ -311,13 +310,13 @@ def refine_newton(
                     break
             alpha *= 0.5
         else:
-            raise ConvergenceError(f"newton step stalled at residual {res:.3e}", residual=res)
+            raise ConvergenceError(f"newton step stalled at residual {res:.3e}")
     if res > tol:
-        raise ConvergenceError(f"newton did not reach tolerance, residual {res:.3e}", residual=res)
+        raise ConvergenceError(f"newton did not reach tolerance, residual {res:.3e}")
 
     result = _result(system, c0, structure, points, w, V, iterations)
     if result is None:
-        raise ConvergenceError("refined design drifted off the moment point", residual=res)
+        raise ConvergenceError("refined design drifted off the moment point")
     return result
 
 
@@ -456,9 +455,10 @@ def _gauss_rule(
 
     For the monomials 1, ..., x^(k-1) the principal representations are
     the Gauss, Radau and Lobatto rules of c0 (Karlin & Studden, 1966,
-    Ch. IV): lower at even k = 2n is the n-point Gauss rule; odd k is the
-    Radau rule at B (upper) or at A (lower), by Golub's change to the last
-    alpha; upper at even k is the Lobatto rule, by the 2 x 2 change to the
+    Ch. IV), and the structure's ends pick the rule: none (lower at even
+    k = 2n) is the n-point Gauss rule; one (odd k) is the Radau rule at
+    that end, B upper or A lower, by Golub's change to the last alpha;
+    both (upper at even k) is the Lobatto rule, by the 2 x 2 change to the
     last (alpha, beta) that makes pi_{n+1} vanish at A and B (Golub, SIAM
     Rev. 15, 1973).  The points are the eigenvalues of the Jacobi matrix,
     the structure's end points set to A and B bit for bit, and the weights
@@ -473,7 +473,7 @@ def _gauss_rule(
     try:
         alpha, beta = _recurrence(list(c0.coordinates))
         n = len(alpha)
-        if k % 2:  # Radau: pi_{n+1} vanishes at the end the structure holds
+        if structure.includes_A != structure.includes_B:  # Radau: pi_{n+1} vanishes at the end the structure holds
             end = b if structure.includes_B else a
             low, high = _monic(end, alpha, beta)
             alpha.append(end - beta[n] * low / high)

@@ -1,7 +1,10 @@
 """The one rule for the numbers a caller passes: every entry point reads
 them through ``check_real`` or ``check_reals``, so a string, a bool, None
-or a non-finite value ends in ConfigurationError naming the entry."""
+or a non-finite value ends in ConfigurationError naming the entry.  The
+one rule for the objects: ``check_type`` refuses a model, design, system,
+structure or psi system of the wrong type by name."""
 
+import dataclasses
 import math
 import re
 
@@ -10,12 +13,14 @@ import pytest
 
 from tcheb import Design, Interval, MomentPoint, make_model, psi_k_Q, psi_system, solve_lp
 from tcheb.chebyshev import (
-    basis_matrix, check_real, check_reals, derivative_matrix, evaluate_basis, polynomial_system,
+    augment, basis_matrix, check_chebyshev, check_real, check_reals, derivative_matrix, evaluate_basis,
+    polynomial_system,
 )
 from tcheb.errors import ConfigurationError, DomainError
-from tcheb.models import information_matrix
+from tcheb.models import c_matrix, information_matrix
+from tcheb.moments import design_index, moment_point
 from tcheb.principal import STRUCTURES, refine_newton
-from tcheb.reduction import reduce_design, verify_domination
+from tcheb.reduction import criterion_value, optimize_in_class, reduce_design, verify_domination
 
 MM_IV = (0.0, 10.0)
 MM = make_model("michaelis_menten", (1.0, 1.0), MM_IV)
@@ -74,6 +79,53 @@ def test_a_bad_number_is_refused_by_name(entry, bad):
     value = BAD[bad]
     rule = f"finite, got {value!r}" if bad in ("nan", "inf") else rf"a real number, got {type(value).__name__}"
     with pytest.raises(DomainError if entry == "Q" else ConfigurationError, match=f"^{re.escape(name)} must be {rule}$"):
+        call(value)
+
+
+PSI = psi_system(MM, (1.0, 1.0))
+
+# Each entry: (the argument's kind, the call on one bad object v).
+OBJECT_ENTRIES = {
+    "reduce_design_model": ("model", lambda v: reduce_design(v, (1.0, 1.0), XI)),
+    "reduce_design_design": ("design", lambda v: reduce_design(MM, (1.0, 1.0), v)),
+    "verify_domination": ("design", lambda v: verify_domination(MM, (1.0, 1.0), v, XI)),
+    "information_matrix": ("design", lambda v: information_matrix(MM, (1.0, 1.0), v)),
+    "c_matrix": ("design", lambda v: c_matrix(MM, (1.0, 1.0), v)),
+    "criterion_value": ("design", lambda v: criterion_value(MM, (1.0, 1.0), v)),
+    "design_index": ("design", design_index),
+    "moment_point_system": ("system", lambda v: moment_point(v, XI)),
+    "moment_point_design": ("design", lambda v: moment_point(PSI.system, v)),
+    "psi_system": ("model", lambda v: psi_system(v, (1.0, 1.0))),
+    "optimize_in_class": ("model", lambda v: optimize_in_class(v, (1.0, 1.0), restarts=1)),
+    "refine_newton": ("structure", lambda v: refine_newton(SYS3, C0, v, [(0.5, 0.5), (1.0, 0.5)])),
+    "basis_matrix": ("system", lambda v: basis_matrix(v, [0.5])),
+    "derivative_matrix": ("system", lambda v: derivative_matrix(v, [0.5])),
+    "evaluate_basis": ("system", lambda v: evaluate_basis(v, 0.5)),
+    "check_chebyshev": ("system", check_chebyshev),
+    "augment": ("system", lambda v: augment(v, lambda x: x)),
+    "psi_k_Q": ("psi", lambda v: psi_k_Q(v, (1.0,))),
+}
+
+# The type each kind must have, and its data in another type.
+KINDS = {
+    "model": ("a RegressionModel", dict(vars(MM))),
+    "design": ("a Design", XI.as_json_obj()),
+    "system": ("a ChebyshevSystem", dict(vars(SYS3))),
+    "structure": ("a RepresentationStructure", dataclasses.astuple(STRUCTURES["upper"](3))),
+    "psi": ("a PsiSystem", dict(vars(PSI))),
+}
+
+
+@pytest.mark.parametrize("bad", ["none", "str", "data"])
+@pytest.mark.parametrize("entry", OBJECT_ENTRIES)
+def test_an_object_of_the_wrong_type_is_refused_by_name(entry, bad):
+    """Every public entry refuses None, a string or the right data in
+    another type with check_type's ConfigurationError: each ended in an
+    untyped AttributeError at its first read of the argument."""
+    kind, call = OBJECT_ENTRIES[entry]
+    want, data = KINDS[kind]
+    value = {"none": None, "str": "a", "data": data}[bad]
+    with pytest.raises(ConfigurationError, match=f"^{kind} must be {want}, got {type(value).__name__}$"):
         call(value)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -207,6 +208,29 @@ class TestNewton:
         c0 = MomentPoint(coordinates=tuple(1.0 / (i + 1) for i in range(k)), system=system)
         with pytest.raises(ConfigurationError, match="would move as a Design$"):
             refine_newton(system, c0, structure, initial)
+
+    @pytest.mark.parametrize(
+        "k, which, initial",
+        [
+            (3, "upper", [(0.5, 0.5), (0.9, 0.5)]),
+            (3, "lower", [(0.1, 0.5), (0.6, 0.5)]),
+            (4, "upper", [(0.1, 0.25), (0.5, 0.5), (1.0, 0.25)]),
+            (3, "upper", [(0.0, 0.5), (1.0, 0.5)]),
+            (3, "lower", [(0.0, 0.5), (1.0, 0.5)]),
+            (4, "lower", [(0.0, 0.5), (0.6, 0.5)]),
+        ],
+        ids=["included_B_off", "included_A_off", "included_A_off_even", "excluded_A_on", "excluded_B_on",
+             "excluded_A_on_even"],
+    )
+    def test_a_start_whose_ends_break_the_structure_would_move(self, k, which, initial):
+        """The feasibility test alone refuses a start whose ends break the
+        structure: an end the structure includes must be A or B bit for
+        bit, and one it excludes lies at a zero gap from A or B."""
+        system = polynomial_system(k, UNIT)
+        c0 = MomentPoint(coordinates=tuple(1.0 / (i + 1) for i in range(k)), system=system)
+        message = f"initial support {[p for p, _ in initial]} would move as a Design"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            refine_newton(system, c0, tcheb.principal.STRUCTURES[which](k), initial)
 
     def test_accepts_a_start_just_outside_the_snap_distance(self):
         """2e-7 from an excluded A on [0, 1000] is twice SNAP_REL * L: a start."""
