@@ -17,7 +17,7 @@ from typing import Callable, Iterable, List, Tuple
 
 import numpy as np
 
-from .chebyshev import ChebyshevSystem, Interval, _basis_matrix, check_reals, check_type
+from .chebyshev import ChebyshevSystem, Interval, _basis_matrix, _evaluate, _stacked, check_reals, check_type
 from .errors import ConfigurationError, DomainError
 
 # Points within this times (B - A) of an endpoint snap onto it before
@@ -199,18 +199,26 @@ def check_arguments(system, c0) -> None:
         raise ConfigurationError("moment point dimension does not match the system")
 
 
+def check_design(design, interval: Interval, name: str) -> None:
+    """Refuse, by ``check_type``, a ``design`` that is not a Design ("{name}
+    must be a Design, got dict"), then, by DomainError, one on another
+    interval than ``interval``."""
+    check_type(design, Design, name)
+    if design.interval != interval:
+        raise DomainError(f"{name} and system live on different intervals")
+
+
 def moment_point(system: ChebyshevSystem, design: Design) -> MomentPoint:
     """Moments c_i = sum_j w_j psi_i(x_j), accumulated with math.fsum.
 
     With psi_0 identically one the zeroth coordinate equals
     math.fsum(weights), which Design construction pins to exactly 1.0.
     A ``system`` that is not a ChebyshevSystem, then a ``design`` that is
-    not a Design, is refused by ``check_type``.
+    not a Design, is refused by ``check_type``, and a design on another
+    interval by ``check_design``.
     """
     check_type(system, ChebyshevSystem, "system")
-    check_type(design, Design, "design")
-    if design.interval != system.interval:
-        raise DomainError("design and system live on different intervals")
+    check_design(design, system.interval, "design")
     return fsum_moments(system, _basis_matrix(system, design.points_array()), design.weights)
 
 
@@ -250,21 +258,47 @@ def classify_point(
     gamma_upper - gamma_lower <= CLASSIFY_TOL * max(1, |gamma_upper|), in
     which case its representing measure is unique.  The probe must
     augment the system to a Chebyshev system for the geometry to hold;
-    that is the caller's obligation.  Both LPs are one ``_solve_grid_lp``
-    call on one grid evaluation and one simplex phase one; each gamma is
-    the value its own one-sense solve gives.
+    that is the caller's obligation.
+
+    The upper and lower principal representations attain the two ends
+    (Karlin & Studden, 1966, Ch. II and IV), so where ``principal._seeded``
+    finds both, each gamma is the math.fsum of the probe times the
+    weights over its support, the probe evaluated once on both supports
+    and so exact to Newton's tolerance.  Where either is missing, as at a
+    boundary point, or gamma_upper < gamma_lower, which shows a probe
+    that does not augment the system, both gammas come from the moment
+    LPs on the grid: one ``_solve_grid_lp`` call on one grid evaluation
+    and one simplex phase one, each gamma the value its own one-sense
+    solve gives, with the grid's discretization bias (up to about 5e-7 at
+    k <= 8 on the monomials).  At k = 3 the grid is evaluated first,
+    since the root scan reads it too.
     """
     check_arguments(system, c0)
     # Imported here: principal builds on this module.
-    from .principal import _lp_arrays, _solve_grid_lp
+    from .principal import _lp_arrays, _seeded, _solve_grid_lp
 
-    # Boundary moment points sit within O(grid spacing^2) of the grid
-    # moment body, so classification runs the LPs with a relaxed
-    # feasibility acceptance.  Both senses share one grid evaluation and
-    # one simplex phase one, which does not depend on the sense.
-    slack = 1e-6 * max(1.0, float(np.max(np.abs(c0.array()))))
-    lp = _lp_arrays(system, probe)
-    (gamma_upper, _), (gamma_lower, _) = _solve_grid_lp(lp, c0, ("max", "min"), slack)
+    row = _stacked((probe,), "probe")
+    lp = _lp_arrays(system, probe) if system.k == 3 else None
+    upper = _seeded(system, c0, "upper", lp)
+    lower = None if upper is None else _seeded(system, c0, "lower", lp)
+    gamma_upper = gamma_lower = math.nan  # no seeded pair
+    if lower is not None:
+        n = upper.design.size
+        xs = np.concatenate([upper.design.points_array(), lower.design.points_array()])
+        values = _evaluate(row, 1, xs, "objective")[0].tolist()
+        gamma_upper = math.fsum(v * w for v, w in zip(values[:n], upper.design.weights))
+        gamma_lower = math.fsum(v * w for v, w in zip(values[n:], lower.design.weights))
+    if not gamma_upper >= gamma_lower:
+        # No seeded pair, or a pair in the wrong order: the representations
+        # attain the ends only for a probe that augments the system (-x^k
+        # does not), and the LPs assume nothing of the probe.
+        # Boundary moment points sit within O(grid spacing^2) of the grid
+        # moment body, so classification runs the LPs with a relaxed
+        # feasibility acceptance.  Both senses share one grid evaluation
+        # and one simplex phase one, which does not depend on the sense.
+        slack = 1e-6 * max(1.0, float(np.max(np.abs(c0.array()))))
+        lp = _lp_arrays(system, probe) if lp is None else lp
+        (gamma_upper, _), (gamma_lower, _) = _solve_grid_lp(lp, c0, ("max", "min"), slack)
     gap = gamma_upper - gamma_lower
     boundary = gap <= CLASSIFY_TOL * max(1.0, abs(gamma_upper))
     return BoundaryReport(

@@ -12,7 +12,7 @@ not depend on which valid Omega is used.
 
 With no probe, ``upper_principal``, ``lower_principal`` and
 ``reduce_design`` share one solver, ``_represent``, which starts Newton
-from an LP-free seed, in this order:
+from an LP-free seed (``_seeded``), in this order:
 
 1. on a system whose evaluator is a ``_Monomials``, as
    ``polynomial_system``'s is, and a psi system's whose values
@@ -33,7 +33,10 @@ that path's.  ``PrincipalResult.path`` records the path taken, and
 within one LP grid cell of an end to the LP path.  On the
 benchmark's spread designs the seeds serve every ``michaelis_menten``,
 ``exponential`` and ``polynomial`` reduction (README "Numerical notes"
-has the timings).
+has the timings).  ``moments.classify_point`` takes its probe interval
+from ``_seeded``'s two representations where both exist: by the
+extremal property above, the probe's moments under them are the
+interval's ends, with no grid LP.
 
 The LP path is one path with one attempt, entered with a finite linear
 program built on the fixed ``lp_grid``, with the caller's probe as
@@ -540,28 +543,39 @@ def _root_seed(c0: MomentPoint, structure: RepresentationStructure, grid: np.nda
     return np.array([(t, w), (e, w_end)] if structure.includes_B else [(e, w_end), (t, w)])
 
 
-def _represent(system: ChebyshevSystem, c0: MomentPoint, which: str, lp=None) -> PrincipalResult:
+def _seeded(system: ChebyshevSystem, c0: MomentPoint, which: str, lp) -> Optional[PrincipalResult]:
     """The principal representation of the direction ``which``, as
-    ``refine_newton`` returns it, seeded first without the moment LP:
-    from ``_gauss_rule`` on a ``_Monomials`` system, else from
-    ``_root_seed`` at k = 3.  Where there is no seed, Newton raises from it
-    or its result has a weight at most ``ROUNDOFF_WEIGHT``, ``_principal``
-    runs the LP on ``lp``, the (grid, V, objective row) arrays, so every
-    error raised is that path's.  ``lp`` None means ``_lp_arrays(system)``,
-    evaluated only where the root scan or the LP needs it."""
+    ``refine_newton`` returns it from a seed found without the moment LP:
+    ``_gauss_rule``'s on a ``_Monomials`` system, else at k = 3
+    ``_root_seed``'s on the grid and basis of ``lp``, the (grid, V,
+    objective row) arrays.  None where there is no seed, Newton raises from
+    it or its result has a weight at most ``ROUNDOFF_WEIGHT``."""
     structure = STRUCTURES[which](system.k)
     seed, path = _gauss_rule(system, c0, structure), "gauss"
     if seed is None and system.k == 3:
-        lp = _lp_arrays(system) if lp is None else lp
         seed, path = _root_seed(c0, structure, *lp[:2]), "root"
-    if seed is not None:
-        try:
-            result = refine_newton(system, c0, structure, seed)
-        except TchebError:
-            pass
-        else:
-            if min(result.design.weights) > ROUNDOFF_WEIGHT:
-                return dataclasses.replace(result, path=path)
+    if seed is None:
+        return None
+    try:
+        result = refine_newton(system, c0, structure, seed)
+    except TchebError:
+        return None
+    if min(result.design.weights) <= ROUNDOFF_WEIGHT:
+        return None
+    return dataclasses.replace(result, path=path)
+
+
+def _represent(system: ChebyshevSystem, c0: MomentPoint, which: str, lp=None) -> PrincipalResult:
+    """``_seeded``'s representation of the direction ``which``, or where it
+    gives None, ``_principal``'s from the LP on ``lp``, so every error
+    raised is that path's.  ``lp`` None means ``_lp_arrays(system)``,
+    evaluated at k = 3, for the root scan and the LP alike, and elsewhere
+    only where the LP runs."""
+    if lp is None and system.k == 3:
+        lp = _lp_arrays(system)
+    result = _seeded(system, c0, which, lp)
+    if result is not None:
+        return result
     return _principal(system, c0, which, _lp_arrays(system) if lp is None else lp)
 
 

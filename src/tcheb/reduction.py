@@ -51,7 +51,7 @@ from .models import (
     information_matrix,
     psi_system,
 )
-from .moments import Design, MomentPoint, design_index, moment_point
+from .moments import Design, MomentPoint, check_design, design_index, moment_point
 from .principal import STRUCTURES, _principal, _represent, lp_grid
 
 PSD_TOL = 1e-8
@@ -243,7 +243,9 @@ def reduce_design(
     """
     _direction_sign(direction)
     theta = _check_theta(model, theta)
-    psi, lp = _cached_call(_gated_psi, model, theta.tobytes(), direction, check_count(seed, "seed", 0))
+    seed = check_count(seed, "seed", 0)
+    check_design(xi, model.design_interval, "design")
+    psi, lp = _cached_call(_gated_psi, model, theta.tobytes(), direction, seed)
     system = psi.system
     k = system.k
 
@@ -299,10 +301,15 @@ def verify_domination(
     >= -tolerance.  The whitened difference lies in [-1, 1], so a design
     that misses a direction the other sees reads -1 there at any scale of
     theta.  The tolerance must pass ``check_real``, and theta, as in
-    ``information_matrix``, ``check_reals``.
+    ``information_matrix``, ``check_reals``; ``check_design`` refuses an
+    ``xi1`` or ``xi2`` that is not a Design on the model's interval by its
+    name.
     """
     tolerance = check_real(tolerance, "tolerance")
-    return _domination(model, _check_theta(model, theta), xi1, xi2, tolerance)
+    theta = _check_theta(model, theta)
+    check_design(xi1, model.design_interval, "xi1")
+    check_design(xi2, model.design_interval, "xi2")
+    return _domination(model, theta, xi1, xi2, tolerance)
 
 
 def _domination(model: RegressionModel, theta: np.ndarray, xi1: Design, xi2: Design, tolerance: float):

@@ -88,7 +88,8 @@ PSI = psi_system(MM, (1.0, 1.0))
 OBJECT_ENTRIES = {
     "reduce_design_model": ("model", lambda v: reduce_design(v, (1.0, 1.0), XI)),
     "reduce_design_design": ("design", lambda v: reduce_design(MM, (1.0, 1.0), v)),
-    "verify_domination": ("design", lambda v: verify_domination(MM, (1.0, 1.0), v, XI)),
+    "verify_domination": ("xi1", lambda v: verify_domination(MM, (1.0, 1.0), v, XI)),
+    "verify_domination_xi2": ("xi2", lambda v: verify_domination(MM, (1.0, 1.0), XI, v)),
     "information_matrix": ("design", lambda v: information_matrix(MM, (1.0, 1.0), v)),
     "c_matrix": ("design", lambda v: c_matrix(MM, (1.0, 1.0), v)),
     "criterion_value": ("design", lambda v: criterion_value(MM, (1.0, 1.0), v)),
@@ -110,6 +111,8 @@ OBJECT_ENTRIES = {
 KINDS = {
     "model": ("a RegressionModel", dict(vars(MM))),
     "design": ("a Design", XI.as_json_obj()),
+    "xi1": ("a Design", XI.as_json_obj()),
+    "xi2": ("a Design", XI.as_json_obj()),
     "system": ("a ChebyshevSystem", dict(vars(SYS3))),
     "structure": ("a RepresentationStructure", dataclasses.astuple(STRUCTURES["upper"](3))),
     "psi": ("a PsiSystem", dict(vars(PSI))),

@@ -3,11 +3,15 @@ of each gate case, and the principal representations and the
 classification of monomial systems at k = 4..8.
 
 The literals were printed by the code before the principal solver got
-one entry.  They are compared as values to 1e-9, not as bytes, so they
-hold across BLAS builds.  Every input is a spread interior design: the
-outputs on clustered and endpoint-heavy inputs are meant to change.
+one entry, except ``GAMMA_PINS``: those are the probe moments of c0's
+Gauss, Radau and Lobatto rules at 50 digits, which
+``test_gamma_pins_are_the_50_digit_rules`` recomputes.  They are compared
+as values to 1e-9, not as bytes, so they hold across BLAS builds.  Every
+input is a spread interior design: the outputs on clustered and
+endpoint-heavy inputs are meant to change.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -136,13 +140,14 @@ PRINCIPAL_PINS = {
         (0.06667896169870403, 0.2525980290036041, 0.38984120698234326, 0.29088180231534855),
     ),
 }
-# k: (gamma_lower, gamma_upper) of the probe x^k.
+# k: (gamma_lower, gamma_upper) of the probe x^k, the x^k moments of the
+# lower and upper principal representations of monomial_c0(k).
 GAMMA_PINS = {
-    4: (0.1225824580123456, 0.3020849382716048),
-    5: (0.06859895602879296, 0.14805410453551007),
-    6: (0.11398483196312807, 0.15358001259164059),
-    7: (0.07739418053451373, 0.09553880971284488),
-    8: (0.09522259647581141, 0.1043130214979925),
+    4: (0.12258230452674891, 0.3020850949884435),
+    5: (0.06859886811867592, 0.1480542527570033),
+    6: (0.11398478916713169, 0.15358002812353602),
+    7: (0.07739409127276421, 0.0955388576021392),
+    8: (0.09522253800000015, 0.10431306185460848),
 }
 
 
@@ -192,3 +197,54 @@ def test_classification_is_pinned(k):
     report = classify_point(system, c0, lambda x: np.asarray(x, float) ** k)
     assert report.classification == "Interior"
     close((report.gamma_lower, report.gamma_upper), GAMMA_PINS[k])
+
+
+def orthogonal_roots(m, d):
+    """The roots of the monic degree-d orthogonal polynomial of the
+    moments m, its coefficients from the Hankel system of m."""
+    if d == 0:
+        return []
+    H = mpmath.matrix([[m[i + j] for j in range(d)] for i in range(d)])
+    a = mpmath.lu_solve(H, mpmath.matrix([-m[i + d] for i in range(d)]))
+    roots = mpmath.polyroots([1] + [a[j] for j in reversed(range(d))], maxsteps=200, extraprec=200)
+    return sorted(mpmath.re(r) for r in roots)
+
+
+def mp_rule(m, a, b, which):
+    """c0's principal representation on the monomials as a Gauss-type
+    rule: the lower one at even k the Gauss rule of m, at odd k the Radau
+    rule (B upper, A lower) and the upper one at even k the Lobatto rule,
+    whose interior points are the Gauss points of the measure times
+    B - x, x - A or (x - A)(B - x).  The weights solve the Vandermonde
+    system of the first moments."""
+    k, n = len(m), len(m) // 2
+    if k % 2 == 0 and which == "lower":
+        points = orthogonal_roots(m, n)
+    elif k % 2:
+        end, sign = (b, -1) if which == "upper" else (a, 1)
+        inner = orthogonal_roots([sign * (m[i + 1] - end * m[i]) for i in range(k - 1)], n)
+        points = inner + [b] if which == "upper" else [a] + inner
+    else:
+        inner = orthogonal_roots([(a + b) * m[i + 1] - m[i + 2] - a * b * m[i] for i in range(k - 2)], n - 1)
+        points = [a] + inner + [b]
+    vandermonde = mpmath.matrix([[p**i for p in points] for i in range(len(points))])
+    weights = mpmath.lu_solve(vandermonde, mpmath.matrix(m[: len(points)]))
+    return points, list(weights)
+
+
+@pytest.mark.parametrize("k", list(GAMMA_PINS))
+def test_gamma_pins_are_the_50_digit_rules(k):
+    """Each pin is the x^k moment of c0's rules at 50 digits, on c0's
+    doubles taken exactly, rounded once; each rule has positive weights
+    and matches all k moments."""
+    _, c0 = monomial_c0(k)
+    with mpmath.workdps(50):
+        m = [mpmath.mpf(c) for c in c0.coordinates]
+        gammas = []
+        for which in ("lower", "upper"):
+            points, weights = mp_rule(m, mpmath.mpf(-1), mpmath.mpf(1), which)
+            assert min(weights) > 0
+            for i in range(k):
+                assert abs(mpmath.fsum(w * p**i for p, w in zip(points, weights)) - m[i]) < mpmath.mpf(10) ** -45
+            gammas.append(float(mpmath.fsum(w * p**k for p, w in zip(points, weights))))
+    assert tuple(gammas) == GAMMA_PINS[k]

@@ -48,6 +48,13 @@ def uniform_c0(k):
     return sys_k, MomentPoint(coordinates=coords, system=sys_k)
 
 
+def boundary_c0():
+    """The k = 4 monomials on [-1, 1] and the moments of {-1: 1/2, 1: 1/2},
+    a boundary point: index 1 < k/2, so no seeded representation exists."""
+    sys4 = polynomial_system(4, SYM)
+    return sys4, MomentPoint(coordinates=(1.0, 0.0, 1.0, 0.0), system=sys4)
+
+
 class TestStructure:
     def test_upper_counts(self):
         s = RepresentationStructure.upper(4)
@@ -842,8 +849,10 @@ class TestGridCache:
                 array[0] = 0.0
 
     def test_classify_point_evaluates_the_grid_basis_once(self, monkeypatch):
+        """At a boundary point, where no seeded representation exists, the
+        LPs run on one grid evaluation of the basis and of the probe."""
         calls = self.grid_evaluations(monkeypatch)
-        sys4, c0 = uniform_c0(4)
+        sys4, c0 = boundary_c0()
         probed = []
 
         def probe(x):
@@ -853,9 +862,32 @@ class TestGridCache:
         for _ in range(2):
             calls.clear()
             probed.clear()
-            assert classify_point(sys4, c0, probe).classification == "Interior"
+            assert classify_point(sys4, c0, probe).classification == "Boundary"
             assert len(calls) == 1
             assert probed == [tcheb.principal.DEFAULT_GRID]
+
+    @pytest.mark.parametrize("k", range(4, 9))
+    def test_an_interior_point_evaluates_no_grid(self, monkeypatch, k):
+        """An interior c0 takes both gammas from ``_represent``'s two
+        representations: no grid, no LP, one probe evaluation on both
+        supports, and each gamma the fsum of probe times weight."""
+        calls = self.grid_evaluations(monkeypatch)
+        monkeypatch.setattr(tcheb.principal, "_solve_grid_lp", None)
+        sys_k, c0 = uniform_c0(k)
+        probed = []
+
+        def probe(x):
+            probed.append(np.size(x))
+            return np.asarray(x) ** k
+
+        rep = classify_point(sys_k, c0, probe)
+        upper, lower = (tcheb.principal._represent(sys_k, c0, which).design for which in ("upper", "lower"))
+        assert rep.classification == "Interior"
+        assert calls == []
+        assert probed == [upper.size + lower.size]
+        for gamma, design in ((rep.gamma_upper, upper), (rep.gamma_lower, lower)):
+            values = probe(design.points_array()).tolist()
+            assert gamma == math.fsum(v * w for v, w in zip(values, design.weights))
 
 
 K5 = (1.0, 0.0, 1.0 / 3.0, 0.0, 0.2)
@@ -918,10 +950,11 @@ def test_an_argument_of_the_wrong_type_is_refused_by_name(call, bad, message):
 
 
 class TestClassifyLP:
-    """classify_point solves its max and min moment LPs on one phase one."""
+    """Where no seeded representation exists, as at a boundary point,
+    classify_point solves its max and min moment LPs on one phase one."""
 
     def test_one_phase_one_and_the_one_sense_gammas(self, monkeypatch):
-        sys4, c0 = uniform_c0(4)
+        sys4, c0 = boundary_c0()
         phases = []
         real = tcheb.simplex._phase_one
 
@@ -936,7 +969,22 @@ class TestClassifyLP:
         slack = 1e-6 * max(1.0, max(abs(v) for v in c0.coordinates))
         want = [tcheb.simplex.solve_lp(V, c0.array(), obj, sense, slack).value for sense in ("max", "min")]
         assert len(phases) == 3
+        assert rep.classification == "Boundary"
         assert [rep.gamma_upper, rep.gamma_lower] == want
+
+    def test_a_probe_that_reverses_the_representations_takes_the_lp(self):
+        """-x^4 does not augment the monomials, so the upper representation
+        minimizes its moment: gammas in the wrong order send classify_point
+        to the LPs, which read the interval of x^4 negated, not a
+        Boundary verdict from the reversed pair."""
+        sys4, c0 = uniform_c0(4)
+        plus = classify_point(sys4, c0, lambda x: x**4)
+        minus = classify_point(sys4, c0, lambda x: -(x**4))
+        _, V, obj = tcheb.principal._lp_arrays(sys4, lambda x: -(x**4))
+        want = [tcheb.simplex.solve_lp(V, c0.array(), obj, sense, 1e-6).value for sense in ("max", "min")]
+        assert minus.classification == "Interior"
+        assert [minus.gamma_upper, minus.gamma_lower] == want
+        assert want == pytest.approx([-plus.gamma_lower, -plus.gamma_upper], abs=1e-4)
 
     @pytest.mark.parametrize("sense", ["max", "min"])
     def test_an_unbounded_sense_is_a_convergence_error(self, monkeypatch, sense):
@@ -950,6 +998,6 @@ class TestClassifyLP:
             return real(tableau, A, b, c, which, feas_tol)
 
         monkeypatch.setattr(tcheb.simplex, "_phase_two", phase_two)
-        sys4, c0 = uniform_c0(4)
+        sys4, c0 = boundary_c0()
         with pytest.raises(ConvergenceError, match="^round-off made the moment LP unbounded: its rows span "):
             classify_point(sys4, c0, lambda x: x**4)

@@ -32,6 +32,7 @@ from tcheb.errors import (
     ConfigurationError,
     ConvergenceError,
     DegeneracyError,
+    DomainError,
     EvaluationError,
     PreconditionError,
     TchebError,
@@ -474,6 +475,27 @@ class TestGateCache:
             reduce_design(model, [1.0, 1.0], xi, "upper", seed=warm)
         assert len(checks) == 1
 
+    @pytest.mark.parametrize(
+        "bad,error,message",
+        [
+            ("type", ConfigurationError, "^design must be a Design, got dict$"),
+            ("interval", DomainError, "^design and system live on different intervals$"),
+        ],
+    )
+    def test_a_bad_design_is_refused_before_the_gate(self, checks, bad, error, message):
+        """A design that is not a Design on the model's interval is refused
+        before the gate cache is read, cold or warm: no gate runs, and no
+        entry is added, looked up or evicted."""
+        model, xi = sampled_mm(), uniform([1.0, 4.0, 6.0, 9.0], MM_IV)
+        value = xi.as_json_obj() if bad == "type" else uniform([1.0, 4.0], (0.0, 5.0))
+        for _ in range(2):
+            before = tcheb.reduction._gated_psi.cache_info()
+            with pytest.raises(error, match=message):
+                reduce_design(model, [1.0, 1.0], value, "upper")
+            assert tcheb.reduction._gated_psi.cache_info() == before
+            reduce_design(model, [1.0, 1.0], xi, "upper")
+        assert len(checks) == 1
+
     def test_unhashable_model_still_reduces(self, checks):
         base = mm()
 
@@ -722,6 +744,15 @@ class TestDomination:
         xi = uniform(range(1, 9), MM_IV)
         with pytest.raises(ConfigurationError, match="tolerance must be finite"):
             verify_domination(mm(), [1.0, 1.0], xi, xi, tolerance=tolerance)
+
+    @pytest.mark.parametrize("position", ["xi1", "xi2"])
+    def test_a_design_on_another_interval_is_refused_by_its_position(self, position):
+        """Each design is named in the refusal of its interval, as in that
+        of its type (tests/test_inputs.py)."""
+        designs = {"xi1": uniform(range(1, 9), MM_IV), "xi2": uniform(range(1, 9), MM_IV)}
+        designs[position] = uniform([1.0, 4.0], (0.0, 5.0))
+        with pytest.raises(DomainError, match=f"^{position} and system live on different intervals$"):
+            verify_domination(mm(), [1.0, 1.0], designs["xi1"], designs["xi2"])
 
     def test_reduction_output_dominates_input(self):
         xi = uniform(range(1, 9), MM_IV)
